@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path, PurePath
 from typing import Iterable, List, Tuple
 
-from repro.analysis.lint import NON_BASELINABLE_RULES, LintViolation
+from repro.analysis.lint import LintViolation
 
 __all__ = ["Baseline", "BaselineEntry", "BaselineError"]
 
@@ -88,15 +88,6 @@ class Baseline:
             if missing:
                 raise BaselineError(
                     f"baseline {path}: entry {index} lacks {', '.join(missing)}"
-                )
-            if str(item["rule"]) in NON_BASELINABLE_RULES:
-                raise BaselineError(
-                    f"baseline {path}: entry {index} "
-                    f"({item['rule']} {item['path']} {item['symbol']}) — "
-                    f"{item['rule']} findings cannot be baselined; fix the "
-                    "per-element loop, or carry an inline "
-                    "'# jawslint: disable' pragma with a written reason for "
-                    "a genuinely cold path"
                 )
             rationale = str(item["rationale"]).strip()
             if not rationale:

@@ -53,18 +53,6 @@ D007      *fuzz seeding* (scoped to files under a ``fuzz`` package):
           scenario-builder code an accidentally unseeded instance
           silently breaks campaign reproducibility and shrinker
           replay, so the gap is closed here.
-D400      *columnar discipline* (scoped to files under a
-          ``fastengine`` package): a ``for`` loop or comprehension
-          iterating a columnar array element-by-element — a name
-          ending in ``_col`` (the struct-of-arrays convention),
-          a ``.flat`` view, or ``np.nditer(...)`` — including
-          through ``enumerate``/``zip``/``reversed``/``iter``.
-          Per-element Python loops are exactly the cost the fast
-          engine exists to remove; hot-path work over columns must
-          use vectorized reductions and boolean masks.  D400 findings
-          are **not baselinable**: the ledger rejects them (fix the
-          loop, or carry an inline pragma with a written reason for
-          genuinely cold paths).
 ========  ==========================================================
 
 Suppression: append ``# jawslint: disable=D003`` (comma-separate for
@@ -98,7 +86,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 __all__ = [
     "DEFAULT_BASELINE",
     "INTERPROC_RULES",
-    "NON_BASELINABLE_RULES",
     "RULES",
     "AnalysisReport",
     "LintViolation",
@@ -118,7 +105,6 @@ RULES: Dict[str, str] = {
     "D005": "float equality comparison against the virtual clock",
     "D006": "wall-clock or process-identity read in parallel-worker code",
     "D007": "unseeded RNG construction in fuzz scenario code (pass an explicit seed)",
-    "D400": "per-element Python loop over a columnar array in fast-engine code",
     "D100": "RNG draw on a stream owned by another subsystem",
     "D101": "seeded RNG stream handed across an engine/fault/fuzz scope boundary",
     "D200": "snapshot-participating attribute holds a statically-unpicklable value",
@@ -129,12 +115,6 @@ RULES: Dict[str, str] = {
 #: Rules that need the whole-program project model (run by
 #: :func:`run_analysis`, not by the per-file visitors).
 INTERPROC_RULES = ("D100", "D101", "D200", "D201", "D300")
-
-#: Rules the baseline ledger refuses to suppress.  A D400 loop in the
-#: fast engine is a performance bug by definition — baselining it would
-#: quietly license the exact per-element cost the engine exists to
-#: remove.  Cold-path exceptions use an inline pragma with a reason.
-NON_BASELINABLE_RULES = frozenset({"D400"})
 
 _WALL_CLOCK_TIME_FNS = frozenset(
     {
@@ -299,12 +279,6 @@ def _is_fuzz_scope(path: str) -> bool:
     return "fuzz" in Path(path).parts
 
 
-def _is_fastengine_scope(path: str) -> bool:
-    """True when ``path`` lives inside a ``fastengine`` package
-    directory (the scope of rule D400)."""
-    return "fastengine" in Path(path).parts
-
-
 def _dotted_name(node: ast.expr) -> Optional[str]:
     """``a.b.c`` for Name/Attribute chains, else ``None``."""
     parts: List[str] = []
@@ -325,7 +299,6 @@ class _Linter(ast.NodeVisitor):
         self.imports = imports
         self.parallel_scope = _is_parallel_scope(path)
         self.fuzz_scope = _is_fuzz_scope(path)
-        self.fastengine_scope = _is_fastengine_scope(path)
         self.violations: List[LintViolation] = []
         self._scope: List[str] = []
 
@@ -472,65 +445,11 @@ class _Linter(ast.NodeVisitor):
     # -- D003(a): iteration over unordered collections ----------------------
     def visit_For(self, node: ast.For) -> None:
         self._check_unordered_iter(node.iter)
-        self._check_columnar_loop(node.iter)
         self.generic_visit(node)
 
     def visit_comprehension(self, node: ast.comprehension) -> None:
         self._check_unordered_iter(node.iter)
-        self._check_columnar_loop(node.iter)
         self.generic_visit(node)
-
-    # -- D400: columnar discipline in fast-engine code -----------------------
-    def _check_columnar_loop(self, iter_node: ast.expr) -> None:
-        if not self.fastengine_scope:
-            return
-        operands: List[ast.expr] = [iter_node]
-        if isinstance(iter_node, ast.Call):
-            dotted = _dotted_name(iter_node.func)
-            resolved = self.imports.resolve(dotted) if dotted is not None else None
-            if resolved in ("numpy.nditer", "np.nditer"):
-                self._flag(
-                    iter_node,
-                    "D400",
-                    "np.nditer() walks the array element-by-element — use "
-                    "vectorized reductions/masks instead",
-                )
-                return
-            if resolved in ("enumerate", "zip", "reversed", "iter"):
-                # The wrapper doesn't change what is being iterated.
-                operands = list(iter_node.args)
-        for operand in operands:
-            name = self._columnar_operand(operand)
-            if name is not None:
-                self._flag(
-                    iter_node,
-                    "D400",
-                    f"iterating {name!r} element-by-element — hot-path work "
-                    "over columns must use vectorized numpy reductions and "
-                    "boolean masks",
-                )
-                return
-
-    @staticmethod
-    def _columnar_operand(node: ast.expr) -> Optional[str]:
-        """The columnar array a loop iterates, or ``None``.
-
-        Recognizes the struct-of-arrays naming convention (``*_col``),
-        possibly sliced (``ut_col[:n]``), and ``.flat`` views.
-        """
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        if isinstance(node, ast.Attribute) and node.attr == "flat":
-            base = _dotted_name(node)
-            return base if base is not None else "<array>.flat"
-        terminal = None
-        if isinstance(node, ast.Attribute):
-            terminal = node.attr
-        elif isinstance(node, ast.Name):
-            terminal = node.id
-        if terminal is not None and terminal.endswith("_col"):
-            return _dotted_name(node) or terminal
-        return None
 
     def _check_unordered_iter(self, iter_node: ast.expr) -> None:
         if isinstance(iter_node, (ast.Set, ast.SetComp)):

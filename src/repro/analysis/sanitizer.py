@@ -26,9 +26,9 @@ Checked invariants (DESIGN.md §7 lists them with their rationale):
     every run (shed is zero without overload protection), so overload
     shedding cannot silently lose or double-count a query.
 ``queue_coherence``
-    Every node's :class:`~repro.core.queues.WorkloadQueues` slot map is
-    internally consistent (slot bijection, position counts, cached
-    flags, total-position accounting).
+    Every node's :class:`~repro.core.queues.WorkloadQueues` packed
+    columns are internally consistent (atom/row bijection, position
+    counts, cached flags, ``u_t``, total-position accounting).
 ``gating_acyclicity`` / ``gating_consistency``
     Every node's precedence graph partitions queries into cliques with
     at most one query per job, its contracted group graph is acyclic

@@ -36,7 +36,7 @@ from repro.config import (
     ShardConfig,
 )
 from repro.engine.results import RunResult
-from repro.engine.runner import ENGINE_KINDS, SCHEDULER_NAMES, run_trace
+from repro.engine.runner import SCHEDULER_NAMES, run_trace
 from repro.errors import (
     ConfigurationError,
     CoordinatorCrash,
@@ -77,15 +77,6 @@ EXPERIMENTS = {
     "urc-ablation": (ablations.urc_vs_saturation, ablations.render_urc),
     "shardscale": (shardscale.run, shardscale.render),
 }
-
-
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=list(ENGINE_KINDS), default="exact",
-        help="execution engine: 'exact' is the event-faithful oracle, "
-        "'fast' the vectorized columnar engine (bit-identical results; "
-        "unsupported combinations fail with a configuration error)",
-    )
 
 
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
@@ -265,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--overload", action="store_true",
         help="enable overload protection (admission control, shedding, brownout)",
     )
-    _add_engine_arg(run_p)
     _add_overload_args(run_p)
     _add_fault_args(run_p)
     ckpt = run_p.add_argument_group("crash-consistent checkpointing")
@@ -326,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--task-timeout", type=float, default=None, metavar="T",
         help="watchdog deadline per run, real seconds (default: no deadline)",
     )
-    _add_engine_arg(cmp_p)
     _add_fault_args(cmp_p)
 
     ov_p = sub.add_parser(
@@ -361,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument(
         "--csv", default=None, help="also export the series to a CSV file (fig10/fig11/fig12/table1)"
     )
-    _add_engine_arg(exp_p)
 
     bench_p = sub.add_parser(
         "bench", help="time the standard runs per scheduler (wall-clock, events/s, RSS)"
@@ -449,7 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "killed, the scenario retried, then quarantined as a typed "
         "harness failure (default: no deadline)",
     )
-    _add_engine_arg(fuzz_p)
     fuzz_p.add_argument(
         "--resume-journal", default=None, metavar="PATH",
         help="crash-safe campaign journal: outcomes are recorded as they "
@@ -530,16 +517,7 @@ def _run_one(
     shards: Optional[ShardConfig] = None,
     jobs: int = 1,
     supervisor: Optional[SupervisorConfig] = None,
-    engine_kind: str = "exact",
 ) -> RunResult:
-    if engine_kind != "exact":
-        from repro.fastengine import validate_fast_supported
-
-        # Typed rejection of sharded/cluster combos; what remains is a
-        # single-coordinator run (faulted or not), which the fast path
-        # executes bit-identically to the cluster-of-one exact runner.
-        validate_fast_supported(engine, n_nodes=max(nodes, 1), shards=shards)
-        return run_trace(trace, name, engine, faults=faults, engine_kind=engine_kind)
     if shards is not None:
         from repro.shard import run_sharded
 
@@ -621,10 +599,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "runner; drop --nodes/--shards/fault flags or run them "
                 "one at a time"
             )
-        specs = [
-            RunSpec(trace, name, engine, label=name, engine_kind=args.engine)
-            for name in schedulers
-        ]
+        specs = [RunSpec(trace, name, engine, label=name) for name in schedulers]
         supervisor = _supervisor_from_args(args)
         if args.salvage:
             failed = 0
@@ -654,7 +629,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             shards=shards,
             jobs=args.jobs,
             supervisor=_supervisor_from_args(args),
-            engine_kind=args.engine,
         )
     except CoordinatorCrash as exc:
         print(f"coordinator crashed: {exc}", file=sys.stderr)
@@ -796,16 +770,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         # Cluster/fault runs go through the multi-node runner, which
         # the process pool does not fan out; run them inline.
         results = [
-            _run_one(
-                trace, name, engine, faults, args.nodes, engine_kind=args.engine
-            )
+            _run_one(trace, name, engine, faults, args.nodes)
             for name in args.schedulers
         ]
     elif args.salvage:
-        specs = [
-            RunSpec(trace, name, engine, label=name, engine_kind=args.engine)
-            for name in args.schedulers
-        ]
+        specs = [RunSpec(trace, name, engine, label=name) for name in args.schedulers]
         outcomes = run_many_outcomes(
             specs, jobs=args.jobs, supervisor=_supervisor_from_args(args)
         )
@@ -834,10 +803,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(render_table(["scheduler", "qps", "mean_rt_s", "cache_hit", "reads"], rows))
         return 1 if salvage_failures else 0
     else:
-        specs = [
-            RunSpec(trace, name, engine, label=name, engine_kind=args.engine)
-            for name in args.schedulers
-        ]
+        specs = [RunSpec(trace, name, engine, label=name) for name in args.schedulers]
         results = run_many(specs, jobs=args.jobs, supervisor=_supervisor_from_args(args))
     rows = []
     for name, result in zip(args.schedulers, results):
@@ -866,13 +832,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.jobs != 1 and "jobs" in parameters:
         kwargs["jobs"] = args.jobs
-    if args.engine != "exact":
-        if "engine_kind" not in parameters:
-            raise ConfigurationError(
-                f"experiment {args.name!r} does not support --engine "
-                f"{args.engine}; only exact-engine runs are defined for it"
-            )
-        kwargs["engine_kind"] = args.engine
     data = run_fn(ExperimentScale(args.scale), **kwargs)
     print(render_fn(data))
     if args.csv:
@@ -958,7 +917,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             shrink_budget=args.shrink_budget,
             journal_path=Path(args.resume_journal) if args.resume_journal else None,
             supervisor=_supervisor_from_args(args),
-            engine_kind=args.engine,
         )
     except JournalError as exc:
         print(f"journal error: {exc}", file=sys.stderr)
@@ -992,8 +950,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _dispatch(args)
     except ConfigurationError as exc:
-        # Typed engine/topology mismatches (e.g. --engine fast with
-        # --shards) are user errors, not crashes.
+        # Typed configuration mismatches (e.g. --shards with
+        # --overload) are user errors, not crashes.
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,7 @@ class ContentionSchedulerBase(Scheduler):
         # known at construction and a step's atom count bounds the
         # typical working set, so early runs avoid regrowth entirely.
         self.queues = WorkloadQueues(
-            spec.atoms_per_timestep, capacity_hint=spec.atoms_per_timestep
+            spec.atoms_per_timestep, capacity_hint=spec.atoms_per_timestep, cost=cost
         )
         self._alpha = config.alpha
         self._cache: Optional[BufferCache] = None

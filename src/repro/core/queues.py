@@ -3,30 +3,48 @@
 The Workload Manager keeps, for every atom with pending requests, the
 union of all sub-query position sets against it, the age of the oldest
 pending sub-query, and whether the atom is currently cached (the
-``phi`` term of Eq. 1).  This module stores those aggregates in
-parallel NumPy arrays over dynamically allocated slots so the
-scheduling metrics vectorize over all active atoms in one shot —
-per-batch scheduling cost is a few array ops, not a Python loop.
+``phi`` term of Eq. 1).  This module stores those aggregates
+struct-of-arrays: parallel NumPy columns over *packed positions*
+``0..n-1``, one row per active atom, so the scheduling metrics
+vectorize over all active atoms in one shot.
 
-Three structures keep the per-event cost independent of the total
-number of active atoms:
+The columns are atom id, queued position count, oldest arrival, cached
+flag, the Eq. 1 workload throughput ``u_t`` and an activation sequence
+number; each position also owns its pending sub-query list and the
+parallel list of their arrival times.  The layout keeps per-event cost
+independent of the number of active atoms:
 
-* capacity grows geometrically (doubling), so slot allocation is
-  amortized O(1) instead of an O(n) ``np.concatenate`` every 256 slots;
+* rows stay dense by **swap-remove** — draining an atom moves the last
+  row into its place — so a scheduling decision reads ``column[:n]``
+  slices with no gather;
+* ``u_t`` is maintained **incrementally**, per mutated row, with scalar
+  IEEE-754 arithmetic bit-identical to the vectorized
+  :func:`~repro.core.metrics.workload_throughput`;
+* capacity grows geometrically (doubling), so row allocation is
+  amortized O(1);
 * a per-query inverted index (query id -> atom ids) lets
   :meth:`WorkloadQueues.remove_query` touch only the cancelled query's
-  slots instead of scanning every active slot;
+  rows;
 * :meth:`WorkloadQueues.active_view` is memoized on a mutation version
-  counter, so back-to-back metric evaluations with no intervening
-  queue change reuse one snapshot.
+  counter.
+
+Swap-remove permutes the packed order.  Order-sensitive consumers (the
+two-level per-time-step float sums, URC utility means, evacuation
+order) read :meth:`WorkloadQueues.active_view`, which restores
+activation order — an atom re-enters at the end each time its queue
+goes from empty to non-empty — with a stable argsort of the sequence
+column.  Only order-independent reductions (min, max, ties) may read
+:meth:`WorkloadQueues.packed` directly.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
+from repro.config import CostModel
+from repro.core.metrics import workload_throughput
 from repro.workload.query import SubQuery
 
 __all__ = ["WorkloadQueues"]
@@ -37,31 +55,44 @@ _MIN_CAPACITY = 256
 class WorkloadQueues:
     """Aggregated pending work, indexed by atom.
 
-    Slots are recycled: an atom gets a slot when its first sub-query
-    arrives and frees it when a batch drains the atom.  Cached flags
-    are maintained incrementally from buffer-cache listener callbacks.
+    An atom gets a packed row when its first sub-query arrives and
+    gives it up when a batch drains the atom.  Cached flags are
+    maintained incrementally from buffer-cache listener callbacks.
 
-    ``capacity_hint`` preallocates slot storage when the caller knows
+    ``capacity_hint`` preallocates column storage when the caller knows
     the expected working set (e.g. the dataset's atoms-per-timestep),
     avoiding early regrowth; capacity still doubles beyond the hint.
+    ``cost`` supplies the ``T_b``/``T_m`` constants of the ``u_t``
+    column (the default :class:`~repro.config.CostModel` when omitted).
     """
 
-    def __init__(self, atoms_per_timestep: int, capacity_hint: int = 0) -> None:
+    def __init__(
+        self,
+        atoms_per_timestep: int,
+        capacity_hint: int = 0,
+        cost: Optional[CostModel] = None,
+    ) -> None:
         self._atoms_per_timestep = atoms_per_timestep
-        self._slot_of: dict[int, int] = {}
+        self._cost = cost or CostModel()
         cap = _MIN_CAPACITY
         while cap < capacity_hint:
             cap *= 2
-        # Same pop order as freshly grown slots: highest slot first.
-        self._free: list[int] = list(range(cap))
-        self._atom_ids = np.full(cap, -1, dtype=np.int64)
+        # atom id -> packed row.  Dict order is activation order: a
+        # moved row updates its key in place, a new atom appends.
+        self._pos: dict[int, int] = {}
+        self._n = 0
+        self._ids = np.zeros(cap, dtype=np.int64)
         self._counts = np.zeros(cap, dtype=np.int64)
         self._oldest = np.zeros(cap, dtype=np.float64)
         self._cached = np.zeros(cap, dtype=bool)
-        self._subqueries: list[list[SubQuery]] = [[] for _ in range(cap)]
-        # Arrival time of each pending sub-query, parallel to
-        # ``_subqueries`` per slot; min(arrivals) == _oldest[slot].
-        self._arrivals: list[list[float]] = [[] for _ in range(cap)]
+        self._ut = np.zeros(cap, dtype=np.float64)
+        self._seq = np.zeros(cap, dtype=np.int64)
+        self._next_seq = 0
+        # Per-row pending sub-queries and their arrival times (parallel
+        # lists; min(arrivals) == oldest).  Length n, swap-removed with
+        # the columns.
+        self._subqueries: list[list[SubQuery]] = []
+        self._arrivals: list[list[float]] = []
         # Inverted index: query id -> atom ids with pending sub-queries
         # of that query (insertion-ordered dict used as a set, so
         # cancellation iterates deterministically).
@@ -69,7 +100,7 @@ class WorkloadQueues:
         self._cached_atoms: set[int] = set()
         self.total_positions = 0
         # Mutation counter; bumped whenever the active view would
-        # change.  Consumers (metric memos) key on it.
+        # change.  Consumers (metric memos, tie caches) key on it.
         self._version = 0
         self._view: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._view_version = -1
@@ -79,38 +110,44 @@ class WorkloadQueues:
         """Monotonic mutation counter for memoizing derived metrics."""
         return self._version
 
+    @property
+    def capacity(self) -> int:
+        """Rows allocated in every column (grows by doubling)."""
+        return len(self._ids)
+
     # ------------------------------------------------------------------
-    # Slot management
+    # Row management
     # ------------------------------------------------------------------
     def _grow(self) -> None:
-        old = len(self._atom_ids)
-        new = old * 2
-        extra = new - old
-        self._atom_ids = np.concatenate(
-            [self._atom_ids, np.full(extra, -1, dtype=np.int64)]
-        )
+        extra = len(self._ids)
+        self._ids = np.concatenate([self._ids, np.zeros(extra, dtype=np.int64)])
         self._counts = np.concatenate([self._counts, np.zeros(extra, dtype=np.int64)])
         self._oldest = np.concatenate([self._oldest, np.zeros(extra)])
         self._cached = np.concatenate([self._cached, np.zeros(extra, dtype=bool)])
-        self._subqueries.extend([] for _ in range(extra))
-        self._arrivals.extend([] for _ in range(extra))
-        self._free.extend(range(old, new))
+        self._ut = np.concatenate([self._ut, np.zeros(extra)])
+        self._seq = np.concatenate([self._seq, np.zeros(extra, dtype=np.int64)])
 
-    def _slot_for(self, atom_id: int, now: float) -> int:
-        slot = self._slot_of.get(atom_id)
-        if slot is not None:
-            return slot
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        self._slot_of[atom_id] = slot
-        self._atom_ids[slot] = atom_id
-        self._counts[slot] = 0
-        self._oldest[slot] = now
-        self._cached[slot] = atom_id in self._cached_atoms
-        self._subqueries[slot] = []
-        self._arrivals[slot] = []
-        return slot
+    def _throughput(self, count: int, cached: bool) -> float:
+        """Scalar Eq. 1, bit-identical to the elementwise
+        :func:`~repro.core.metrics.workload_throughput` (the same
+        IEEE-754 operations in the same order)."""
+        w = float(count)
+        denom = self._cost.t_b * (0.0 if cached else 1.0) + self._cost.t_m * w
+        return w / denom if denom > 0.0 else 0.0
+
+    def _remove_row(self, atom_id: int, p: int) -> None:
+        """Swap-remove row ``p`` (holding ``atom_id``)."""
+        del self._pos[atom_id]
+        last = self._n - 1
+        if p != last:
+            self._pos[int(self._ids[last])] = p
+            for col in (self._ids, self._counts, self._oldest, self._cached, self._ut, self._seq):
+                col[p] = col[last]
+            self._subqueries[p] = self._subqueries[last]
+            self._arrivals[p] = self._arrivals[last]
+        self._subqueries.pop()
+        self._arrivals.pop()
+        self._n = last
 
     def _index_query(self, query_id: int, atom_id: int) -> None:
         atoms = self._by_query.get(query_id)
@@ -135,58 +172,64 @@ class WorkloadQueues:
 
         ``now`` is the sub-query's arrival time; re-admitted sub-queries
         (node failover) pass their *original* arrival, which may predate
-        the slot's current oldest and then takes over the atom's age.
+        the row's current oldest and then takes over the atom's age.
         """
-        slot = self._slot_for(subquery.atom_id, now)
-        if now < self._oldest[slot]:
-            self._oldest[slot] = now
-        self._counts[slot] += subquery.n_positions
-        self._subqueries[slot].append(subquery)
-        self._arrivals[slot].append(now)
-        self._index_query(subquery.query.query_id, subquery.atom_id)
+        atom_id = subquery.atom_id
+        p = self._pos.get(atom_id)
+        if p is None:
+            p = self._n
+            if p == len(self._ids):
+                self._grow()
+            self._n = p + 1
+            self._pos[atom_id] = p
+            cached = atom_id in self._cached_atoms
+            self._ids[p] = atom_id
+            self._oldest[p] = now
+            self._cached[p] = cached
+            self._seq[p] = self._next_seq
+            self._next_seq += 1
+            self._subqueries.append([subquery])
+            self._arrivals.append([now])
+            count = subquery.n_positions
+        else:
+            if now < self._oldest[p]:
+                self._oldest[p] = now
+            cached = bool(self._cached[p])
+            count = int(self._counts[p]) + subquery.n_positions
+            self._subqueries[p].append(subquery)
+            self._arrivals[p].append(now)
+        self._counts[p] = count
+        self._ut[p] = self._throughput(count, cached)
+        self._index_query(subquery.query.query_id, atom_id)
         self.total_positions += subquery.n_positions
         self._version += 1
 
     def pop_atom(self, atom_id: int) -> list[SubQuery]:
         """Drain an atom's queue (the batch takes every pending
         sub-query in one pass over the data)."""
-        slot = self._slot_of.pop(atom_id)
-        subs = self._subqueries[slot]
+        p = self._pos[atom_id]
+        subs = self._subqueries[p]
         for sq in subs:
             self._unindex_query(sq.query.query_id, atom_id)
-        self.total_positions -= int(self._counts[slot])
-        self._subqueries[slot] = []
-        self._arrivals[slot] = []
-        self._atom_ids[slot] = -1
-        self._counts[slot] = 0
-        self._free.append(slot)
+        self.total_positions -= int(self._counts[p])
+        self._remove_row(atom_id, p)
         self._version += 1
         return subs
 
     def pop_atom_entries(self, atom_id: int) -> list[tuple[float, SubQuery]]:
         """Drain an atom's queue keeping each sub-query's true arrival
         time (node-failover evacuation re-admits with these ages)."""
-        slot = self._slot_of[atom_id]
-        entries = list(zip(self._arrivals[slot], self._subqueries[slot]))
+        p = self._pos[atom_id]
+        entries = list(zip(self._arrivals[p], self._subqueries[p]))
         self.pop_atom(atom_id)
         return entries
-
-    def _free_slot(self, atom_id: int, slot: int) -> None:
-        for sq in self._subqueries[slot]:
-            self._unindex_query(sq.query.query_id, atom_id)
-        self._slot_of.pop(atom_id, None)
-        self._subqueries[slot] = []
-        self._arrivals[slot] = []
-        self._atom_ids[slot] = -1
-        self._counts[slot] = 0
-        self._free.append(slot)
 
     def remove_query(self, query_id: int) -> int:
         """Drop every pending sub-query of ``query_id`` (cancellation).
 
         The inverted per-query index makes this touch only the
-        cancelled query's atoms, not every active slot.  Atoms whose
-        queues empty free their slots; surviving atoms restore their
+        cancelled query's atoms, not every active row.  Atoms whose
+        queues empty give up their rows; surviving atoms restore their
         true oldest-arrival age from the stored per-sub-query arrival
         times.  Returns the number removed.
         """
@@ -195,13 +238,11 @@ class WorkloadQueues:
             return 0
         removed = 0
         for atom_id in atoms:
-            slot = self._slot_of[atom_id]
-            subs = self._subqueries[slot]
-            arrivals = self._arrivals[slot]
+            p = self._pos[atom_id]
             kept_subs: list[SubQuery] = []
             kept_arrivals: list[float] = []
             dropped = 0
-            for sq, arrival in zip(subs, arrivals):
+            for sq, arrival in zip(self._subqueries[p], self._arrivals[p]):
                 if sq.query.query_id == query_id:
                     removed += 1
                     dropped += sq.n_positions
@@ -210,67 +251,73 @@ class WorkloadQueues:
                     kept_arrivals.append(arrival)
             self.total_positions -= dropped
             if kept_subs:
-                self._subqueries[slot] = kept_subs
-                self._arrivals[slot] = kept_arrivals
-                self._counts[slot] -= dropped
-                self._oldest[slot] = min(kept_arrivals)
+                self._subqueries[p] = kept_subs
+                self._arrivals[p] = kept_arrivals
+                count = int(self._counts[p]) - dropped
+                self._counts[p] = count
+                self._oldest[p] = min(kept_arrivals)
+                self._ut[p] = self._throughput(count, bool(self._cached[p]))
             else:
-                self._subqueries[slot] = []
-                self._free_slot(atom_id, slot)
+                self._remove_row(atom_id, p)
         self._version += 1
         return removed
 
     # -- cache residency listeners ------------------------------------------
     def on_cache_insert(self, atom_id: int) -> None:
         self._cached_atoms.add(atom_id)
-        slot = self._slot_of.get(atom_id)
-        if slot is not None:
-            self._cached[slot] = True
-            self._version += 1
+        self._set_cached(atom_id, True)
 
     def on_cache_evict(self, atom_id: int) -> None:
         self._cached_atoms.discard(atom_id)
-        slot = self._slot_of.get(atom_id)
-        if slot is not None:
-            self._cached[slot] = False
+        self._set_cached(atom_id, False)
+
+    def _set_cached(self, atom_id: int, cached: bool) -> None:
+        p = self._pos.get(atom_id)
+        if p is not None:
+            self._cached[p] = cached
+            self._ut[p] = self._throughput(int(self._counts[p]), cached)
             self._version += 1
 
     # ------------------------------------------------------------------
     # Views for metric computation
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._slot_of)
+        return self._n
 
     def __contains__(self, atom_id: int) -> bool:
-        return atom_id in self._slot_of
+        return atom_id in self._pos
+
+    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(atom_ids, u_t, oldest_arrival)`` live column slices in
+        packed order, which is NOT activation order.
+
+        Callers must treat them as read-only and use only
+        order-independent reductions (min, max, ties); anything that
+        depends on order reads :meth:`active_view`.
+        """
+        n = self._n
+        return self._ids[:n], self._ut[:n], self._oldest[:n]
 
     def active_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(atom_ids, counts, oldest_arrival, cached)`` over active slots.
+        """``(atom_ids, counts, oldest_arrival, cached)`` over active atoms.
 
-        Arrays are read-only snapshots in a stable (slot-map insertion)
-        order, memoized on the queue version: repeated calls with no
-        intervening mutation return the same tuple without copying.
-        Callers must not write to them (they are marked non-writeable).
+        Arrays are read-only snapshots in activation order, memoized on
+        the queue version: repeated calls with no intervening mutation
+        return the same tuple without copying.  Callers must not write
+        to them (they are marked non-writeable).
         """
         if self._view is not None and self._view_version == self._version:
             return self._view
-        if not self._slot_of:
-            view = (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0),
-                np.empty(0, dtype=bool),
-            )
-        else:
-            slots = np.fromiter(
-                self._slot_of.values(), dtype=np.int64, count=len(self._slot_of)
-            )
-            view = (
-                self._atom_ids[slots],
-                self._counts[slots],
-                self._oldest[slots],
-                self._cached[slots],
-            )
+        n = self._n
+        # Sequence numbers are unique, so stable ascending order is
+        # activation order.
+        order = np.argsort(self._seq[:n], kind="stable")
+        view = (
+            self._ids[:n][order],
+            self._counts[:n][order],
+            self._oldest[:n][order],
+            self._cached[:n][order],
+        )
         for arr in view:
             arr.flags.writeable = False
         self._view = view
@@ -278,19 +325,19 @@ class WorkloadQueues:
         return view
 
     def iter_subquery_lists(self) -> Iterator[list[SubQuery]]:
-        """Yield each active atom's pending sub-query list (read-only)."""
-        for slot in self._slot_of.values():
-            yield self._subqueries[slot]
+        """Yield each active atom's pending sub-query list (read-only),
+        in activation order."""
+        for p in self._pos.values():
+            yield self._subqueries[p]
 
     def positions_pending(self, atom_id: int) -> int:
         """Total queued positions against one atom (0 when idle)."""
-        slot = self._slot_of.get(atom_id)
-        return int(self._counts[slot]) if slot is not None else 0
+        p = self._pos.get(atom_id)
+        return int(self._counts[p]) if p is not None else 0
 
     def oldest_arrival(self, atom_id: int) -> float:
         """Arrival time of the atom's oldest pending sub-query."""
-        slot = self._slot_of[atom_id]
-        return float(self._oldest[slot])
+        return float(self._oldest[self._pos[atom_id]])
 
     def timesteps_of(self, atom_ids: np.ndarray) -> np.ndarray:
         """Vectorized packed-id -> time step."""
@@ -300,70 +347,87 @@ class WorkloadQueues:
     # Sanitizer checkpoint
     # ------------------------------------------------------------------
     def check_consistency(self) -> list[str]:
-        """Audit the slot map against the parallel arrays.
+        """Audit the packed columns, per-row lists and inverted index.
 
         Returns human-readable problem descriptions (empty = coherent).
-        Called by the simulation sanitizer after every engine event;
-        read-only.  Verifies, beyond slot/array coherence: per-slot
-        arrival lists parallel to the sub-query lists with
-        ``min(arrivals) == oldest``, and the inverted per-query index
-        matching the pending sub-queries exactly (both directions).
+        Called by the simulation sanitizer after every engine event and
+        on checkpoint restore; read-only.  Verifies that the atom -> row
+        map is the inverse of the id column over rows ``0..n-1``; that
+        activation sequence numbers are unique and ascend in map order;
+        that ``u_t`` equals an Eq. 1 recomputation; per row, that the
+        arrival list parallels the sub-query list with
+        ``min(arrivals) == oldest``, that the count matches the queued
+        positions and the cached flag the residency set; and that the
+        inverted per-query index matches the pending sub-queries
+        exactly (both directions).
         """
         problems: list[str] = []
-        used = set(self._slot_of.values())
-        if len(used) != len(self._slot_of):
-            problems.append("two atoms share one slot")
-        overlap = used & set(self._free)
-        if overlap:
-            problems.append(f"slots both used and free: {sorted(overlap)}")
+        n = self._n
+        if len(self._pos) != n:
+            problems.append(f"row map holds {len(self._pos)} atoms for {n} packed rows")
+            return problems
+        if len(self._subqueries) != n or len(self._arrivals) != n:
+            problems.append(
+                f"{len(self._subqueries)} sub-query and {len(self._arrivals)} "
+                f"arrival lists for {n} packed rows"
+            )
+            return problems
+        rows = np.fromiter(self._pos.values(), dtype=np.int64, count=n)
+        atoms = np.fromiter(self._pos.keys(), dtype=np.int64, count=n)
+        if not np.array_equal(np.sort(rows), np.arange(n)):
+            problems.append("row map is not a permutation of the packed rows")
+            return problems
+        if not np.array_equal(self._ids[rows], atoms):
+            problems.append("row map and atom-id column are not inverse")
+        seq = self._seq[:n]
+        if len(np.unique(seq)) != n:
+            problems.append("activation sequence numbers are not unique")
+        elif not bool((np.diff(seq[rows]) > 0).all()):
+            problems.append("activation sequence disagrees with the row map's order")
+        expected_ut = workload_throughput(self._counts[:n], self._cached[:n], self._cost)
+        if not np.array_equal(self._ut[:n], expected_ut):
+            problems.append("u_t column diverges from Eq. 1 recomputation")
         total = 0
         pending_pairs: set[tuple[int, int]] = set()
-        for atom_id, slot in self._slot_of.items():
-            if not 0 <= slot < len(self._atom_ids):
-                problems.append(f"atom {atom_id}: slot {slot} out of range")
-                continue
-            if int(self._atom_ids[slot]) != atom_id:
-                problems.append(
-                    f"atom {atom_id}: slot {slot} labeled {int(self._atom_ids[slot])}"
-                )
-            subs = self._subqueries[slot]
-            arrivals = self._arrivals[slot]
+        for atom_id, p in self._pos.items():
+            subs = self._subqueries[p]
+            arrivals = self._arrivals[p]
             if not subs:
-                problems.append(f"atom {atom_id}: active slot {slot} has no sub-queries")
+                problems.append(f"atom {atom_id}: active row {p} has no sub-queries")
             if len(arrivals) != len(subs):
                 problems.append(
                     f"atom {atom_id}: {len(arrivals)} arrivals for {len(subs)} sub-queries"
                 )
-            elif subs and min(arrivals) != float(self._oldest[slot]):
+            elif subs and min(arrivals) != float(self._oldest[p]):
                 problems.append(
-                    f"atom {atom_id}: oldest {float(self._oldest[slot])} != "
+                    f"atom {atom_id}: oldest {float(self._oldest[p])} != "
                     f"min arrival {min(arrivals)}"
                 )
             positions = sum(sq.n_positions for sq in subs)
-            if int(self._counts[slot]) != positions:
+            if int(self._counts[p]) != positions:
                 problems.append(
-                    f"atom {atom_id}: slot count {int(self._counts[slot])} != "
+                    f"atom {atom_id}: row count {int(self._counts[p])} != "
                     f"sub-query positions {positions}"
                 )
-            if bool(self._cached[slot]) != (atom_id in self._cached_atoms):
+            if bool(self._cached[p]) != (atom_id in self._cached_atoms):
                 problems.append(f"atom {atom_id}: stale cached flag")
             for sq in subs:
                 if sq.atom_id != atom_id:
                     problems.append(
-                        f"atom {atom_id}: slot holds sub-query for atom {sq.atom_id}"
+                        f"atom {atom_id}: row holds sub-query for atom {sq.atom_id}"
                     )
                 pending_pairs.add((sq.query.query_id, atom_id))
-                atoms = self._by_query.get(sq.query.query_id)
-                if atoms is None or atom_id not in atoms:
+                indexed = self._by_query.get(sq.query.query_id)
+                if indexed is None or atom_id not in indexed:
                     problems.append(
                         f"atom {atom_id}: query {sq.query.query_id} missing from "
                         "inverted index"
                     )
             total += positions
-        for query_id, atoms in self._by_query.items():
-            if not atoms:
+        for query_id, indexed in self._by_query.items():
+            if not indexed:
                 problems.append(f"query {query_id}: empty inverted-index entry")
-            for atom_id in atoms:
+            for atom_id in indexed:
                 if (query_id, atom_id) not in pending_pairs:
                     problems.append(
                         f"query {query_id}: inverted index lists atom {atom_id} "
@@ -371,6 +435,6 @@ class WorkloadQueues:
                     )
         if total != self.total_positions:
             problems.append(
-                f"total_positions {self.total_positions} != summed slot counts {total}"
+                f"total_positions {self.total_positions} != summed row counts {total}"
             )
         return problems

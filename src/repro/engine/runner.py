@@ -26,14 +26,9 @@ from repro.engine.results import RunResult
 from repro.engine.simulator import Simulator
 from repro.workload.trace import Trace
 
-__all__ = ["ENGINE_KINDS", "SCHEDULER_NAMES", "make_scheduler", "run_trace"]
+__all__ = ["SCHEDULER_NAMES", "make_scheduler", "run_trace"]
 
 SCHEDULER_NAMES = ("noshare", "liferaft1", "liferaft2", "jaws1", "jaws2")
-
-#: Execution engines: the exact event-at-a-time oracle and the
-#: vectorized fast engine (bit-identical where supported; see
-#: :mod:`repro.fastengine`).
-ENGINE_KINDS = ("exact", "fast")
 
 
 def make_scheduler(
@@ -46,7 +41,8 @@ def make_scheduler(
 
     ``config`` overrides the JAWS scheduler knobs (batch size k, initial
     α, run length, gating valve); LifeRaft/NoShare ignore most of it by
-    construction.
+    construction.  LifeRaft receives ``engine.max_sim_time`` as the
+    clock bound of its tie-set cache.
     """
     engine = engine or EngineConfig()
     spec = trace.spec
@@ -57,9 +53,13 @@ def make_scheduler(
     if key == "noshare":
         return NoShareScheduler()
     if key == "liferaft1":
-        return LifeRaftScheduler(spec, engine.cost, base, alpha=1.0)
+        return LifeRaftScheduler(
+            spec, engine.cost, base, alpha=1.0, max_sim_time=engine.max_sim_time
+        )
     if key == "liferaft2":
-        return LifeRaftScheduler(spec, engine.cost, base, alpha=0.0)
+        return LifeRaftScheduler(
+            spec, engine.cost, base, alpha=0.0, max_sim_time=engine.max_sim_time
+        )
     if key == "jaws1":
         return JAWSScheduler(spec, engine.cost, base.with_(job_aware=False))
     if key == "jaws2":
@@ -73,42 +73,16 @@ def run_trace(
     engine: Optional[EngineConfig] = None,
     config: Optional[SchedulerConfig] = None,
     faults: Optional[FaultConfig] = None,
-    engine_kind: str = "exact",
 ) -> RunResult:
     """Replay ``trace`` under ``scheduler`` (an instance or a factory
     name) on a single node and return the results.
 
     ``faults`` overrides ``engine.faults`` — a convenience so callers
     can inject faults without rebuilding the whole engine config.
-    ``engine_kind`` selects the execution engine: ``"exact"`` (the
-    event-at-a-time oracle) or ``"fast"`` (the vectorized engine of
-    :mod:`repro.fastengine`, bit-identical on every configuration it
-    accepts).  With ``engine_kind="fast"``, ``scheduler`` must be a
-    factory name: the fast engine pairs its own scheduler subclasses
-    with its simulator, and a pre-built exact scheduler instance would
-    silently miss the columnar queues.
     """
     engine = engine or EngineConfig()
     if faults is not None:
         engine = engine.with_(faults=faults)
-    if engine_kind == "fast":
-        # Local import: repro.fastengine imports this module's factory.
-        from repro.errors import ConfigurationError
-        from repro.fastengine import FastSimulator, make_fast_scheduler
-
-        if not isinstance(scheduler, str):
-            raise ConfigurationError(
-                "engine='fast' requires a scheduler factory name, not a "
-                f"pre-built {type(scheduler).__name__} instance"
-            )
-        fast = make_fast_scheduler(scheduler, trace, engine, config)
-        return FastSimulator(trace, [fast], engine).run()
-    if engine_kind != "exact":
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"unknown engine kind {engine_kind!r}; choose from {ENGINE_KINDS}"
-        )
     if isinstance(scheduler, str):
         scheduler = make_scheduler(scheduler, trace, engine, config)
     return Simulator(trace, [scheduler], engine).run()

@@ -123,17 +123,7 @@ def build_policy(config: CacheConfig) -> CachePolicy:
 
 
 class _Node:
-    """One cluster node: scheduler + cache + disk + executor.
-
-    The three ``*_cls`` class attributes are the component dispatch
-    seam: the fast engine (:mod:`repro.fastengine`) subclasses this
-    node with drop-in replacements that must stay bit-identical in
-    observable behaviour.
-    """
-
-    cache_cls: type[BufferCache] = BufferCache
-    disk_cls: type[DiskModel] = DiskModel
-    executor_cls: type[BatchExecutor] = BatchExecutor
+    """One cluster node: scheduler + cache + disk + executor."""
 
     def __init__(
         self,
@@ -145,9 +135,9 @@ class _Node:
         sanitizer: Optional[SimulationSanitizer] = None,
     ) -> None:
         self.scheduler = scheduler
-        self.cache = self.cache_cls(config.cache.capacity_atoms, build_policy(config.cache))
-        self.disk = self.disk_cls(config.cost, spec.n_atoms)
-        self.executor = self.executor_cls(
+        self.cache = BufferCache(config.cache.capacity_atoms, build_policy(config.cache))
+        self.disk = DiskModel(config.cost, spec.n_atoms)
+        self.executor = BatchExecutor(
             spec,
             config.cost,
             self.cache,
@@ -188,10 +178,6 @@ class Simulator:
         only, i.e. no failover targets.
     """
 
-    #: Node factory seam: the fast engine swaps in a subclass of
-    #: :class:`_Node` with vectorized cache/disk/executor components.
-    _node_cls: type[_Node] = _Node
-
     def __init__(
         self,
         trace: Trace,
@@ -219,7 +205,7 @@ class Simulator:
         )
         self.sanitizer = SimulationSanitizer(self) if self.config.sanitize else None
         self.nodes = [
-            self._node_cls(i, s, self.spec, self.config, self.injector, self.sanitizer)
+            _Node(i, s, self.spec, self.config, self.injector, self.sanitizer)
             for i, s in enumerate(schedulers)
         ]
         self._node_of = node_of or _SingleNodeRouter()

@@ -1,23 +1,20 @@
 """End-to-end performance benchmark (`repro bench`).
 
-Times the standard SMALL-scale run under every scheduler — once on the
-exact engine and once on the vectorized fast engine — and emits a
+Times the standard SMALL-scale run under every scheduler and emits a
 machine-readable record: wall-clock seconds, dispatched events per
-second, peak RSS, and the fast/exact ``speedup`` ratio, seeding the
-repo's performance trajectory (``BENCH_PR5.json``,
-``BENCH_PR10.json``).  CI runs the ``--quick`` mode and fails when
-wall-clock regresses more than 2x over the recorded baseline — for the
-exact engine *and* for the fast engine independently, so a fast-path
-regression cannot hide behind a healthy exact row.
+second and peak RSS, one flat row per scheduler, seeding the repo's
+performance trajectory (``BENCH_PR5.json``, ``BENCH_PR10.json``,
+``BENCH_PR12.json``).  CI runs the ``--quick`` mode and fails when
+wall-clock regresses more than 2x over the recorded baseline.
 
-Each (scheduler, engine) measurement runs in its own spawned child
-process.  That serves two purposes:
+Each scheduler's measurement runs in its own spawned child process.
+That serves two purposes:
 
 * **per-run RSS** — ``ru_maxrss`` is a process-lifetime high-water
   mark, so sampling it in one long-lived process attributes the
   largest run's footprint to every later row; a fresh child per run
   reports the true peak of that run alone;
-* **cold-start honesty** — each engine pays its own import and
+* **cold-start honesty** — each run pays its own import and
   allocation cost instead of inheriting warm caches from whichever
   run happened first.
 
@@ -39,7 +36,7 @@ import time
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.engine.runner import ENGINE_KINDS, SCHEDULER_NAMES, make_scheduler
+from repro.engine.runner import SCHEDULER_NAMES, make_scheduler
 from repro.engine.simulator import Simulator
 from repro.experiments.common import (
     STANDARD_SPEEDUP,
@@ -55,9 +52,10 @@ from repro.workload.trace import Trace
 
 __all__ = ["FORMAT_VERSION", "check_regression", "run_bench", "write_report"]
 
-#: 2 = per-scheduler rows are nested per engine kind ({"exact": {...},
-#: "fast": {...}, "speedup": r}); 1 was the flat exact-only layout.
-FORMAT_VERSION = 2
+#: 3 = one flat measurement row per scheduler.  Format 2 nested one row
+#: per engine kind ({"exact": {...}, "fast": {...}, "speedup": r});
+#: format 1 was flat like format 3.
+FORMAT_VERSION = 3
 
 #: CI gate: fail when a scheduler's wall-clock exceeds baseline by this.
 REGRESSION_FACTOR = 2.0
@@ -79,18 +77,13 @@ def _peak_rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _build_sim(trace: Trace, name: str, engine_kind: str) -> Simulator:
+def _build_sim(trace: Trace, name: str) -> Simulator:
     engine = standard_engine()
-    if engine_kind == "fast":
-        from repro.fastengine import FastSimulator, make_fast_scheduler
-
-        return FastSimulator(trace, [make_fast_scheduler(name, trace, engine)], engine)
     return Simulator(trace, [make_scheduler(name, trace, engine)], engine)
 
 
 def _measure_child(
-    conn: Any, scale_value: str, quick: bool, name: str, engine_kind: str,
-    repeats: int,
+    conn: Any, scale_value: str, quick: bool, name: str, repeats: int
 ) -> None:
     """Child-process body: run, time, report through the pipe."""
     try:
@@ -99,7 +92,7 @@ def _measure_child(
         events = 0
         throughput = 0.0
         for _ in range(max(repeats, 1)):
-            sim = _build_sim(trace, name, engine_kind)
+            sim = _build_sim(trace, name)
             t0 = time.perf_counter()  # jawslint: disable=D001
             result = sim.run()
             wall = time.perf_counter() - t0  # jawslint: disable=D001
@@ -111,8 +104,8 @@ def _measure_child(
                 "wall_s": round(best, 4),
                 "events": float(events),
                 "events_per_sec": round(events / best, 1) if best > 0 else 0.0,
-                # This child ran exactly one (scheduler, engine) pair, so
-                # its high-water mark is that run's true peak.
+                # This child ran exactly one scheduler, so its
+                # high-water mark is that run's true peak.
                 "peak_rss_kb": float(_peak_rss_kb()),
                 "throughput_qps": round(throughput, 4),
             }
@@ -124,14 +117,14 @@ def _measure_child(
 
 
 def _measure(
-    scale: ExperimentScale, quick: bool, name: str, engine_kind: str, repeats: int
+    scale: ExperimentScale, quick: bool, name: str, repeats: int
 ) -> dict[str, float]:
-    """Measure one (scheduler, engine) pair in a fresh spawned process."""
+    """Measure one scheduler in a fresh spawned process."""
     ctx = multiprocessing.get_context("spawn")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_measure_child,
-        args=(child_conn, scale.value, quick, name, engine_kind, repeats),
+        args=(child_conn, scale.value, quick, name, repeats),
     )
     proc.start()
     child_conn.close()
@@ -145,7 +138,7 @@ def _measure(
         parent_conn.close()
     if not isinstance(payload, dict) or "error" in (payload or {}):
         detail = (payload or {}).get("error", f"exit code {proc.exitcode}")
-        raise RuntimeError(f"bench child ({name}, {engine_kind}) failed: {detail}")
+        raise RuntimeError(f"bench child ({name}) failed: {detail}")
     return payload
 
 
@@ -189,37 +182,18 @@ def _bench_supervisor(quick: bool) -> dict[str, float]:
 def run_bench(
     scale: ExperimentScale = ExperimentScale.SMALL, quick: bool = False
 ) -> dict[str, Any]:
-    """Benchmark every scheduler on both engines; returns the report dict.
-
-    Per scheduler the report nests one row per engine kind plus the
-    fast-over-exact ``speedup`` ratio (>1 means the fast engine won).
-    ``total_wall_s`` stays the *exact*-engine sum so it remains
-    comparable with format-1 baselines; the fast total is separate.
-    """
+    """Benchmark every scheduler; returns the report dict."""
     # Generate (and disk-cache) the trace once up front so no child
     # pays generation cost inside its timed region's process.
     trace = _bench_trace(scale, quick)
     repeats = 1 if quick else 3
-    schedulers: dict[str, dict[str, Any]] = {}
-    totals = dict.fromkeys(ENGINE_KINDS, 0.0)
-    for name in SCHEDULER_NAMES:
-        row: dict[str, Any] = {}
-        for engine_kind in ENGINE_KINDS:
-            measured = _measure(scale, quick, name, engine_kind, repeats)
-            row[engine_kind] = measured
-            totals[engine_kind] += measured["wall_s"]
-        fast_wall = row["fast"]["wall_s"]
-        row["speedup"] = (
-            round(row["exact"]["wall_s"] / fast_wall, 2) if fast_wall > 0 else 0.0
-        )
-        schedulers[name] = row
+    schedulers = {name: _measure(scale, quick, name, repeats) for name in SCHEDULER_NAMES}
     return {
         "format": FORMAT_VERSION,
         "mode": "quick" if quick else "standard",
         "scale": scale.value,
         "n_queries": trace.n_queries,
-        "total_wall_s": round(totals["exact"], 4),
-        "total_fast_wall_s": round(totals["fast"], 4),
+        "total_wall_s": round(sum(row["wall_s"] for row in schedulers.values()), 4),
         "schedulers": schedulers,
         # Informational (not regression-gated): what supervised fan-out
         # costs per task over the inline reference path.
@@ -244,20 +218,13 @@ def write_report(report: dict[str, Any], path: Path) -> None:
     path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
 
 
-def _engine_walls(row: dict[str, Any]) -> dict[str, float]:
-    """Per-engine wall-clock from a scheduler row, format 1 or 2.
-
-    Format-1 rows were flat exact-engine measurements; format-2 rows
-    nest one measurement dict per engine kind.
-    """
-    if "wall_s" in row:
-        return {"exact": float(row["wall_s"])}
-    walls = {}
-    for kind in ENGINE_KINDS:
-        measured = row.get(kind)
-        if isinstance(measured, dict) and measured.get("wall_s"):
-            walls[kind] = float(measured["wall_s"])
-    return walls
+def _wall(row: dict[str, Any]) -> Optional[float]:
+    """A scheduler row's wall-clock: flat rows (formats 1 and 3) carry
+    it directly; format-2 rows nest it under their ``exact`` column."""
+    if "exact" in row:
+        row = row["exact"]
+    wall = row.get("wall_s") if isinstance(row, dict) else None
+    return float(wall) if wall else None
 
 
 def check_regression(
@@ -266,13 +233,12 @@ def check_regression(
     """Compare a fresh report against a recorded baseline.
 
     Returns a human-readable failure message when any scheduler's
-    wall-clock regressed more than :data:`REGRESSION_FACTOR` over the
-    baseline's same-mode entry — checked per engine kind, so the fast
-    engine is gated independently of the exact one — or when the exact
-    total regressed; ``None`` when within budget or when no comparable
-    baseline exists.  Reads both report formats on either side, so the
-    ``BENCH_PR5.json`` (format 1) gate stays valid alongside
-    ``BENCH_PR10.json`` (format 2).
+    wall-clock, or the total, regressed more than
+    :data:`REGRESSION_FACTOR` over the baseline's same-mode entry;
+    ``None`` when within budget or when no comparable baseline exists.
+    Reads every baseline format, so ``BENCH_PR5.json`` (format 1) and
+    ``BENCH_PR10.json`` (format 2, whose ``exact`` column is the
+    comparable one) stay valid gates.
     """
     try:
         baseline_doc = json.loads(baseline_path.read_text())
@@ -290,16 +256,10 @@ def check_regression(
         )
     for name, row in report["schedulers"].items():
         base_row = baseline.get("schedulers", {}).get(name)
-        if not isinstance(base_row, dict):
-            continue
-        base_walls = _engine_walls(base_row)
-        for kind, wall in _engine_walls(row).items():
-            base_wall = base_walls.get(kind)
-            if not base_wall:
-                continue
-            if wall > REGRESSION_FACTOR * base_wall:
-                problems.append(
-                    f"{name} ({kind}): {wall:.2f}s > "
-                    f"{REGRESSION_FACTOR}x baseline {base_wall:.2f}s"
-                )
+        base_wall = _wall(base_row) if isinstance(base_row, dict) else None
+        wall = row["wall_s"]
+        if base_wall and wall > REGRESSION_FACTOR * base_wall:
+            problems.append(
+                f"{name}: {wall:.2f}s > {REGRESSION_FACTOR}x baseline {base_wall:.2f}s"
+            )
     return "; ".join(problems) if problems else None

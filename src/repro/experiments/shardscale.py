@@ -41,7 +41,6 @@ def run(
     seed: int = 7,
     jobs: int = 1,
     crash: Optional[float] = None,
-    engine_kind: str = "exact",
 ) -> dict:
     """Sweep shard counts over one trace.
 
@@ -50,26 +49,7 @@ def run(
     adopt its ranges), turning the table into a failover-overhead law.
     ``jobs`` fans each row's superstep windows over the supervised
     pool — bit-identical to serial.
-
-    The sweep is sharded by construction, so only ``engine_kind=
-    "exact"`` is executable; ``"fast"`` raises the fast engine's own
-    typed :class:`~repro.errors.ConfigurationError` rather than
-    silently running exact.
     """
-    if engine_kind != "exact":
-        from repro.engine.runner import ENGINE_KINDS
-        from repro.errors import ConfigurationError
-        from repro.fastengine import validate_fast_supported
-
-        if engine_kind not in ENGINE_KINDS:
-            raise ConfigurationError(
-                f"unknown engine kind {engine_kind!r}; choose from {ENGINE_KINDS}"
-            )
-        validate_fast_supported(
-            standard_engine(),
-            n_nodes=N_NODES,
-            shards=ShardConfig(n_shards=SHARD_COUNTS[0]),
-        )
     trace = standard_trace(scale, speedup=1.0, seed=seed)
     engine = standard_engine()
     config = standard_scheduler_config()

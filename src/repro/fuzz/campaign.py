@@ -37,12 +37,11 @@ never watched, an empty column an oracle no scenario armed.
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.fuzz.build import build_scenario
 from repro.fuzz.runner import FuzzFailure, ScenarioOutcome, execute_scenario
@@ -133,7 +132,6 @@ def run_campaign(
     shrink_budget: int = 200,
     journal_path: Optional[Path] = None,
     supervisor: Optional[SupervisorConfig] = None,
-    engine_kind: str = "exact",
 ) -> CampaignResult:
     """Explore ``runs`` scenarios derived from ``seed``.
 
@@ -149,29 +147,10 @@ def run_campaign(
     scenarios are journaled as they complete and skipped on re-run —
     see the module docstring.  The journal header pins ``(seed, runs,
     quick)``; resuming with different arguments raises
-    :class:`~repro.errors.JournalError`.
-
-    ``engine_kind`` selects the engine for each scenario's base stage
-    (see :func:`~repro.fuzz.runner.execute_scenario`); a non-default
-    kind is pinned in the journal header too, so an exact campaign's
-    journal can never silently resume a fast one or vice versa.
+    :class:`~repro.errors.JournalError` (so does a journal whose header
+    pins any other key, such as an engine selector from older
+    releases).
     """
-    from repro.engine.runner import ENGINE_KINDS
-
-    if engine_kind not in ENGINE_KINDS:
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"unknown engine kind {engine_kind!r}; choose from {ENGINE_KINDS}"
-        )
-    # Exact campaigns keep the bare callable: binding the default kind
-    # via partial would change the call signature seen by tests that
-    # substitute execute_scenario with a (spec)-only wrapper.
-    run_scenario: Callable[[ScenarioSpec], ScenarioOutcome] = (
-        execute_scenario
-        if engine_kind == "exact"
-        else functools.partial(execute_scenario, engine_kind=engine_kind)
-    )
     specs = [build_scenario(s, quick=quick) for s in _scenario_seeds(seed, runs)]
     digests = [spec.digest() for spec in specs]
 
@@ -185,10 +164,6 @@ def run_campaign(
             "runs": runs,
             "quick": quick,
         }
-        if engine_kind != "exact":
-            # Only when non-default, so pre-existing exact journals
-            # keep matching their recorded headers.
-            meta["engine_kind"] = engine_kind
         journal, recorded = CampaignJournal.open(Path(journal_path), meta=meta)
 
     by_digest: Dict[str, ScenarioOutcome] = {}
@@ -218,7 +193,7 @@ def run_campaign(
                     journal.append(task.digest, scenario_outcome.to_json())
 
             map_many(
-                run_scenario,
+                execute_scenario,
                 todo,
                 jobs=jobs,
                 salvage=True,
@@ -248,7 +223,7 @@ def run_campaign(
         shrunk_signatures.add(signature)
 
         def still_fails(candidate: ScenarioSpec) -> bool:
-            replayed = run_scenario(candidate)
+            replayed = execute_scenario(candidate)
             return (
                 replayed.failure is not None
                 and replayed.failure.signature == signature  # noqa: B023

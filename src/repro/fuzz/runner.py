@@ -184,34 +184,8 @@ def _classify(exc: Exception, stage: str) -> FuzzFailure:
     return FuzzFailure("error", type(exc).__name__, stage, str(exc))
 
 
-def _base_engine_kind(scenario: MaterializedScenario, engine_kind: str) -> str:
-    """The engine the base stage actually runs on.
-
-    ``"fast"`` downgrades per-scenario to ``"exact"`` when the fuzzer
-    generated a configuration the fast engine rejects (checkpointing) —
-    a campaign probes the configuration space, and an unsupported
-    combination is the campaign's problem to route, not a finding.
-    """
-    if engine_kind == "fast":
-        from repro.errors import ConfigurationError
-        from repro.fastengine import validate_fast_supported
-
-        try:
-            validate_fast_supported(scenario.engine)
-        except ConfigurationError:
-            return "exact"
-    return engine_kind
-
-
-def _run(
-    trace: Trace,
-    scenario: MaterializedScenario,
-    spec: ScenarioSpec,
-    engine_kind: str = "exact",
-) -> RunResult:
-    return run_trace(
-        trace, spec.scheduler, engine=scenario.engine, engine_kind=engine_kind
-    )
+def _run(trace: Trace, scenario: MaterializedScenario, spec: ScenarioSpec) -> RunResult:
+    return run_trace(trace, spec.scheduler, engine=scenario.engine)
 
 
 def _check_result(
@@ -393,19 +367,12 @@ def _shard_stage(
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-def execute_scenario(spec: ScenarioSpec, engine_kind: str = "exact") -> ScenarioOutcome:
+def execute_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     """Run one scenario through every applicable stage and oracle.
 
     Top-level and pure (all randomness seeded from the spec) so
     :func:`repro.parallel.map_many` can fan scenarios out across worker
     processes bit-identically.
-
-    ``engine_kind`` selects the engine for the **base** stage only
-    (``"fast"`` falls back per-scenario when unsupported, see
-    :func:`_base_engine_kind`); the gaming, crash-resume and shard
-    stages always run exact — they exercise machinery (admission
-    rejection replay, checkpoint restore, the sharded control plane)
-    that is exact-engine-specific by design.
     """
     features = tuple(sorted({e.kind for e in spec.entries}))
     outcome = ScenarioOutcome(spec=spec, features=features)
@@ -420,9 +387,7 @@ def execute_scenario(spec: ScenarioSpec, engine_kind: str = "exact") -> Scenario
     outcome.stats["trace_jobs"] = len(scenario.trace.jobs)
 
     try:
-        base_result = _run(
-            scenario.trace, scenario, spec, _base_engine_kind(scenario, engine_kind)
-        )
+        base_result = _run(scenario.trace, scenario, spec)
     except Exception as exc:  # noqa: BLE001 - every failure is data
         outcome.failure = _classify(exc, "base")
         outcome.oracles_checked = ("no_starvation",)

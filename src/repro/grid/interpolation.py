@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.grid.dataset import DatasetSpec
-from repro.morton.codec import morton_decode_scalar, morton_encode_unchecked
+from repro.morton.codec import morton_decode, morton_encode_unchecked
 
 __all__ = [
     "InterpolationSpec",
@@ -160,12 +160,32 @@ def stencil_overshoot_keys(
 
 # Memo of within-timestep neighbor Morton codes: they are a pure
 # function of (grid resolution, primary atom position, overshoot key
-# set), so the decode/encode arithmetic runs once per distinct
+# set), so the wrap-around arithmetic runs once per distinct
 # combination instead of once per sub-query.  Bounded: at most
 # atoms-per-timestep × the handful of key sets a workload produces;
 # the cap below is a safety valve for enormous grids.
 _NEIGHBOR_MEMO: dict[tuple[int, int, tuple[int, ...]], tuple[int, ...]] = {}
 _NEIGHBOR_MEMO_MAX = 1 << 20
+
+# Full within-timestep Morton tables per grid resolution: code ->
+# (x, y, z) and [x][y][z] -> code.  A memo miss then resolves with
+# pure-Python integer lookups instead of vectorized Morton operations
+# on tiny arrays (whose NumPy dispatch dominated the miss cost).
+_MORTON_TABLES: dict[int, tuple[list[tuple[int, int, int]], list[list[list[int]]]]] = {}
+
+
+def _morton_tables(
+    n_axis: int,
+) -> tuple[list[tuple[int, int, int]], list[list[list[int]]]]:
+    tables = _MORTON_TABLES.get(n_axis)
+    if tables is None:
+        xs, ys, zs = morton_decode(np.arange(n_axis**3, dtype=np.uint64))
+        decode = list(zip(xs.tolist(), ys.tolist(), zs.tolist()))
+        axis = np.arange(n_axis, dtype=np.int64)
+        gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+        encode = morton_encode_unchecked(gx, gy, gz).astype(np.int64).tolist()
+        tables = _MORTON_TABLES[n_axis] = (decode, encode)
+    return tables
 
 
 def neighbor_atoms_from_keys(
@@ -187,16 +207,17 @@ def neighbor_atoms_from_keys(
     memo_key = (n_axis, primary_morton, key_tuple)
     codes = _NEIGHBOR_MEMO.get(memo_key)
     if codes is None:
-        deltas = {
-            combo for key in key_tuple for combo in _SUBCOMBO_TABLE[int(key)]
-        }
-        px, py, pz = morton_decode_scalar(primary_morton)
-        arr = np.array(sorted(deltas), dtype=np.int64)
-        cx = (px + arr[:, 0]) % n_axis
-        cy = (py + arr[:, 1]) % n_axis
-        cz = (pz + arr[:, 2]) % n_axis
-        encoded = morton_encode_unchecked(cx, cy, cz).astype(np.int64)
-        codes = tuple(int(c) for c in np.unique(encoded))
+        decode, encode = _morton_tables(n_axis)
+        px, py, pz = decode[primary_morton]
+        codes = tuple(
+            sorted(
+                {
+                    encode[(px + dx) % n_axis][(py + dy) % n_axis][(pz + dz) % n_axis]
+                    for key in key_tuple
+                    for dx, dy, dz in _SUBCOMBO_TABLE[key]
+                }
+            )
+        )
         if len(_NEIGHBOR_MEMO) < _NEIGHBOR_MEMO_MAX:
             _NEIGHBOR_MEMO[memo_key] = codes
     base = timestep * spec.atoms_per_timestep

@@ -99,16 +99,6 @@ class RunSpec:
         digest: the shard count and range assignment change scheduling
         interleavings, so a sharded campaign can never collide with an
         unsharded one in the journal or the trace cache.
-    engine_kind:
-        Execution engine, from :data:`repro.engine.runner.ENGINE_KINDS`
-        (``"exact"`` or ``"fast"``).  A dataclass field, so it pickles
-        with the spec and is folded into :meth:`digest` automatically —
-        a fast-engine campaign never aliases an exact one in the
-        journal, even though supported configurations produce
-        bit-identical results (that redundancy is exactly what the
-        cross-validation harness checks).  Fast specs must be
-        single-node and unsharded; the worker raises
-        :class:`~repro.errors.ConfigurationError` otherwise.
     """
 
     trace: Trace
@@ -119,7 +109,6 @@ class RunSpec:
     label: str = ""
     n_nodes: int = 1
     shards: Optional[ShardConfig] = None
-    engine_kind: str = "exact"
 
     def digest(self) -> str:
         """Stable content digest of this spec (journal/failure key).
@@ -151,19 +140,6 @@ def _execute_spec(spec: RunSpec) -> RunResult:
     degenerate case is byte-identical to the cluster path), multi-node
     specs through :func:`repro.cluster.cluster.run_cluster`, and plain
     specs through the single-node runner exactly as before."""
-    if spec.engine_kind != "exact":
-        from repro.engine.runner import ENGINE_KINDS
-        from repro.errors import ConfigurationError
-        from repro.fastengine import validate_fast_supported  # avoid import cycle
-
-        if spec.engine_kind not in ENGINE_KINDS:
-            raise ConfigurationError(
-                f"unknown engine kind {spec.engine_kind!r}; "
-                f"choose from {ENGINE_KINDS}"
-            )
-        validate_fast_supported(
-            spec.engine, n_nodes=spec.n_nodes, shards=spec.shards
-        )
     if spec.shards is not None:
         from repro.shard import run_sharded  # avoid import cycle
 
@@ -193,7 +169,6 @@ def _execute_spec(spec: RunSpec) -> RunResult:
         engine=spec.engine,
         config=spec.scheduler_config,
         faults=spec.faults,
-        engine_kind=spec.engine_kind,
     )
 
 

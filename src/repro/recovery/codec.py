@@ -41,7 +41,8 @@ from repro.errors import RecoveryError
 __all__ = ["SNAPSHOT_FORMAT_VERSION", "SNAPSHOT_MAGIC", "encode_snapshot", "decode_snapshot"]
 
 #: Bump whenever the snapshot state layout changes incompatibly.
-SNAPSHOT_FORMAT_VERSION = 1
+#: 2: workload queues hold packed struct-of-arrays rows.
+SNAPSHOT_FORMAT_VERSION = 2
 
 SNAPSHOT_MAGIC = b"JAWSCKPT"
 

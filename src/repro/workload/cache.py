@@ -63,8 +63,7 @@ def trace_cache_dir() -> Optional[Path]:
 
 
 def trace_cache_key(
-    spec: DatasetSpec, params: WorkloadParams, speedup: float, topology: str = "",
-    engine: str = "",
+    spec: DatasetSpec, params: WorkloadParams, speedup: float, topology: str = ""
 ) -> str:
     """Content hash of everything trace generation depends on.
 
@@ -74,12 +73,7 @@ def trace_cache_key(
     (:meth:`~repro.shard.topology.ShardTopology.digest`): callers that
     pre-bake topology-dependent artifacts alongside the trace pass it
     so entries for different coordinator layouts never alias (an empty
-    string — the default — keys exactly as before).  ``engine`` works
-    the same way for the execution engine kind: traces themselves are
-    engine-independent, but callers that store engine-specific
-    artifacts next to a trace (benchmark snapshots, cross-validation
-    fixtures) key them apart by passing ``"fast"``; the empty default
-    keys exactly as before.
+    string — the default — keys exactly as before).
     """
     payload = {
         "format": _FORMAT_VERSION,
@@ -89,8 +83,6 @@ def trace_cache_key(
     }
     if topology:
         payload["topology"] = str(topology)
-    if engine:
-        payload["engine"] = str(engine)
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
     return digest.hexdigest()[:32]
 
@@ -125,22 +117,20 @@ def cached_generate_trace(
     speedup: float = 1.0,
     cache_dir: Optional[Path] = None,
     topology: str = "",
-    engine: str = "",
 ) -> Trace:
     """``generate_trace`` + ``rescale`` with on-disk memoization.
 
     ``cache_dir=None`` resolves the directory from the environment
     (see module docstring); caching disabled falls straight through to
-    generation.  ``topology`` and ``engine`` feed
-    :func:`trace_cache_key` so sharded campaigns and engine-keyed
-    artifacts keep their own cache entries.
+    generation.  ``topology`` feeds :func:`trace_cache_key` so sharded
+    campaigns keep their own cache entries.
     """
     directory = cache_dir if cache_dir is not None else trace_cache_dir()
     if directory is None:
         trace = generate_trace(spec, params)
         return trace.rescale(speedup) if speedup != 1.0 else trace
 
-    key = trace_cache_key(spec, params, speedup, topology=topology, engine=engine)
+    key = trace_cache_key(spec, params, speedup, topology=topology)
     path = directory / f"trace-v{_FORMAT_VERSION}-{key}.npz"
     if path.exists():
         cached = _load_if_valid(path, spec)

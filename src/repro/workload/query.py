@@ -69,8 +69,9 @@ class Query:
     atom_set: Optional[frozenset[int]] = field(default=None, repr=False)
     # Stencil-overshoot keys for all positions, computed vectorized on
     # first sub-query stencil evaluation and shared by every sub-query
-    # of the query: (cache key, per-position key array).
-    _stencil_keys: Optional[tuple[tuple[int, int, int, int], np.ndarray]] = field(
+    # of the query: (cache key, per-position key array, or None when no
+    # position of the query overshoots its atom's halo).
+    _stencil_keys: Optional[tuple[tuple[int, int, int, int], Optional[np.ndarray]]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -129,7 +130,9 @@ class SubQuery:
         The per-position overshoot keys are computed vectorized over
         the *whole query* once and cached on it; each sub-query then
         slices its own positions' keys — one numpy pass per query
-        instead of one per sub-query.
+        instead of one per sub-query.  A query none of whose positions
+        overshoots caches ``None`` instead, so its sub-queries skip the
+        slice entirely (most sub-queries of a typical workload).
         """
         if self.query.op != "interp":
             return []
@@ -138,10 +141,16 @@ class SubQuery:
         cache_key = (interp.order, spec.halo, spec.atom_side, spec.grid_side)
         cached = self.query._stencil_keys
         if cached is None or cached[0] != cache_key:
-            keys = stencil_overshoot_keys(spec, self.query.positions, interp)
+            keys: Optional[np.ndarray] = stencil_overshoot_keys(
+                spec, self.query.positions, interp
+            )
+            if not bool((keys != 13).any()):
+                keys = None
             self.query._stencil_keys = (cache_key, keys)
         else:
             keys = cached[1]
+        if keys is None:
+            return []
         return neighbor_atoms_from_keys(spec, keys[self.position_indices], self.atom_id)
 
 

@@ -83,6 +83,19 @@ class TestRunCommands:
         with pytest.raises(SystemExit):
             main(["run", "--trace", str(trace_file), "--scheduler", "belady"])
 
+    def test_engine_option_is_gone(self, trace_file):
+        """There is one engine: ``--engine`` is an unknown option, a
+        usage error (exit 2), on every subcommand that once took it."""
+        for argv in (
+            ["run", "--trace", str(trace_file), "--engine", "fast"],
+            ["compare", "--trace", str(trace_file), "--engine", "fast"],
+            ["experiment", "jobid", "--engine", "fast"],
+            ["fuzz", "--runs", "1", "--engine", "fast"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
 
 class TestExperimentCommand:
     def test_jobid_experiment(self, capsys):

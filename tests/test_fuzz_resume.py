@@ -28,6 +28,7 @@ from repro.errors import JournalError
 from repro.fuzz import campaign as campaign_module
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.runner import execute_scenario
+from repro.parallel import CampaignJournal
 
 SEED, RUNS = 3, 5
 
@@ -115,6 +116,30 @@ def test_resume_with_different_arguments_refused(tmp_path):
         run_campaign(seed=SEED + 1, runs=2, jobs=1, quick=True, journal_path=journal)
     with pytest.raises(JournalError, match="different campaign"):
         run_campaign(seed=SEED, runs=3, jobs=1, quick=True, journal_path=journal)
+
+
+def test_journal_pinning_an_engine_selector_refused(tmp_path, monkeypatch):
+    """Older releases pinned ``"engine_kind": "fast"`` in the header of
+    fast-engine campaigns.  There is one engine now, so such a journal
+    names a campaign this build cannot continue: resuming it must raise,
+    not silently re-run it."""
+    journal_path = tmp_path / "campaign.jsonl"
+    meta = {
+        "kind": "fuzz-campaign",
+        "format": campaign_module.SPEC_FORMAT_VERSION,
+        "seed": SEED,
+        "runs": 2,
+        "quick": True,
+        "engine_kind": "fast",
+    }
+    journal, _ = CampaignJournal.open(journal_path, meta=meta)
+    journal.close()
+
+    executed = []
+    monkeypatch.setattr(campaign_module, "execute_scenario", _counting(executed))
+    with pytest.raises(JournalError, match="different campaign"):
+        run_campaign(seed=SEED, runs=2, jobs=1, quick=True, journal_path=journal_path)
+    assert executed == []
 
 
 def test_parallel_resume_matches_serial_reference(tmp_path, reference):

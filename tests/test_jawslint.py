@@ -328,94 +328,6 @@ def test_d007_listed_in_rules():
 
 
 # ---------------------------------------------------------------------------
-# D400: per-element Python loops over columnar arrays (fastengine scope)
-# ---------------------------------------------------------------------------
-FASTENGINE_PATH = "src/repro/fastengine/hotloop.py"
-
-
-def fastengine_hits(code, path=FASTENGINE_PATH):
-    return [(v.rule, v.line) for v in lint_source(textwrap.dedent(code), path=path)]
-
-
-D400_BAD = [
-    "for u in ut_col:\n    total += u\n",
-    "for i, u in enumerate(ut_col):\n    pass\n",
-    "for a, b in zip(ids_col, oldest_col):\n    pass\n",
-    "for v in oldest_col[:n]:\n    pass\n",
-    "for v in self.queues.ut_col:\n    pass\n",
-    "xs = [f(v) for v in ut_col]\n",
-    "for v in arr.flat:\n    pass\n",
-    "import numpy as np\nfor v in np.nditer(arr):\n    pass\n",
-]
-
-
-@pytest.mark.parametrize("code", D400_BAD)
-def test_d400_flags_per_element_columnar_loops(code):
-    hits = fastengine_hits(code)
-    assert hits and all(rule == "D400" for rule, _ in hits), hits
-
-
-def test_d400_silent_on_vectorized_code():
-    code = (
-        "lo = ut_col[:n].min()\n"
-        "ties = ids_col[:n][(v - lo) / span == 1.0]\n"
-        "drained = np.sort(tie_ids).tolist()\n"
-        "for batch in batches:\n"
-        "    pass\n"
-        "for atom_id, subs in batch.atoms:\n"
-        "    pass\n"
-    )
-    assert fastengine_hits(code) == []
-
-
-@pytest.mark.parametrize("code", D400_BAD[:3])
-def test_d400_scoped_to_fastengine_paths_only(code):
-    assert fastengine_hits(code, path="src/repro/engine/simulator.py") == []
-
-
-def test_d400_suppression():
-    code = (
-        "for u in ut_col:  "
-        "# jawslint: disable=D400 - cold init path, runs once per trace\n"
-        "    pass\n"
-    )
-    assert fastengine_hits(code) == []
-
-
-def test_d400_listed_in_rules_and_not_baselinable():
-    from repro.analysis.lint import NON_BASELINABLE_RULES
-
-    assert "D400" in RULES
-    assert "fast-engine" in RULES["D400"]
-    assert "D400" in NON_BASELINABLE_RULES
-
-
-def test_d400_baseline_entry_rejected(tmp_path):
-    import json
-
-    from repro.analysis.baseline import Baseline, BaselineError
-
-    ledger = tmp_path / "jawslint-baseline.json"
-    ledger.write_text(
-        json.dumps(
-            {
-                "version": 1,
-                "entries": [
-                    {
-                        "rule": "D400",
-                        "path": "src/repro/fastengine/hotloop.py",
-                        "symbol": "drain",
-                        "rationale": "tempting but forbidden",
-                    }
-                ],
-            }
-        )
-    )
-    with pytest.raises(BaselineError, match="cannot be baselined"):
-        Baseline.load(ledger)
-
-
-# ---------------------------------------------------------------------------
 # The tree itself must stay clean (suppressions included).
 # ---------------------------------------------------------------------------
 def test_source_tree_is_clean():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.config import CostModel
+from repro.core.metrics import workload_throughput
 from repro.core.queues import WorkloadQueues
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
@@ -24,6 +26,15 @@ def make_subqueries(n_positions=50, timestep=0, seed=0, qid=0):
         positions=rng.uniform(0, SPEC.grid_side, (n_positions, 3)),
     )
     return preprocess_query(q, MAPPER)
+
+
+def one_atom_clones(n_atoms, qid=0):
+    """One sub-query per atom id ``0..n_atoms-1``, all of one query."""
+    sq = make_subqueries(5, qid=qid)[0]
+    return [
+        type(sq)(query=sq.query, atom_id=atom, position_indices=sq.position_indices)
+        for atom in range(n_atoms)
+    ]
 
 
 class TestAddPop:
@@ -52,15 +63,19 @@ class TestAddPop:
             queues.pop_atom(42)
 
     def test_slot_recycling(self):
+        """Rows freed by drains are reused: fill/drain cycles never grow
+        the columns and leave the queues coherent."""
         queues = WorkloadQueues(SPEC.atoms_per_timestep)
         subs = make_subqueries(30, seed=2)
         for cycle in range(3):
             for sq in subs:
                 queues.add(sq, now=float(cycle))
+            assert queues.check_consistency() == []
             for atom in sorted({sq.atom_id for sq in subs}):
                 queues.pop_atom(atom)
         assert len(queues) == 0
         assert queues.total_positions == 0
+        assert queues.capacity == 256
 
     def test_oldest_arrival_preserved_across_adds(self):
         queues = WorkloadQueues(SPEC.atoms_per_timestep)
@@ -69,6 +84,20 @@ class TestAddPop:
         queues.add(subs[0], now=1.0)
         queues.add(subs[0], now=9.0)  # later arrival must not reset age
         assert queues.oldest_arrival(atom) == 1.0
+
+    def test_swap_remove_keeps_rows_addressable(self):
+        """Draining a middle atom moves the last row into its place;
+        every surviving atom keeps its own count and age."""
+        queues = WorkloadQueues(SPEC.atoms_per_timestep)
+        clones = one_atom_clones(6)
+        for i, sq in enumerate(clones):
+            queues.add(sq, now=float(i))
+        queues.pop_atom(2)
+        for atom in (0, 1, 3, 4, 5):
+            assert queues.oldest_arrival(atom) == float(atom)
+            assert queues.positions_pending(atom) == clones[atom].n_positions
+        assert queues.positions_pending(2) == 0
+        assert queues.check_consistency() == []
 
 
 class TestViews:
@@ -92,6 +121,35 @@ class TestViews:
         ids = np.array([0, SPEC.atoms_per_timestep + 3, 2 * SPEC.atoms_per_timestep])
         np.testing.assert_array_equal(queues.timesteps_of(ids), [0, 1, 2])
 
+    def test_active_view_is_activation_order(self):
+        """Swap-remove permutes the packed rows, but the view lists
+        atoms in activation order; a re-activated atom goes last."""
+        queues = WorkloadQueues(SPEC.atoms_per_timestep)
+        clones = one_atom_clones(5)
+        for sq in clones:
+            queues.add(sq, now=0.0)
+        queues.pop_atom(1)
+        queues.add(clones[1], now=1.0)
+        ids, _, _, _ = queues.active_view()
+        assert ids.tolist() == [0, 2, 3, 4, 1]
+        order = [subs[0].atom_id for subs in queues.iter_subquery_lists()]
+        assert order == [0, 2, 3, 4, 1]
+
+    def test_packed_columns_match_view(self):
+        cost = CostModel(t_b=0.02)
+        queues = WorkloadQueues(SPEC.atoms_per_timestep, cost=cost)
+        subs = make_subqueries(80, seed=12)
+        for sq in subs:
+            queues.add(sq, now=3.0)
+        queues.on_cache_insert(subs[0].atom_id)
+        ids, ut, oldest = queues.packed()
+        v_ids, v_counts, v_oldest, v_cached = queues.active_view()
+        order, v_order = np.argsort(ids), np.argsort(v_ids)
+        np.testing.assert_array_equal(ids[order], v_ids[v_order])
+        np.testing.assert_array_equal(oldest[order], v_oldest[v_order])
+        expected = workload_throughput(v_counts, v_cached, cost)
+        np.testing.assert_array_equal(ut[order], expected[v_order])
+
 
 class TestCacheFlags:
     def test_flags_follow_listeners(self):
@@ -106,9 +164,10 @@ class TestCacheFlags:
         queues.on_cache_evict(atom)
         ids, _, _, cached = queues.active_view()
         assert not cached[list(ids).index(atom)]
+        assert queues.check_consistency() == []
 
     def test_growth_beyond_initial_slot_block(self):
-        """The slot arrays start at 256 slots and double when full;
+        """The columns start at 256 rows and double when full;
         exercise crossing the initial capacity (the 4-step x 64-atom
         spec has exactly 256 distinct atoms)."""
         queues = WorkloadQueues(SPEC.atoms_per_timestep)
@@ -126,22 +185,17 @@ class TestCacheFlags:
 class TestGrowth:
     def test_capacity_doubles_geometrically(self):
         queues = WorkloadQueues(atoms_per_timestep=1 << 20)
-        assert len(queues._atom_ids) == 256
-        sq = make_subqueries(5, qid=0)[0]
-        for atom in range(300):  # force one doubling past 256
-            clone = type(sq)(
-                query=sq.query, atom_id=atom, position_indices=sq.position_indices
-            )
+        assert queues.capacity == 256
+        for clone in one_atom_clones(300):  # force one doubling past 256
             queues.add(clone, now=0.0)
-        assert len(queues._atom_ids) == 512
-        assert len(queues._subqueries) == 512
-        assert len(queues._arrivals) == 512
+        assert queues.capacity == 512
+        assert len(queues) == 300
         assert queues.check_consistency() == []
 
     def test_capacity_hint_preallocates(self):
         queues = WorkloadQueues(atoms_per_timestep=4096, capacity_hint=1000)
-        assert len(queues._atom_ids) == 1024  # next power of two >= hint
-        assert WorkloadQueues(4096, capacity_hint=0)._atom_ids.shape == (256,)
+        assert queues.capacity == 1024  # next power of two >= hint
+        assert WorkloadQueues(4096, capacity_hint=0).capacity == 256
 
 
 class TestVersionedView:
@@ -239,13 +293,47 @@ class TestRemoveQuery:
         assert atom not in queues
         assert queues.check_consistency() == []
 
+    # The audits below corrupt private state on purpose: no public
+    # operation can produce an incoherent queue.
     def test_consistency_detects_arrival_drift(self):
         queues, early, _ = self.overlapping_queries()
-        slot = queues._slot_of[early[0].atom_id]
-        queues._oldest[slot] = 0.25  # corrupt: no arrival matches
+        queues._oldest[queues._pos[early[0].atom_id]] = 0.25  # no arrival matches
         assert any("min arrival" in p for p in queues.check_consistency())
 
     def test_consistency_detects_index_drift(self):
         queues, early, _ = self.overlapping_queries()
         queues._by_query[100].pop(early[0].atom_id)
         assert any("inverted index" in p for p in queues.check_consistency())
+
+
+class TestPackedAudit:
+    """``check_consistency`` also audits the packed columns."""
+
+    def loaded(self):
+        queues = WorkloadQueues(SPEC.atoms_per_timestep)
+        for i, sq in enumerate(one_atom_clones(6)):
+            queues.add(sq, now=float(i))
+        return queues
+
+    def test_clean_after_mixed_mutations(self):
+        queues = self.loaded()
+        queues.on_cache_insert(3)
+        queues.pop_atom(1)
+        queues.remove_query(0)
+        assert len(queues) == 0
+        assert queues.check_consistency() == []
+
+    def test_detects_broken_inverse_map(self):
+        queues = self.loaded()
+        queues._pos[0], queues._pos[1] = queues._pos[1], queues._pos[0]
+        assert any("not inverse" in p for p in queues.check_consistency())
+
+    def test_detects_stale_ut(self):
+        queues = self.loaded()
+        queues._ut[0] += 1.0
+        assert any("Eq. 1" in p for p in queues.check_consistency())
+
+    def test_detects_duplicate_sequence_numbers(self):
+        queues = self.loaded()
+        queues._seq[1] = queues._seq[0]
+        assert any("not unique" in p for p in queues.check_consistency())

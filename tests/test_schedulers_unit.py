@@ -126,6 +126,85 @@ class TestLifeRaft:
         assert not s.has_pending()
 
 
+def same_queries(qid, centers, timestep=0, n=4):
+    """One query with ``n`` positions at each center (equal counts, so
+    every touched atom ties on U_t)."""
+    return make_query(qid, [c for c in centers for _ in range(n)], timestep=timestep)
+
+
+class TestLifeRaftTieCache:
+    """The reduced-metric decision and its tie-set cache against the
+    generic Eq. 2 path, which recomputes every decision from scratch."""
+
+    def pair(self, alpha, max_sim_time=1e9):
+        cached = LifeRaftScheduler(SPEC, COST, alpha=alpha, max_sim_time=max_sim_time)
+        oracle = LifeRaftScheduler(SPEC, COST, alpha=alpha, max_sim_time=max_sim_time)
+        oracle._reduced = False
+        return cached, oracle
+
+    @staticmethod
+    def decide(schedulers, now):
+        batches = [s.next_batch(now) for s in schedulers]
+        picks = [None if b is None else b.atoms[0][0] for b in batches]
+        assert picks[0] == picks[1]
+        return picks[0]
+
+    def test_alpha0_matches_recompute_across_interleaved_mutations(self):
+        pair = self.pair(0.0)
+        row = [atom_center(x, 0, 0) for x in range(4)]
+        q0, subs0 = same_queries(0, row + [atom_center(x, 1, 0) for x in range(4)])
+        for s in pair:
+            s.on_query_arrival(q0, list(subs0), 0.0)
+        assert self.decide(pair, 1.0) is not None
+        assert pair[0]._tie_ver == pair[0].queues.version  # cache built
+        self.decide(pair, 1.1)  # pure drain: replayed from the cache
+        ids = [a for a in pair[0].queues.active_view()[0].tolist()]
+        # Cache insert, evict, arrival and cancellation between decisions.
+        for s in pair:
+            s.queues.on_cache_insert(ids[-1])
+        self.decide(pair, 1.2)
+        for s in pair:
+            s.queues.on_cache_evict(ids[-1])
+        self.decide(pair, 1.3)
+        q1, subs1 = same_queries(1, [atom_center(2, 2, 0), atom_center(3, 2, 0)], n=9)
+        for s in pair:
+            s.on_query_arrival(q1, list(subs1), 1.4)
+        self.decide(pair, 1.4)
+        for s in pair:
+            s.cancel_query(1, 1.5)
+        while self.decide(pair, 2.0) is not None:
+            pass
+        assert not pair[0].has_pending()
+
+    def test_alpha1_margin_failure_recomputes(self):
+        """Two atoms tie on the oldest arrival and a third arrived 1 µs
+        later.  With a 1e9 s clock bound the 2**-40 margin (~9e-4 s) is
+        not met, so nothing is cached; with a 100 s bound it is."""
+        for bound, cacheable in ((1e9, False), (100.0, True)):
+            pair = self.pair(1.0, max_sim_time=bound)
+            q0, subs0 = same_queries(0, [atom_center(0, 0, 0), atom_center(1, 0, 0)])
+            q1, subs1 = same_queries(1, [atom_center(2, 0, 0)])
+            q2, subs2 = same_queries(2, [atom_center(3, 0, 0)])
+            for s in pair:
+                s.on_query_arrival(q0, list(subs0), 0.0)
+                s.on_query_arrival(q1, list(subs1), 1e-6)
+                s.on_query_arrival(q2, list(subs2), 5.0)
+            self.decide(pair, 10.0)
+            assert (pair[0]._tie_ver != -1) is cacheable
+            while self.decide(pair, 20.0) is not None:
+                pass
+
+    def test_alpha1_unbounded_clock_never_caches(self):
+        pair = self.pair(1.0, max_sim_time=float("inf"))
+        q0, subs0 = same_queries(0, [atom_center(x, 0, 0) for x in range(3)])
+        q1, subs1 = same_queries(1, [atom_center(3, 0, 0)])
+        for s in pair:
+            s.on_query_arrival(q0, list(subs0), 0.0)
+            s.on_query_arrival(q1, list(subs1), 50.0)
+        while self.decide(pair, 100.0) is not None:
+            assert pair[0]._tie_ver == -1
+
+
 class TestJAWSTwoLevel:
     def cfg(self, **kw):
         base = dict(
