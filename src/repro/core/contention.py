@@ -101,8 +101,7 @@ class ContentionSchedulerBase(Scheduler):
     # Queue plumbing
     # ------------------------------------------------------------------
     def _enqueue(self, subqueries: list[SubQuery], now: float) -> None:
-        for sq in subqueries:
-            self.queues.add(sq, now)
+        self.queues.add_query(subqueries, now)
         if subqueries:
             self._invalidate_utilities()
 

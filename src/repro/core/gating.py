@@ -26,6 +26,15 @@ Admission enforces the paper's feasibility conditions:
   diagnostic (:meth:`gating_numbers`) and rely on the explicit cycle
   check for soundness (see DESIGN.md); property tests verify gated
   schedules never deadlock.
+
+The contracted graph is acyclic before every admission (adding a job
+adds a fresh chain, admission keeps it acyclic, and pruning a query
+only shortcuts a path through it), so merging groups ``ga`` and ``gb``
+closes a cycle exactly when one already reaches the other.  Admission
+therefore runs two reachability searches from the endpoints
+(:meth:`PrecedenceGraph._reaches`) instead of rebuilding the whole
+graph; :meth:`PrecedenceGraph.is_acyclic` keeps the full rebuild for
+the sanitizer.
 """
 
 from __future__ import annotations
@@ -90,6 +99,11 @@ class PrecedenceGraph:
     def atoms_of(self, qid: int) -> frozenset[int]:
         return self._v[qid].atoms
 
+    def job_atoms(self, job_id: int) -> list[frozenset[int]]:
+        """Atom sets of the job's live queries, in sequence order."""
+        v = self._v
+        return [v[qid].atoms for qid in self._job_queries.get(job_id, ())]
+
     def state(self, qid: int) -> QueryState:
         return self._v[qid].state
 
@@ -104,42 +118,31 @@ class PrecedenceGraph:
     # ------------------------------------------------------------------
     # Deadlock check: contracted group graph must stay acyclic
     # ------------------------------------------------------------------
-    def _acyclic_with_merge(self, ga: int, gb: int) -> bool:
-        succ: dict[int, set[int]] = {}
-        for qids in self._job_queries.values():
-            prev = -1
-            for qid in qids:
-                g = self._v[qid].group
-                if g == gb:
-                    g = ga
-                if prev >= 0:
-                    if prev == g:
-                        return False  # group contains its own successor
-                    succ.setdefault(prev, set()).add(g)
-                prev = g
-        # Iterative three-color DFS.
-        color: dict[int, int] = {}
-        for start in succ:
-            if color.get(start):
-                continue
-            stack = [(start, iter(succ.get(start, ())))]
-            color[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    c = color.get(nxt, 0)
-                    if c == 1:
-                        return False
-                    if c == 0:
-                        color[nxt] = 1
-                        stack.append((nxt, iter(succ.get(nxt, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-        return True
+    def _reaches(self, src: int, dst: int) -> bool:
+        """Is group ``dst`` reachable from group ``src`` along contracted
+        successors (each member's next live query in its job)?
+
+        Visits only groups downstream of ``src`` and stops at the first
+        path found.
+        """
+        v = self._v
+        chains = self._job_queries
+        groups = self._groups
+        seen = {src}
+        stack = [src]
+        while stack:
+            for qid in groups[stack.pop()]:
+                chain = chains[v[qid].job_id]
+                i = chain.index(qid) + 1
+                if i == len(chain):
+                    continue
+                g = v[chain[i]].group
+                if g == dst:
+                    return True
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+        return False
 
     # ------------------------------------------------------------------
     # Admission (Fig. 4)
@@ -169,7 +172,9 @@ class PrecedenceGraph:
         if jobs_a & jobs_b:
             self.edges_rejected += 1
             return False
-        if not self._acyclic_with_merge(ga, gb):
+        # The groups share no job, so no chain links them directly; a
+        # cycle after merging needs a path between them already.
+        if self._reaches(ga, gb) or self._reaches(gb, ga):
             self.edges_rejected += 1
             return False
         # Merge smaller into larger.
@@ -274,13 +279,41 @@ class PrecedenceGraph:
         """Is the contracted group graph acyclic right now?
 
         The deadlock-freedom condition admission maintains; re-checked
-        wholesale by the simulation sanitizer.
+        wholesale (full rebuild plus DFS) by the simulation sanitizer.
         """
-        if not self._groups:
-            return True
-        gid = next(iter(self._groups))
-        # Merging a group with itself is the identity contraction.
-        return self._acyclic_with_merge(gid, gid)
+        succ: dict[int, set[int]] = {}
+        for qids in self._job_queries.values():
+            prev = -1
+            for qid in qids:
+                g = self._v[qid].group
+                if prev >= 0:
+                    if prev == g:
+                        return False  # group contains its own successor
+                    succ.setdefault(prev, set()).add(g)
+                prev = g
+        # Iterative three-color DFS.
+        color: dict[int, int] = {}
+        for start in succ:
+            if color.get(start):
+                continue
+            stack = [(start, iter(succ.get(start, ())))]
+            color[start] = 1
+            while stack:
+                node, it = stack[-1]
+                advanced = False
+                for nxt in it:
+                    c = color.get(nxt, 0)
+                    if c == 1:
+                        return False
+                    if c == 0:
+                        color[nxt] = 1
+                        stack.append((nxt, iter(succ.get(nxt, ()))))
+                        advanced = True
+                        break
+                if not advanced:
+                    color[node] = 2
+                    stack.pop()
+        return True
 
     def validate(self) -> list[str]:
         """Audit graph internals: group partition coherence, the

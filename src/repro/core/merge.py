@@ -6,10 +6,19 @@ paper's greedy order: start from the pair with the most edges, then
 repeatedly attach the job whose pairwise solution with an
 already-merged job has the most edges, admitting each edge through
 ``AdmitGatingEdge`` (implemented by
-:meth:`repro.core.gating.PrecedenceGraph.admit_edge`).  With ``n`` jobs
-of ``m`` queries the merge is :math:`O(n^3 m^2)` worst case but cheap
-in practice because the graph is sparse and completed queries are
-pruned.
+:meth:`repro.core.gating.PrecedenceGraph.admit_edge`).
+
+Both entry points find a job's partners the same way
+(:func:`_sharing_alignments`): one transient sharing index of the job
+(:class:`repro.core.alignment.SharingIndex`), against which every live
+query of every other job is tested once; only partners that share an
+atom are aligned.  With ``n`` live jobs of ``m`` queries, adding one
+job costs ``O(n m)`` disjointness tests plus an ``O(m^2)`` DP per
+sharing partner, and each admitted edge a reachability search bounded
+by the contracted graph (``O(n m)``), so the merge stays
+:math:`O(n^3 m^2)` worst case over all jobs.  It is cheap in practice:
+most partner jobs share nothing, the search stops at the first path
+found, and completed queries are pruned.
 
 Two entry points:
 
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.alignment import align_jobs
+from repro.core.alignment import SharingIndex, align_jobs
 from repro.core.gating import PrecedenceGraph
 from repro.core.states import QueryState
 
@@ -54,20 +63,37 @@ def admit_alignment(
     return admitted
 
 
+def _sharing_alignments(
+    graph: PrecedenceGraph, job_id: int, partners: Sequence[int]
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Align ``job_id``'s live queries against every partner job that
+    shares at least one atom with it, in ``partners`` order.
+
+    Returns ``(partner, pairs)`` with pairs indexing (job_id's live
+    queries, the partner's live queries).  Partners sharing nothing
+    never reach :func:`align_jobs`; a shared atom always yields a
+    matched pair.
+    """
+    atoms = graph.job_atoms(job_id)
+    index = SharingIndex(atoms)
+    out: list[tuple[int, list[tuple[int, int]]]] = []
+    for other in partners:
+        other_atoms = graph.job_atoms(other)
+        s = index.overlap(other_atoms)
+        if s is not None:
+            out.append((other, align_jobs(atoms, other_atoms, s)))
+    return out
+
+
 def _pairwise_alignments(
     graph: PrecedenceGraph, job_ids: Sequence[int]
 ) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    atom_seqs = {
-        j: [graph.atoms_of(q) for q in graph.queries_of(j)] for j in job_ids
-    }
-    out: dict[tuple[int, int], list[tuple[int, int]]] = {}
     ids = list(job_ids)
-    for i in range(len(ids)):
-        for k in range(i + 1, len(ids)):
-            pairs = align_jobs(atom_seqs[ids[i]], atom_seqs[ids[k]])
-            if pairs:
-                out[(ids[i], ids[k])] = pairs
-    return out
+    return {
+        (ja, jb): pairs
+        for i, ja in enumerate(ids)
+        for jb, pairs in _sharing_alignments(graph, ja, ids[i + 1 :])
+    }
 
 
 def build_gating_offline(graph: PrecedenceGraph) -> int:
@@ -126,13 +152,10 @@ class GatingManager:
         self.graph.add_job(job_id, query_ids, atom_sets)
         self._tracked.update(query_ids)
 
-        new_atoms = [self.graph.atoms_of(q) for q in self.graph.queries_of(job_id)]
-        scored: list[tuple[int, int, list[tuple[int, int]]]] = []
-        for other in existing:
-            other_atoms = [self.graph.atoms_of(q) for q in self.graph.queries_of(other)]
-            pairs = align_jobs(new_atoms, other_atoms)
-            if pairs:
-                scored.append((len(pairs), other, pairs))
+        scored = [
+            (len(pairs), other, pairs)
+            for other, pairs in _sharing_alignments(self.graph, job_id, existing)
+        ]
         # Greedy: most-sharing partner job first (merge-phase order).
         scored.sort(key=lambda t: (-t[0], t[1]))
         admitted = 0

@@ -17,9 +17,11 @@ independent of the number of active atoms:
 * rows stay dense by **swap-remove** — draining an atom moves the last
   row into its place — so a scheduling decision reads ``column[:n]``
   slices with no gather;
-* ``u_t`` is maintained **incrementally**, per mutated row, with scalar
+* ``u_t`` is maintained **incrementally**, per mutated row: scalar
   IEEE-754 arithmetic bit-identical to the vectorized
-  :func:`~repro.core.metrics.workload_throughput`;
+  :func:`~repro.core.metrics.workload_throughput`, or that function
+  itself over the rows one arriving query touches
+  (:meth:`WorkloadQueues.add_query`);
 * capacity grows geometrically (doubling), so row allocation is
   amortized O(1);
 * a per-query inverted index (query id -> atom ids) lets
@@ -203,6 +205,54 @@ class WorkloadQueues:
         self._index_query(subquery.query.query_id, atom_id)
         self.total_positions += subquery.n_positions
         self._version += 1
+
+    def add_query(self, subqueries: list[SubQuery], now: float) -> None:
+        """Append sub-queries that all arrived at ``now`` (one query's).
+
+        Equivalent to :meth:`add` on each in order: one dict pass
+        assigns rows and activation sequence numbers in sub-query
+        order, then the column writes and the Eq. 1 ``u_t`` refresh
+        run vectorized over the touched rows.
+        """
+        if not subqueries:
+            return
+        n0 = n = self._n
+        pos = self._pos
+        rows: list[int] = []
+        new_atoms: list[int] = []
+        for sq in subqueries:
+            atom_id = sq.atom_id
+            p = pos.get(atom_id)
+            if p is None:
+                p = pos[atom_id] = n
+                n += 1
+                new_atoms.append(atom_id)
+                self._subqueries.append([sq])
+                self._arrivals.append([now])
+            else:
+                self._subqueries[p].append(sq)
+                self._arrivals[p].append(now)
+            rows.append(p)
+            self._index_query(sq.query.query_id, atom_id)
+        while n > len(self._ids):
+            self._grow()
+        if n > n0:
+            self._ids[n0:n] = new_atoms
+            self._counts[n0:n] = 0
+            self._oldest[n0:n] = now
+            self._cached[n0:n] = [a in self._cached_atoms for a in new_atoms]
+            self._seq[n0:n] = np.arange(self._next_seq, self._next_seq + n - n0)
+            self._next_seq += n - n0
+            self._n = n
+        r = np.array(rows, dtype=np.intp)
+        positions = np.array([len(sq.position_indices) for sq in subqueries], dtype=np.int64)
+        # add.at accumulates repeated rows the way sequential add would.
+        np.add.at(self._counts, r, positions)
+        oldest = self._oldest[r]
+        self._oldest[r[now < oldest]] = now
+        self._ut[r] = workload_throughput(self._counts[r], self._cached[r], self._cost)
+        self.total_positions += int(positions.sum())
+        self._version += len(rows)
 
     def pop_atom(self, atom_id: int) -> list[SubQuery]:
         """Drain an atom's queue (the batch takes every pending

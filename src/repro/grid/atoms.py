@@ -64,12 +64,15 @@ class AtomMapper:
         code (equivalently atom id, since all share one time step), as
         the pre-processor requires: points are "sorted and evaluated in
         Morton order so that each atom is read only once" (§III-A).
-        ``position_indices`` index into the input array.
+        ``position_indices`` index into the input array; each is a slice
+        view of one stable argsort.
         """
         ids = self.atom_ids(positions, timestep)
+        if not len(ids):
+            return []
         order = np.argsort(ids, kind="stable")
         sorted_ids = ids[order]
-        boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-        groups = np.split(order, boundaries)
-        uniques = sorted_ids[np.concatenate(([0], boundaries))] if len(sorted_ids) else []
-        return [(int(a), g) for a, g in zip(uniques, groups)]
+        starts = np.flatnonzero(np.diff(sorted_ids)) + 1
+        bounds = [0, *starts.tolist(), len(ids)]
+        atoms = sorted_ids[bounds[:-1]].tolist()
+        return [(a, order[s:e]) for a, s, e in zip(atoms, bounds, bounds[1:])]

@@ -92,8 +92,10 @@ class Query:
         """Primary atom set ``A(q)``, computing and caching on demand."""
         if self.atom_set is None:
             mapper = AtomMapper(spec)
-            ids = mapper.atom_ids(self.positions, self.timestep)
-            self.atom_set = frozenset(int(a) for a in np.unique(ids))
+            # Unique first: boxing every position's atom id and keeping
+            # a few of them scatters long-lived ints across the heap.
+            ids = np.unique(mapper.atom_ids(self.positions, self.timestep))
+            self.atom_set = frozenset(ids.tolist())
         return self.atom_set
 
 

@@ -2,11 +2,12 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.alignment import align_jobs, alignment_score, overlap_matrix
+from repro.core.alignment import SharingIndex, align_jobs, alignment_score, overlap_matrix
 
 
 def fs(*atoms):
@@ -120,3 +121,86 @@ class TestOptimality:
     def test_every_pair_shares_data(self, a, b):
         for i, j in align_jobs(a, b):
             assert not a[i].isdisjoint(b[j])
+
+
+def reference_overlap(a, b):
+    """Pairwise ``isdisjoint`` over every (j, l) cell."""
+    return np.array(
+        [[bool(x) and not x.isdisjoint(y) for y in b] for x in a], dtype=bool
+    ).reshape(len(a), len(b))
+
+
+def reference_align(a, b):
+    """Per-cell Needleman–Wunsch with free gaps, plus the traceback that
+    prefers a match, then a gap in ``b``, then a gap in ``a``."""
+    n, m = len(a), len(b)
+    s = reference_overlap(a, b).tolist()
+    score = [[0] * (m + 1) for _ in range(n + 1)]
+    for j in range(1, n + 1):
+        for k in range(1, m + 1):
+            score[j][k] = max(
+                score[j - 1][k], score[j][k - 1], score[j - 1][k - 1] + s[j - 1][k - 1]
+            )
+    pairs = []
+    j, k = n, m
+    while j > 0 and k > 0:
+        if s[j - 1][k - 1] and score[j][k] == score[j - 1][k - 1] + 1:
+            pairs.append((j - 1, k - 1))
+            j, k = j - 1, k - 1
+        elif score[j][k] == score[j - 1][k]:
+            j -= 1
+        else:
+            k -= 1
+    return pairs[::-1]
+
+
+# Jobs of 1-31 queries over a small universe, empty atom sets included.
+JOB = st.lists(st.frozensets(st.integers(0, 40), max_size=4), min_size=1, max_size=31)
+
+
+class TestSharingIndex:
+    def test_index_masks(self):
+        assert SharingIndex([fs(1, 2), fs(2), fs()]).masks == {1: 0b1, 2: 0b11}
+
+    def test_no_sharing_gives_none(self):
+        assert SharingIndex([fs(1), fs()]).overlap([fs(2), fs()]) is None
+
+    def test_matrix_shape_without_sharing(self):
+        assert overlap_matrix([fs(1), fs(2)], [fs(3)]).shape == (2, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(JOB, JOB)
+    def test_matches_pairwise_isdisjoint(self, a, b):
+        expected = reference_overlap(a, b)
+        assert np.array_equal(overlap_matrix(a, b), expected)
+        s = SharingIndex(a).overlap(b)
+        if s is None:
+            assert not expected.any()
+        else:
+            assert s.dtype == bool and np.array_equal(s, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.frozensets(st.integers(0, 40), min_size=1, max_size=4), min_size=22, max_size=31
+        ),
+        st.sets(st.integers(0, 92), max_size=8),
+    )
+    def test_wide_masks(self, a, drop):
+        """Masks past one byte and one machine word keep their bits."""
+        a = a * 3  # 66-93 queries; every atom recurs past bit 63
+        b = [x for i, x in enumerate(a) if i not in drop]
+        assert np.array_equal(overlap_matrix(a, b), reference_overlap(a, b))
+
+
+class TestPrefixMaxDP:
+    @settings(max_examples=80, deadline=None)
+    @given(JOB, JOB)
+    def test_matches_reference_dp_with_traceback(self, a, b):
+        assert align_jobs(a, b) == reference_align(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(JOB, JOB)
+    def test_precomputed_overlap_gives_same_pairs(self, a, b):
+        s = reference_overlap(a, b)
+        assert align_jobs(a, b, s) == align_jobs(a, b)

@@ -250,3 +250,97 @@ class TestDeadlockFreedomProperty:
                 # blocked on a *different* job's frontier, not a cycle.
                 pass
         assert len(done) == total, f"deadlock: completed {len(done)}/{total}"
+
+
+def reference_admission(g, qa, qb):
+    """Brute-force ``admit_edge`` decision: merge the two groups, then
+    rebuild the whole contracted graph and look for a cycle."""
+    if qa not in g or qb not in g or qa == qb:
+        return False
+    group_a, group_b = g.group_of(qa), g.group_of(qb)
+    if group_a == group_b:
+        return True
+    jobs = {}
+    for job in g.jobs():
+        for q in g.queries_of(job):
+            jobs[q] = job
+    if {jobs[q] for q in group_a} & {jobs[q] for q in group_b}:
+        return False
+
+    def label(q):
+        members = g.group_of(q)
+        return min(group_a) if members == group_b else min(members)
+
+    succ = {}
+    for job in g.jobs():
+        chain = [label(q) for q in g.queries_of(job)]
+        for u, v in zip(chain, chain[1:]):
+            if u == v:
+                return False
+            succ.setdefault(u, set()).add(v)
+    # Kahn: acyclic iff every node gets a topological position.
+    nodes = set(succ) | {v for vs in succ.values() for v in vs}
+    indegree = {v: 0 for v in nodes}
+    for vs in succ.values():
+        for v in vs:
+            indegree[v] += 1
+    frontier = [v for v, d in indegree.items() if d == 0]
+    seen = 0
+    while frontier:
+        u = frontier.pop()
+        seen += 1
+        for v in succ.get(u, ()):
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                frontier.append(v)
+    return seen == len(nodes)
+
+
+@st.composite
+def admission_script(draw):
+    n_jobs = draw(st.integers(2, 5))
+    lengths = [draw(st.integers(1, 6)) for _ in range(n_jobs)]
+    n_queries = sum(lengths)
+    op = st.one_of(
+        st.tuples(st.just("admit"), st.integers(0, n_queries - 1), st.integers(0, n_queries - 1)),
+        st.tuples(st.just("done"), st.integers(0, n_queries - 1), st.just(0)),
+    )
+    return lengths, draw(st.lists(op, min_size=1, max_size=40))
+
+
+class TestReachabilityCycleCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(admission_script())
+    def test_matches_merge_and_rebuild_reference(self, script):
+        lengths, ops = script
+        g = PrecedenceGraph()
+        qid = 0
+        for job, length in enumerate(lengths):
+            g.add_job(job, list(range(qid, qid + length)), [fs()] * length)
+            qid += length
+        for kind, a, b in ops:
+            if kind == "done":
+                g.mark_done(a)
+                continue
+            expected = reference_admission(g, a, b)
+            assert g.admit_edge(a, b) == expected, (a, b)
+            assert g.is_acyclic()
+            assert g.validate() == []
+
+    def test_indirect_cycle_through_a_third_job(self):
+        g = PrecedenceGraph()
+        g.add_job(0, [0, 1], [fs(), fs()])
+        g.add_job(1, [10, 11], [fs(), fs()])
+        g.add_job(2, [20, 21], [fs(), fs()])
+        assert g.admit_edge(1, 10)  # job 0 tail with job 1 head
+        assert g.admit_edge(11, 20)  # job 1 tail with job 2 head
+        # 21 is reachable from 0 (0 -> {1,10} -> {11,20} -> 21).
+        assert not g.admit_edge(0, 21)
+
+    def test_pruned_middle_query_keeps_the_path(self):
+        g = PrecedenceGraph()
+        g.add_job(0, [0, 1, 2], [fs(), fs(), fs()])
+        g.add_job(1, [10, 11], [fs(), fs()])
+        g.mark_done(1)  # 0 -> 2 directly now
+        assert g.admit_edge(2, 10)
+        assert not g.admit_edge(0, 11)  # 0 -> {2,10} -> 11

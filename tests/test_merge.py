@@ -1,8 +1,11 @@
 """Tests for the greedy merge phase and the incremental GatingManager."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.merge as merge
+from repro.core.alignment import align_jobs
 from repro.core.gating import PrecedenceGraph
 from repro.core.merge import GatingManager, admit_alignment, build_gating_offline
 from repro.core.states import QueryState
@@ -179,3 +182,67 @@ class TestManagerLiveness:
                     if frontier[j] < len(chain) and chain[frontier[j]] == q:
                         frontier[j] += 1
         assert len(done) == total, f"stuck at {len(done)}/{total}"
+
+
+@st.composite
+def pruned_partners(draw):
+    """A new job plus partner jobs of 1-31 queries, each partner with a
+    random set of queries (middle of the chain included) completed."""
+    atoms = st.frozensets(st.integers(0, 30), max_size=4)
+    new = draw(st.lists(atoms, min_size=1, max_size=31))
+    partners = []
+    for _ in range(draw(st.integers(1, 4))):
+        chain = draw(st.lists(atoms, min_size=1, max_size=31))
+        done = draw(st.sets(st.integers(0, len(chain) - 1), max_size=len(chain) - 1))
+        partners.append((chain, done))
+    return new, partners
+
+
+class TestSharingAlignments:
+    @settings(max_examples=60, deadline=None)
+    @given(pruned_partners())
+    def test_matches_pairwise_reference_on_live_queries(self, case):
+        new, partners = case
+        g = PrecedenceGraph()
+        live = {}
+        for j, (chain, done) in enumerate(partners, start=1):
+            ids = [100 * j + i for i in range(len(chain))]
+            g.add_job(j, ids, chain)
+            for i in sorted(done):
+                g.mark_done(ids[i])
+            live[j] = [a for i, a in enumerate(chain) if i not in done]
+        g.add_job(0, list(range(len(new))), new)
+
+        got = dict(merge._sharing_alignments(g, 0, list(live)))
+        for j, atoms in live.items():
+            s = np.array(
+                [[bool(x) and not x.isdisjoint(y) for y in atoms] for x in new], dtype=bool
+            ).reshape(len(new), len(atoms))
+            if s.any():
+                assert got[j] == align_jobs(new, atoms, s)
+            else:
+                assert j not in got
+
+    def test_manager_aligns_only_sharing_partners(self, monkeypatch):
+        """The DP runs through the module global once per partner job
+        that shares an atom, never for a partner that shares none."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return align_jobs(*args)
+
+        monkeypatch.setattr(merge, "align_jobs", counting)
+        mgr = GatingManager()
+        mgr.add_job(0, [0, 1], [fs(1), fs(2)])
+        mgr.add_job(1, [10, 11], [fs(8), fs(9)])
+        mgr.add_job(2, [20, 21], [fs(2), fs(3)])
+        assert len(calls) == 1
+        assert mgr.graph.partners(1) == frozenset({20})
+
+    def test_offline_uses_the_same_path(self):
+        g = PrecedenceGraph()
+        g.add_job(0, [0, 1], [fs(1), fs(2)])
+        g.add_job(1, [10, 11], [fs(8), fs(9)])
+        g.add_job(2, [20, 21], [fs(1), fs(2)])
+        assert merge._pairwise_alignments(g, g.jobs()) == {(0, 2): [(0, 0), (1, 1)]}

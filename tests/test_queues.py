@@ -337,3 +337,66 @@ class TestPackedAudit:
         queues = self.loaded()
         queues._seq[1] = queues._seq[0]
         assert any("not unique" in p for p in queues.check_consistency())
+
+
+def queue_state(queues):
+    """Everything ``add`` and ``add_query`` write, column by column."""
+    n = len(queues)
+    cols = tuple(
+        col[:n].tolist()
+        for col in (queues._ids, queues._counts, queues._oldest, queues._cached,
+                    queues._ut, queues._seq)
+    )
+    return (
+        cols,
+        dict(queues._pos),
+        [[id(sq) for sq in subs] for subs in queues._subqueries],
+        queues._arrivals,
+        {q: list(atoms) for q, atoms in queues._by_query.items()},
+        queues.total_positions,
+        queues.version,
+        queues.capacity,
+    )
+
+
+class TestAddQuery:
+    """``add_query`` is sequential ``add`` with vectorized column writes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sequential_add(self, seed):
+        batched = WorkloadQueues(SPEC.atoms_per_timestep)
+        scalar = WorkloadQueues(SPEC.atoms_per_timestep)
+        rng = np.random.default_rng(seed)
+        for queues in (batched, scalar):
+            queues.on_cache_insert(3)
+        for step in range(12):
+            subs = make_subqueries(
+                int(rng.integers(1, 80)), timestep=int(rng.integers(0, 4)),
+                seed=seed * 100 + step, qid=step,
+            )
+            # Arrivals move back and forth, so some rows' oldest drops.
+            now = float(rng.uniform(0, 10))
+            batched.add_query(subs, now)
+            for sq in subs:
+                scalar.add(sq, now)
+            if step % 3 == 2:
+                atom = int(batched.active_view()[0][0])
+                batched.pop_atom(atom)
+                scalar.pop_atom(atom)
+            assert queue_state(batched) == queue_state(scalar)
+            assert batched.check_consistency() == []
+
+    def test_growth_past_capacity_in_one_call(self):
+        batched = WorkloadQueues(atoms_per_timestep=1 << 20)
+        scalar = WorkloadQueues(atoms_per_timestep=1 << 20)
+        clones = one_atom_clones(600)
+        batched.add_query(clones, 2.0)
+        for sq in clones:
+            scalar.add(sq, 2.0)
+        assert batched.capacity == 1024
+        assert queue_state(batched) == queue_state(scalar)
+
+    def test_empty_list_is_a_no_op(self):
+        queues = WorkloadQueues(SPEC.atoms_per_timestep)
+        queues.add_query([], 1.0)
+        assert queues.version == 0 and len(queues) == 0
