@@ -82,8 +82,10 @@ class InterprocConfig:
     point the analyzer at fixture trees)."""
 
     #: Classes whose instances are captured wholesale into checkpoint
-    #: snapshots (``CheckpointManager._capture_state`` pickles
-    #: ``vars(sim)``); the D200 participant set is their closure.
+    #: snapshots (``CheckpointManager._capture_state`` hands ``vars(sim)``
+    #: to one pickle; the trace's objects and the disk B+-trees in it go
+    #: by reference into the directory's ``input.ckpt``, itself one pickle
+    #: of them); the D200 participant set is their closure.
     snapshot_roots: Tuple[str, ...] = ("repro.engine.simulator.Simulator",)
 
     #: (class qualname, attribute) pairs excluded from snapshot capture.

@@ -12,8 +12,10 @@ Three modules:
 
 ``repro.recovery.codec``
     The versioned snapshot container: magic + format version + JSON
-    header + CRC-guarded payload.  Refuses (``RecoveryError``) any file
-    whose version, length, or checksum disagrees.
+    header + CRC-guarded payload.  The trace and the disk B+-trees are
+    written once per checkpoint directory (``input.ckpt``) and snapshots
+    refer to those objects.  Refuses (``RecoveryError``) any file whose version,
+    length, checksum or input disagrees.
 ``repro.recovery.wal``
     The write-ahead log: one CRC-guarded record per dispatched event
     (index, virtual time, kind, payload fingerprint).  Replayed —

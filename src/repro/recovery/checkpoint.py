@@ -4,8 +4,10 @@ One :class:`CheckpointManager` is attached to a
 :class:`~repro.engine.simulator.Simulator` when
 ``EngineConfig.checkpoint`` is enabled.  Lifecycle:
 
-* ``start`` — writes the *genesis* snapshot (event 0) so recovery is
-  possible from any crash point, however early;
+* ``start`` — writes the input file ``input.ckpt`` (the trace and the
+  disk B+-trees, once per directory) and the *genesis* snapshot
+  (event 0), so recovery is possible from any crash point, however
+  early;
 * ``log_event`` — called before every event handler (write-ahead):
   appends a CRC-guarded record to the current WAL segment, or, on a
   resumed run, verifies the re-dispatched event against the next
@@ -14,9 +16,11 @@ One :class:`CheckpointManager` is attached to a
   policy fires (every N events and/or T virtual seconds) it writes a
   new snapshot, rotates the WAL, and prunes old generations.
 
-``load_latest`` + :func:`verify_restored_state` implement the resume
-side used by ``Simulator.restore``: pick the newest snapshot, decode it
-(version + CRC checked by the codec), read its WAL segment, and — once
+``load`` + :func:`verify_restored_state` implement the resume side
+used by ``Simulator.restore`` (newest snapshot, via ``load_latest``)
+and by sharded recovery (the snapshot a cluster manifest names): decode
+the snapshot (version + CRC checked by the codec), load and verify the
+input file it names, read its WAL segment, and — once
 the simulator object is rebuilt — re-run the workload-queue and
 gating-graph consistency audits from the simulation sanitizer before a
 single new event executes.  Recovery refuses
@@ -26,6 +30,8 @@ cannot prove consistent.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -33,13 +39,24 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.config import CheckpointConfig
 from repro.engine.events import Event
 from repro.errors import RecoveryError
-from repro.recovery.codec import SNAPSHOT_FORMAT_VERSION, decode_snapshot, encode_snapshot
+from repro.recovery.codec import (
+    SNAPSHOT_FORMAT_VERSION,
+    InputRefs,
+    encode_snapshot,
+    load_state,
+    read_container,
+)
 from repro.recovery.wal import WalRecord, WalWriter, make_record, read_wal
+from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.engine.simulator import Simulator
 
-__all__ = ["CheckpointManager", "verify_restored_state"]
+__all__ = ["CheckpointManager", "INPUT_NAME", "verify_restored_state"]
+
+#: The checkpoint input: the trace and the disk B+-trees, written once
+#: per checkpoint directory; every snapshot in the directory refers to it.
+INPUT_NAME = "input.ckpt"
 
 #: Simulator attributes every restorable snapshot must contain; a
 #: snapshot missing any of them predates the current engine layout.
@@ -73,7 +90,9 @@ def _capture_state(sim: "Simulator") -> Dict[str, Any]:
     as ONE mapping pickled in one pass, so shared references — the
     in-flight batch held by both a node and its pending ``BATCH_DONE``
     event, sub-queries shared between heap payloads and queues — keep
-    their identity through the round trip."""
+    their identity through the round trip.  The trace's own objects and
+    the disk B+-trees in it are pickled as references into ``input.ckpt``
+    (:class:`~repro.recovery.codec.InputRefs`)."""
     return {key: value for key, value in vars(sim).items() if key != "_checkpointer"}
 
 
@@ -135,6 +154,9 @@ class CheckpointManager:
         self._last_snapshot_event = 0
         self._last_snapshot_clock = 0.0
         self._has_snapshot = False
+        # The input every snapshot refers to, and its payload digest.
+        self._input: Optional[InputRefs] = None
+        self._input_digest: Optional[str] = None
         self._wal_path: Optional[Path] = None
         self._writer: Optional[WalWriter] = None
         # Resume-mode replay queue: pre-crash records still to verify.
@@ -234,12 +256,26 @@ class CheckpointManager:
             self._writer = WalWriter(self._wal_path, append=True)
         self._writer.append(record)
 
+    def _write_input(self, sim: "Simulator") -> None:
+        """Write the run's input once to ``input.ckpt``: the trace and
+        the nodes' disk B+-trees (a shard's stand-ins for peer-owned
+        nodes have no disk).  Snapshots refer to these objects."""
+        trace = sim.trace
+        trees = [node.disk.tree for node in sim.nodes if hasattr(node, "disk")]
+        meta = {"format": SNAPSHOT_FORMAT_VERSION, "jobs": trace.n_jobs,
+                "queries": trace.n_queries, "trees": len(trees)}
+        blob = encode_snapshot(meta, {"trace": trace, "trees": trees})
+        _write_atomic(self.directory / INPUT_NAME, blob)
+        self._input = InputRefs(trace, trees)
+        self._input_digest = hashlib.sha256(read_container(blob)[1]).hexdigest()
+
     def _snapshot(self, sim: "Simulator") -> None:
-        path = self.directory / _snapshot_name(sim.event_index)
-        blob = encode_snapshot(_snapshot_meta(sim), _capture_state(sim))
-        tmp = path.with_suffix(".ckpt.tmp")
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
+        if self._input is None:
+            self._write_input(sim)
+        meta = _snapshot_meta(sim)
+        meta["input_digest"] = self._input_digest
+        blob = encode_snapshot(meta, _capture_state(sim), self._input)
+        _write_atomic(self.directory / _snapshot_name(sim.event_index), blob)
         # Rotate the WAL: records before this snapshot are superseded.
         if self._writer is not None:
             self._writer.close()
@@ -251,6 +287,7 @@ class CheckpointManager:
         self._prune()
 
     def _prune(self) -> None:
+        # The glob never matches input.ckpt: every snapshot refers to it.
         snapshots = sorted(self.directory.glob("snapshot-*.ckpt"))
         for stale in snapshots[: -self.config.keep]:
             index_text = stale.stem.rpartition("-")[2]
@@ -264,41 +301,98 @@ class CheckpointManager:
     def load_latest(
         cls, directory: str | Path
     ) -> Tuple[Dict[str, Any], Dict[str, Any], "CheckpointManager"]:
-        """Load the newest snapshot and its WAL from ``directory``.
-
-        Returns ``(meta, state, manager)`` where ``manager`` is primed
-        in resume mode (replay queue loaded, WAL segment selected).
-        Raises :class:`~repro.errors.RecoveryError` when no snapshot
-        exists or any artifact fails validation.
-        """
+        """:meth:`load` of the newest snapshot in ``directory``."""
         directory = Path(directory)
         snapshots = sorted(directory.glob("snapshot-*.ckpt"))
         if not snapshots:
             raise RecoveryError(f"no snapshots found in {directory}")
-        latest = snapshots[-1]
-        meta, state = decode_snapshot(latest.read_bytes())
+        index_text = snapshots[-1].stem.rpartition("-")[2]
+        if not index_text.isdigit():
+            raise RecoveryError(f"unexpected snapshot file name {snapshots[-1].name}")
+        return cls.load(directory, int(index_text))
+
+    @classmethod
+    def load(
+        cls,
+        directory: str | Path,
+        event_index: int,
+        config: Optional[CheckpointConfig] = None,
+    ) -> Tuple[Dict[str, Any], Dict[str, Any], "CheckpointManager"]:
+        """Load the snapshot taken at ``event_index``, its input and its WAL.
+
+        Returns ``(meta, state, manager)`` where ``manager`` is primed
+        in resume mode (replay queue loaded, WAL segment selected) and
+        runs under ``config`` (default: the restored engine's
+        checkpoint policy), re-pointed at ``directory``.  Raises
+        :class:`~repro.errors.RecoveryError` when the snapshot, the
+        input file it names or its WAL segment is missing or fails
+        validation.
+        """
+        directory = Path(directory)
+        path = directory / _snapshot_name(event_index)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            raise RecoveryError(f"snapshot {path.name} is missing from {directory}") from None
+        meta, payload = read_container(data)
+        refs, digest = _read_input(directory, meta.get("input_digest"), path.name)
+        state = load_state(payload, refs)
         missing = [key for key in _REQUIRED_STATE_KEYS if key not in state]
         if missing:
+            raise RecoveryError(f"snapshot {path.name} lacks required state keys: {missing}")
+        if int(meta.get("event_index", -1)) != event_index or (
+            int(state["event_index"]) != event_index
+        ):
             raise RecoveryError(
-                f"snapshot {latest.name} lacks required state keys: {missing}"
-            )
-        event_index = int(meta.get("event_index", -1))
-        if event_index != int(state["event_index"]):
-            raise RecoveryError(
-                f"snapshot {latest.name}: header event index {event_index} "
-                f"disagrees with state {state['event_index']}"
+                f"snapshot {path.name}: header/state event index "
+                f"{meta.get('event_index')}/{state['event_index']}, expected {event_index}"
             )
         wal_path = directory / _wal_name(event_index)
         replay = read_wal(wal_path, event_index)
-        config = state["config"].checkpoint
+        if config is None:
+            config = state["config"].checkpoint
         if not config.enabled:  # pragma: no cover - snapshots imply enabled
             raise RecoveryError("snapshot was written without checkpointing enabled")
-        manager = cls(config)
-        manager.directory = directory  # resume where the files live
+        # Resume where the files live, wherever the run first wrote them.
+        manager = cls(dataclasses.replace(config, directory=str(directory)))
+        manager._input, manager._input_digest = refs, digest
         manager._last_snapshot_event = event_index
         manager._last_snapshot_clock = float(state["clock"])
         manager._has_snapshot = True
         manager._wal_path = wal_path
         manager._replay = replay
-        manager._replay_pos = 0
         return meta, state, manager
+
+
+def _write_atomic(path: Path, blob: bytes) -> None:
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_bytes(blob)
+    os.replace(tmp, path)
+
+
+def _read_input(
+    directory: Path, expected: Any, snapshot: str
+) -> Tuple[InputRefs, str]:
+    """Load ``input.ckpt`` and check it is the input ``snapshot`` names."""
+    path = directory / INPUT_NAME
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise RecoveryError(
+            f"checkpoint input {INPUT_NAME} is missing from {directory}"
+        ) from None
+    try:
+        _meta, payload = read_container(data)
+    except RecoveryError as exc:
+        raise RecoveryError(f"checkpoint input {INPUT_NAME}: {exc}") from exc
+    digest = hashlib.sha256(payload).hexdigest()
+    if digest != expected:
+        raise RecoveryError(
+            f"checkpoint input {INPUT_NAME} (digest {digest[:16]}) is not the input "
+            f"snapshot {snapshot} was taken from (digest {str(expected)[:16]})"
+        )
+    state = load_state(payload)
+    trace, trees = state.get("trace"), state.get("trees")
+    if not isinstance(trace, Trace) or not isinstance(trees, list):
+        raise RecoveryError(f"checkpoint input {INPUT_NAME} holds no trace and trees")
+    return InputRefs(trace, trees), digest

@@ -3,8 +3,8 @@
 Every event the engine dispatches is appended to the current WAL
 segment *before* its handler runs (write-ahead), as one line::
 
-    {"i": <event index>, "t": "<virtual time, float.hex>",
-     "k": <EventKind value>, "f": "<payload fingerprint>"}\t<crc32>\n
+    {"f": "<payload fingerprint>", "i": <event index>,
+     "k": <EventKind value>, "t": "<virtual time, float.hex>"}\t<crc32>\n
 
 The fingerprint is a short digest of the payload's *semantic identity*
 (job / query / atom ids, batch composition, failure sets) — stable
@@ -109,10 +109,15 @@ def make_record(index: int, ev: Event) -> WalRecord:
 
 
 def format_record(record: WalRecord) -> str:
-    """Render one CRC-guarded WAL line (with trailing newline)."""
-    body = json.dumps(
-        {"i": record.index, "t": record.time_hex, "k": record.kind, "f": record.fingerprint},
-        sort_keys=True,
+    """Render one CRC-guarded WAL line (with trailing newline).
+
+    The body is the ``json.dumps(..., sort_keys=True)`` rendering of the
+    record, laid out by hand: the fingerprint is a hex digest and the
+    time a ``float.hex`` string, so neither ever needs JSON escaping.
+    """
+    body = (
+        f'{{"f": "{record.fingerprint}", "i": {record.index}, '
+        f'"k": {record.kind}, "t": "{record.time_hex}"}}'
     )
     crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
     return f"{body}\t{crc:08x}\n"

@@ -27,20 +27,13 @@ bit-for-bit.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional
 
 from repro.config import CheckpointConfig
 from repro.errors import RecoveryError
 from repro.parallel.supervisor import SupervisorConfig
-from repro.recovery.checkpoint import (
-    _REQUIRED_STATE_KEYS,
-    _snapshot_name,
-    _wal_name,
-    CheckpointManager,
-    verify_restored_state,
-)
+from repro.recovery.checkpoint import CheckpointManager, verify_restored_state
 from repro.recovery.codec import decode_snapshot
-from repro.recovery.wal import read_wal
 from repro.shard.control import _NEVER_EVENTS, MANIFEST_GLOB, ClusterControlPlane
 from repro.shard.coordinator import ShardSimulator
 
@@ -55,48 +48,6 @@ def latest_manifest(directory: str | Path) -> Optional[Path]:
     """
     manifests = sorted(Path(directory).glob(MANIFEST_GLOB))
     return manifests[-1] if manifests else None
-
-
-def _load_shard_snapshot(
-    directory: Path, event_index: int
-) -> Tuple[Dict[str, Any], CheckpointManager]:
-    """Load one shard's snapshot at the *exact* index the manifest
-    recorded — never ``load_latest``: a crash between a shard snapshot
-    and the manifest write may leave a newer snapshot on disk that is
-    not part of any consistent cut."""
-    path = directory / _snapshot_name(event_index)
-    if not path.exists():
-        raise RecoveryError(
-            f"inconsistent cluster cut: manifest records event index "
-            f"{event_index} for {directory.name}, but {path.name} is missing"
-        )
-    meta, state = decode_snapshot(path.read_bytes())
-    missing = [key for key in _REQUIRED_STATE_KEYS if key not in state]
-    if missing:
-        raise RecoveryError(
-            f"shard snapshot {path.name} lacks required state keys: {missing}"
-        )
-    if int(meta.get("event_index", -1)) != event_index or (
-        int(state["event_index"]) != event_index
-    ):
-        raise RecoveryError(
-            f"inconsistent cluster cut: {directory.name}/{path.name} claims "
-            f"event index {meta.get('event_index')}/{state['event_index']}, "
-            f"manifest expects {event_index}"
-        )
-    wal_path = directory / _wal_name(event_index)
-    replay = read_wal(wal_path, event_index)
-    manager = CheckpointManager(
-        CheckpointConfig(directory=str(directory), every_events=_NEVER_EVENTS)
-    )
-    manager.directory = directory
-    manager._last_snapshot_event = event_index
-    manager._last_snapshot_clock = float(state["clock"])
-    manager._has_snapshot = True
-    manager._wal_path = wal_path
-    manager._replay = replay
-    manager._replay_pos = 0
-    return state, manager
 
 
 def resume_cluster(
@@ -139,7 +90,15 @@ def resume_cluster(
     domains = []
     managers = []
     for d in range(n_shards):
-        shard_state, manager = _load_shard_snapshot(root / f"shard-{d}", indices[d])
+        # The exact index the manifest recorded, never the newest: a
+        # crash between a shard snapshot and the manifest write may
+        # leave a newer snapshot that belongs to no consistent cut.
+        shard_dir = root / f"shard-{d}"
+        _meta, shard_state, manager = CheckpointManager.load(
+            shard_dir,
+            indices[d],
+            CheckpointConfig(directory=str(shard_dir), every_events=_NEVER_EVENTS),
+        )
         sim = object.__new__(ShardSimulator)
         sim.__dict__.update(shard_state)
         sim._checkpointer = None

@@ -13,22 +13,35 @@ mechanism and every refusal path.
 
 import dataclasses
 import json
+import pickle
 import struct
+import zlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.recovery.checkpoint as checkpoint_module
 from repro.cluster.cluster import run_cluster
 from repro.config import CheckpointConfig, FaultConfig
+from repro.core.base import Batch
 from repro.engine.runner import make_scheduler
 from repro.engine.simulator import Simulator
 from repro.errors import CoordinatorCrash, RecoveryError, SimulationError
+from repro.recovery.checkpoint import INPUT_NAME
 from repro.recovery.codec import (
     SNAPSHOT_FORMAT_VERSION,
     SNAPSHOT_MAGIC,
+    InputRefs,
     decode_snapshot,
     encode_snapshot,
+    load_state,
+    read_container,
 )
 from repro.recovery.wal import WalRecord, format_record, read_wal
+from repro.workload.job import Job
+from repro.workload.query import Query, SubQuery
 
 from tests.test_determinism import assert_identical, engine, small_trace
 
@@ -397,3 +410,211 @@ def test_rng_digest_tracks_stream_position():
     other = build_sim(trace, "jaws2")
     other.run()
     assert other.injector.rng_digest() == sim.injector.rng_digest()
+
+
+# ---------------------------------------------------------------------------
+# Snapshot format v3: the trace is written once to input.ckpt and every
+# snapshot refers to it
+# ---------------------------------------------------------------------------
+def _payload_queries(payload):
+    """Every Query reachable from one heap-event payload."""
+    if isinstance(payload, Query):
+        yield payload
+    elif isinstance(payload, SubQuery):
+        yield payload.query
+    elif isinstance(payload, Batch):
+        for _, subs in payload.atoms:
+            for sq in subs:
+                yield sq.query
+    elif isinstance(payload, (tuple, list)):
+        for item in payload:
+            yield from _payload_queries(item)
+
+
+def test_restored_trace_objects_are_the_inputs(tmp_path):
+    trace = small_trace()
+    # Snapshot at event 40: queries live, arrivals and submits pending.
+    ckpt_dir = crash_and_leave_artifacts(tmp_path, trace, "jaws2", crash_at=41)
+    sim = Simulator.restore(ckpt_dir)
+    jobs = {job.job_id: job for job in sim.trace.jobs}
+    queries = {q.query_id: q for q in sim.trace.queries()}
+    assert sim._job_index and all(job is jobs[j] for j, job in sim._job_index.items())
+    assert all(job is jobs[job.job_id] for job in sim._job_of.values())
+    assert sim._live_query
+    assert all(q is queries[qid] for qid, q in sim._live_query.items())
+    heap_queries = [q for ev in sim._heap for q in _payload_queries(ev.payload)]
+    assert heap_queries
+    assert all(q is queries[q.query_id] for q in heap_queries)
+    heap_jobs = [ev.payload for ev in sim._heap if isinstance(ev.payload, Job)]
+    assert all(job is jobs[job.job_id] for job in heap_jobs)
+    assert_identical(build_sim(trace, "jaws2").run(), sim.run())
+
+
+def test_restored_derived_caches_equal_pre_crash(tmp_path, monkeypatch):
+    """Each query's atom_set and stencil keys come back as they were when
+    the snapshot was taken, finished and unarrived queries included."""
+    taken = {}
+    encode = checkpoint_module.encode_snapshot
+
+    def recording_encode(meta, state, refs=None):
+        if "trace" in state and "event_index" in meta:
+            taken[meta["event_index"]] = {
+                q.query_id: (q.atom_set, q._stencil_keys) for q in state["trace"].queries()
+            }
+        return encode(meta, state, refs)
+
+    monkeypatch.setattr(checkpoint_module, "encode_snapshot", recording_encode)
+    trace = small_trace()
+    ckpt_dir = crash_and_leave_artifacts(tmp_path, trace, "jaws2", crash_at=150)
+    sim = Simulator.restore(ckpt_dir)
+    expected = taken[sim.event_index]
+    assert any(atoms is not None for atoms, _ in expected.values())
+    assert any(keys is not None for _, keys in expected.values())
+    for q in sim.trace.queries():
+        atoms, keys = expected[q.query_id]
+        assert q.atom_set == atoms
+        if keys is None:
+            assert q._stencil_keys is None
+        else:
+            assert q._stencil_keys[0] == keys[0]
+            if keys[1] is None:
+                assert q._stencil_keys[1] is None
+            else:
+                assert np.array_equal(q._stencil_keys[1], keys[1])
+
+
+def test_disk_trees_go_by_reference_and_stay_unmodified(tmp_path):
+    """The disk B+-trees are written to input.ckpt once, so they must
+    not change during a run; a restored node reads the input's tree."""
+    trace = small_trace()
+    ckpt_dir = tmp_path / "trees"
+    checkpoint = CheckpointConfig(directory=str(ckpt_dir), every_events=50)
+    sim = build_sim(trace, "jaws2", checkpoint=checkpoint)
+    sim.run()
+    _meta, payload = read_container((ckpt_dir / INPUT_NAME).read_bytes())
+    (genesis_tree,) = load_state(payload)["trees"]
+    assert sim.nodes[0].disk.tree.__getstate__() == genesis_tree.__getstate__()
+
+    crashed = crash_and_leave_artifacts(tmp_path, trace, "jaws2", crash_at=150)
+    restored = Simulator.restore(crashed)
+    assert restored.nodes[0].disk.tree is restored._checkpointer._input.trees[0]
+
+
+def _damage_missing(path, _other):
+    path.unlink()
+
+
+def _damage_truncated(path, _other):
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def _damage_crc(path, _other):
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def _damage_foreign(path, other):
+    path.write_bytes((other / INPUT_NAME).read_bytes())
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_damage_missing, "input.ckpt is missing"),
+        (_damage_truncated, "truncated"),
+        (_damage_crc, "CRC mismatch"),
+        (_damage_foreign, "is not the input"),
+    ],
+    ids=["missing", "truncated", "crc", "foreign"],
+)
+def test_bad_input_file_refused(tmp_path, damage, message):
+    ckpt_dir = crash_and_leave_artifacts(tmp_path, small_trace(), "jaws2", crash_at=60)
+    other_root = tmp_path / "other"
+    other_root.mkdir()
+    other = crash_and_leave_artifacts(other_root, small_trace(seed=4), "jaws2", crash_at=60)
+    damage(ckpt_dir / INPUT_NAME, other)
+    with pytest.raises(RecoveryError, match=message):
+        Simulator.restore(ckpt_dir)
+
+
+def test_pruning_keeps_the_input_file(tmp_path):
+    trace = small_trace()
+    ckpt_dir = tmp_path / "keep1"
+    checkpoint = CheckpointConfig(directory=str(ckpt_dir), every_events=10, keep=1)
+    sim = build_sim(trace, "jaws2", checkpoint=checkpoint, crash_at=80)
+    with pytest.raises(CoordinatorCrash):
+        sim.run()
+    assert len(sorted(ckpt_dir.glob("snapshot-*.ckpt"))) == 1
+    assert (ckpt_dir / INPUT_NAME).exists()
+    assert_identical(build_sim(trace, "jaws2").run(), Simulator.restore(ckpt_dir).run())
+
+
+def test_lookalike_trace_objects_round_trip_by_value():
+    """A Query or Job sharing an id with a trace object, but not the
+    object itself, is pickled by value; the trace's own go by reference."""
+    trace = small_trace()
+    own = trace.jobs[0].queries[0]
+    lookalike = dataclasses.replace(own, positions=own.positions + 0.5)
+    job_lookalike = dataclasses.replace(trace.jobs[1])
+    blob = encode_snapshot(
+        {}, {"trace": trace, "own": own, "lookalike": lookalike, "job": job_lookalike},
+        InputRefs(trace),
+    )
+    loaded = pickle.loads(pickle.dumps(trace))
+    state = load_state(read_container(blob)[1], InputRefs(loaded))
+    assert state["trace"] is loaded
+    assert state["own"] is loaded.jobs[0].queries[0]
+    assert state["lookalike"] is not loaded.jobs[0].queries[0]
+    assert state["lookalike"].query_id == own.query_id
+    assert np.array_equal(state["lookalike"].positions, lookalike.positions)
+    assert state["job"] is not loaded.jobs[1]
+    assert state["job"].job_id == trace.jobs[1].job_id
+    # Without the input the references cannot resolve.
+    with pytest.raises(RecoveryError, match="not loaded"):
+        decode_snapshot(blob)
+
+
+def test_genesis_snapshot_is_small_next_to_the_trace(tmp_path):
+    trace = small_trace()
+    ckpt_dir = tmp_path / "genesis"
+    checkpoint = CheckpointConfig(directory=str(ckpt_dir), every_events=10**6)
+    build_sim(trace, "jaws2", checkpoint=checkpoint).run()
+    _meta, payload = read_container((ckpt_dir / "snapshot-000000000.ckpt").read_bytes())
+    assert len(payload) < 0.1 * len(pickle.dumps(trace))
+
+
+def test_v2_snapshot_refused(tmp_path):
+    ckpt_dir = crash_and_leave_artifacts(tmp_path, small_trace(), "jaws2", crash_at=30)
+    latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
+    blob = bytearray(latest.read_bytes())
+    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 2)
+    latest.write_bytes(bytes(blob))
+    with pytest.raises(RecoveryError, match="file has v2"):
+        Simulator.restore(ckpt_dir)
+
+
+def _json_record_line(record):
+    """The WAL line as the json.dumps layout defines it."""
+    body = json.dumps(
+        {"i": record.index, "t": record.time_hex, "k": record.kind, "f": record.fingerprint},
+        sort_keys=True,
+    )
+    return f"{body}\t{zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x}\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    index=st.integers(min_value=-(2**40), max_value=2**62),
+    kind=st.integers(min_value=0, max_value=8),
+    fingerprint=st.text(alphabet="0123456789abcdef", min_size=0, max_size=64),
+    time=st.one_of(
+        st.floats(allow_nan=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         float("inf"), float("-inf")]),
+    ),
+)
+def test_format_record_matches_json_layout(index, kind, fingerprint, time):
+    record = WalRecord(index=index, time_hex=float(time).hex(), kind=kind,
+                       fingerprint=fingerprint)
+    assert format_record(record) == _json_record_line(record)
