@@ -14,9 +14,10 @@
 
 The cells cross the five schedulers with clean and faulted runs on a
 small trace with the runtime sanitizer armed, then add a checkpointed
-coordinator crash and resume, a two-shard run, an overload-protected
-flash crowd, and a longer faulted LifeRaft₁ run that exercises the
-α = 1 tie-set cache.  The test only reads the fixture.  When a
+coordinator crash and resume, a clean two-shard run, a faulted
+two-shard run with a node crash, a three-shard run with a shard crash
+and failover, an overload-protected flash crowd, and a longer faulted
+LifeRaft₁ run that exercises the α = 1 tie-set cache.  The test only reads the fixture.  When a
 behaviour change is intended, rewrite the fixture and review its diff::
 
     PYTHONPATH=src python -m tests.test_engine_golden --write
@@ -152,6 +153,34 @@ def sharded() -> RunResult:
     return out.result
 
 
+def sharded_faults() -> RunResult:
+    """Two shards over four nodes with replicas, transient disk faults
+    and a node crash, so work fails over across the shard boundary."""
+    out = run_sharded(
+        small_trace(), "jaws2", 4, shards=ShardConfig(n_shards=2),
+        engine=engine(sanitize=False),
+        faults=FaultConfig(
+            seed=3,
+            transient_fault_rate=0.05,
+            replication=2,
+            node_crashes=((1, 70.0, 110.0),),
+        ),
+    )
+    return out.result
+
+
+def sharded_failover() -> RunResult:
+    """Three shards; shard 2 crash-stops with batches in flight, and its
+    domain fails over to shard 0 under a bumped lease epoch (aborted
+    work is re-routed, held messages take the stale-epoch retry)."""
+    out = run_sharded(
+        small_trace(), "jaws2", 6, shards=ShardConfig(n_shards=3, crashes=((2, 75.0),)),
+        engine=engine(sanitize=False),
+        faults=FaultConfig(replication=2),
+    )
+    return out.result
+
+
 def overloaded() -> RunResult:
     burst = inject_flash_crowd(
         small_trace(), FlashCrowdParams(factor=20.0, start=40.0, duration=30.0, seed=5)
@@ -183,6 +212,8 @@ CELLS: dict[str, Callable[[], RunResult]] = {
     **_matrix(),
     "jaws2/crash-resume": crash_and_resume,
     "liferaft2/shards2": sharded,
+    "jaws2/shards2-faults": sharded_faults,
+    "jaws2/shards3-failover": sharded_failover,
     "liferaft2/overload": overloaded,
     "liferaft1/faults-long": lambda: simulate(
         small_trace(seed=4, n_jobs=30), "liferaft1", engine(faults=faults(seed=5))
