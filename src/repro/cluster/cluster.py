@@ -52,21 +52,20 @@ def run_cluster(
     engine: EngineConfig | None = None,
     config: SchedulerConfig | None = None,
     faults: FaultConfig | None = None,
-    replication: int | None = None,
 ) -> ClusterResult:
     """Replay ``trace`` on an ``n_nodes`` cluster of ``scheduler_name``
     instances with Morton-range spatial partitioning.
 
-    ``faults`` overrides ``engine.faults``; ``replication`` overrides
-    the fault config's replication factor (each atom gets that many
-    ring-wise owners, the failover targets when its primary is down).
+    ``faults`` overrides ``engine.faults``, whose ``replication`` gives
+    every atom that many ring-wise owners (the failover targets when
+    its primary is down).
     """
     engine = engine or EngineConfig()
     if faults is not None:
         engine = engine.with_(faults=faults)
-    if replication is None:
-        replication = engine.faults.replication
-    partitioner = MortonRangePartitioner(trace.spec, n_nodes, replication=replication)
+    partitioner = MortonRangePartitioner(
+        trace.spec, n_nodes, replication=engine.faults.replication
+    )
     schedulers = [make_scheduler(scheduler_name, trace, engine, config) for _ in range(n_nodes)]
     sim = Simulator(
         trace,

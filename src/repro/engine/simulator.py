@@ -49,6 +49,7 @@ crash+resume — stay bit-identical for the same seed.
 from __future__ import annotations
 
 import heapq
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -64,6 +65,7 @@ from repro.engine.executor import BatchExecutor
 from repro.engine.faults import FaultInjector
 from repro.engine.results import RunResult
 from repro.errors import (
+    ConfigurationError,
     CoordinatorCrash,
     LivelockError,
     SimTimeExceededError,
@@ -82,7 +84,7 @@ from repro.workload.trace import Trace
 if TYPE_CHECKING:  # pragma: no cover - recovery imports engine.events
     from repro.recovery.checkpoint import CheckpointManager
 
-__all__ = ["Simulator", "build_policy"]
+__all__ = ["Simulator", "build_policy", "build_result"]
 
 
 class _SingleNodeRouter:
@@ -178,6 +180,12 @@ class Simulator:
         only, i.e. no failover targets.
     """
 
+    #: With no fault injector every primary owner is up and holds its
+    #: atoms, so arrivals route straight to ``node_of``.  Shard domains
+    #: turn this off: a peer's node may be down even when the domain
+    #: itself injects no faults.
+    _route_fault_free = True
+
     def __init__(
         self,
         trace: Trace,
@@ -193,20 +201,35 @@ class Simulator:
         self.spec = trace.spec
         self.mapper = AtomMapper(self.spec)
         faults = self.config.faults
+        slots, jobs, crashes = self._domain(schedulers)
+        for node_idx, _, _ in crashes:
+            if not 0 <= int(node_idx) < len(slots):
+                raise ConfigurationError(
+                    f"crash schedule names node {node_idx} but the cluster has "
+                    f"{len(slots)} nodes"
+                )
+        local_crashes = [
+            (int(node_idx), down_t, up_t)
+            for node_idx, down_t, up_t in crashes
+            if slots[int(node_idx)] is None
+        ]
         # Guaranteed-dispatch floor: every JOB_SUBMIT plus both halves
         # of every scheduled node crash is dispatched unconditionally,
         # so a window-drawn coordinator crash clamped below this count
         # always fires (it cannot land past the end of a short trace).
-        guaranteed_events = len(trace.jobs) + 2 * len(faults.node_crashes)
+        guaranteed_events = len(jobs) + 2 * len(local_crashes)
         self.injector = (
-            FaultInjector(faults, len(schedulers), guaranteed_events=guaranteed_events)
+            FaultInjector(faults, len(slots), guaranteed_events=guaranteed_events)
             if faults.enabled
             else None
         )
         self.sanitizer = SimulationSanitizer(self) if self.config.sanitize else None
+        local = iter(schedulers)
         self.nodes = [
-            _Node(i, s, self.spec, self.config, self.injector, self.sanitizer)
-            for i, s in enumerate(schedulers)
+            _Node(i, next(local), self.spec, self.config, self.injector, self.sanitizer)
+            if slot is None
+            else slot
+            for i, slot in enumerate(slots)
         ]
         self._node_of = node_of or _SingleNodeRouter()
         self._replicas_of = replicas_of or _PrimaryOnlyReplicas(self._node_of)
@@ -264,22 +287,19 @@ class Simulator:
         self._tick_armed = False
 
         self._job_index = {job.job_id: job for job in trace.jobs}
-        for job in trace.jobs:
+        for job in jobs:
             self._push(job.submit_time, EventKind.JOB_SUBMIT, job)
-        if self.overload is not None and trace.jobs:
+        if self.overload is not None and jobs:
             # First control tick coincides with the earliest submit;
             # OVERLOAD_TICK dispatches last at equal timestamps, so it
             # always observes settled queue state.
-            self._arm_tick(min(job.submit_time for job in trace.jobs))
-        for node_idx, down_t, up_t in faults.node_crashes:
-            if not 0 <= int(node_idx) < len(self.nodes):
-                raise ValueError(
-                    f"crash schedule names node {node_idx} but the cluster has "
-                    f"{len(self.nodes)} nodes"
-                )
-            self._push(down_t, EventKind.NODE_DOWN, int(node_idx))
-            self._push(up_t, EventKind.NODE_UP, int(node_idx))
-        self._recovery_times = sorted(up_t for _, _, up_t in faults.node_crashes)
+            self._arm_tick(min(job.submit_time for job in jobs))
+        for node_idx, down_t, up_t in local_crashes:
+            self._push(down_t, EventKind.NODE_DOWN, node_idx)
+            self._push(up_t, EventKind.NODE_UP, node_idx)
+        # Deferral parks work until the next recovery anywhere in the
+        # cluster: a shard domain's work may wait on a peer's node.
+        self._recovery_times = sorted(up_t for _, _, up_t in crashes)
 
         # Crash-consistent checkpointing (DESIGN.md §8).  The manager is
         # deliberately NOT part of snapshot state (_capture_state skips
@@ -289,6 +309,21 @@ class Simulator:
             from repro.recovery.checkpoint import CheckpointManager
 
             self._checkpointer = CheckpointManager(self.config.checkpoint)
+
+    def _domain(
+        self, schedulers: Sequence[Scheduler]
+    ) -> tuple[list, Sequence[Job], Sequence[tuple]]:
+        """The part of the cluster this engine runs — the one hook a
+        shard domain (:mod:`repro.shard`) overrides.
+
+        Returns ``(slots, jobs, crashes)``: one slot per cluster node,
+        ``None`` where this engine runs the node itself (taking the next
+        of ``schedulers``) or a stand-in for a node run elsewhere; the
+        jobs whose JOB_SUBMIT it seeds; and the cluster-wide node-crash
+        schedule, which it validates, replays for its own nodes and
+        draws recovery times from.  A single coordinator runs all of it.
+        """
+        return [None] * len(schedulers), self.trace.jobs, self.config.faults.node_crashes
 
     # ------------------------------------------------------------------
     def _push(self, time_: float, kind: EventKind, payload: object) -> None:
@@ -353,6 +388,10 @@ class Simulator:
             self._requeues += 1
         else:
             self._failovers += 1
+        self._readmit(target, sq, arrival, now)
+
+    def _readmit(self, target: int, sq: SubQuery, arrival: float, now: float) -> None:
+        """Hand a re-routed sub-query to node ``target``'s scheduler."""
         self.nodes[target].scheduler.readmit([(arrival, sq)], now)
 
     def _defer(self, sq: SubQuery, arrival: float, now: float) -> None:
@@ -430,19 +469,20 @@ class Simulator:
                 self._push(now, EventKind.QUERY_ARRIVAL, q)
 
     def _on_query_arrival(self, query: Query, now: float) -> None:
-        self._arrival[query.query_id] = now
+        qid = query.query_id
+        self._arrival[qid] = now
         self._job_first_arrival.setdefault(query.job_id, now)
-        self._live_query[query.query_id] = query
-        self._job_of[query.query_id] = self._job_index[query.job_id]
+        self._live_query[qid] = query
+        self._job_of[qid] = self._job_index[query.job_id]
         subqueries = preprocess_query(query, self.mapper)
-        self._remaining[query.query_id] = len(subqueries)
+        self._remaining[qid] = len(subqueries)
         self._admitted += 1
         if self.overload is not None:
-            job = self._job_of[query.query_id]
+            job = self._job_of[qid]
             service = estimate_service(subqueries, self.config.cost)
             self.overload.register(
                 PendingWork(
-                    query_id=query.query_id,
+                    query_id=qid,
                     job_id=query.job_id,
                     client_class=job.client_class,
                     arrival=now,
@@ -457,8 +497,9 @@ class Simulator:
         by_node: dict[int, list] = {}
         deferred: list[SubQuery] = []
         lost: bool = False
+        direct = self.injector is None and self._route_fault_free
         for sq in subqueries:
-            if self.injector is None:
+            if direct:
                 by_node.setdefault(self._node_of(sq.atom_id), []).append(sq)
                 continue
             target, lost_everywhere = self._route(sq.atom_id)
@@ -470,26 +511,31 @@ class Simulator:
                 lost = True
             else:
                 deferred.append(sq)
-        # Every node hears every arrival (possibly with no local
-        # sub-queries) so per-node gating state advances even for
-        # queries whose data lives elsewhere — including down nodes,
-        # whose gating graphs must stay in sync for recovery.
-        for node_idx, node in enumerate(self.nodes):
-            node.scheduler.on_query_arrival(query, by_node.get(node_idx, []), now)
+        self._deliver_arrival(query, by_node, now)
         for sq in deferred:
             self._defer(sq, now, now)
         if lost:
             # Some sub-query's atom is unrecoverable everywhere: the
             # query can never complete.
-            self._cancel_query(query.query_id, now, reason="data_loss")
+            self._cancel_query(qid, now, reason="data_loss")
             return
         if self.overload is not None:
             self._enforce_queue_bounds(now)
-            if query.query_id not in self._remaining:
+            if qid not in self._remaining:
                 return  # the arriving query itself was shed
         deadline = self.config.faults.query_deadline
         if deadline is not None:
-            self._push(now + deadline, EventKind.QUERY_DEADLINE, query.query_id)
+            self._push(now + deadline, EventKind.QUERY_DEADLINE, qid)
+
+    def _deliver_arrival(self, query: Query, by_node: dict[int, list], now: float) -> None:
+        """Hand an arrived query's routed sub-queries to the schedulers.
+
+        Every node hears every arrival (possibly with no local
+        sub-queries) so per-node gating state advances even for queries
+        whose data lives elsewhere — including down nodes, whose gating
+        graphs must stay in sync for recovery."""
+        for node_idx, node in enumerate(self.nodes):
+            node.scheduler.on_query_arrival(query, by_node.get(node_idx, []), now)
 
     def _global_depth(self) -> int:
         """Cluster-wide pending sub-query slots (queued, gated, and
@@ -521,20 +567,28 @@ class Simulator:
         node.busy = False
         node.inflight = None
         failed_ids = {id(sq) for sq in failed}
+        stray: list[SubQuery] = []
         for _, subqueries in batch.atoms:
             for sq in subqueries:
                 if id(sq) in failed_ids:
                     continue
                 qid = sq.query.query_id
                 if qid not in self._remaining:
-                    continue  # query cancelled while the batch ran
+                    stray.append(sq)
+                    continue
                 self._remaining[qid] -= 1
                 if self.overload is not None:
                     self.overload.on_subquery_done(qid)
                 if self._remaining[qid] == 0:
                     self._complete_query(sq.query, now)
+        if stray:
+            self._on_stray_done(stray, now)
         for sq in failed:
             self._reroute(sq, self._arrival.get(sq.query.query_id, now), now, from_node=node_idx)
+
+    def _on_stray_done(self, stray: list[SubQuery], now: float) -> None:
+        """Executed sub-queries whose query is not outstanding here: on
+        a single coordinator, queries cancelled while the batch ran."""
 
     def _on_node_down(self, node_idx: int, now: float) -> None:
         node = self.nodes[node_idx]
@@ -543,21 +597,25 @@ class Simulator:
         node.up = False
         node.epoch += 1
         self._node_downs += 1
-        evacuated: list[tuple[float, SubQuery]] = []
-        if node.inflight is not None:
-            # Abort the in-flight batch: its completion event is now
-            # stale (epoch mismatch) and its work must move.
-            for _, subqueries in node.inflight.atoms:
-                for sq in subqueries:
-                    qid = sq.query.query_id
-                    if qid in self._remaining:
-                        evacuated.append((self._arrival.get(qid, now), sq))
-        node.busy = False
-        node.inflight = None
+        evacuated = self._abort_inflight(node, now)
         node.disk.reset_locality()
         evacuated.extend(node.scheduler.evacuate(now))
         for arrival, sq in evacuated:
             self._reroute(sq, arrival, now, from_node=None)
+
+    def _abort_inflight(self, node: _Node, now: float) -> list[tuple[float, SubQuery]]:
+        """Abort ``node``'s running batch, whose completion event the
+        caller has made stale by bumping the node's epoch.  Returns its
+        ``(arrival, sub-query)`` pairs to re-route; :meth:`_reroute`
+        skips those whose query has ended meanwhile."""
+        evacuated: list[tuple[float, SubQuery]] = []
+        if node.inflight is not None:
+            for _, subqueries in node.inflight.atoms:
+                for sq in subqueries:
+                    evacuated.append((self._arrival.get(sq.query.query_id, now), sq))
+        node.busy = False
+        node.inflight = None
+        return evacuated
 
     def _on_node_up(self, node_idx: int, now: float) -> None:
         node = self.nodes[node_idx]
@@ -718,8 +776,24 @@ class Simulator:
             "busy_flags": [n.busy for n in self.nodes],
         }
 
+    def _force_release(self) -> bool:
+        """Idle-with-pending fallback: ask every live scheduler to
+        force-release gated work; False when none had any."""
+        released = False
+        for node in self.nodes:
+            if node.up:
+                released |= node.scheduler.force_release(self.clock)
+        if released:
+            self.forced_releases += 1
+        return released
+
     def run(self) -> RunResult:
         """Replay the whole trace; returns the accumulated results.
+
+        :meth:`run_window` with no horizon, plus the livelock valve
+        only a coordinator that sees every pending query can run: when
+        the event heap empties with queries outstanding, force-release
+        gated work or raise :class:`~repro.errors.LivelockError`.
 
         Safe to call on a freshly constructed simulator or on one
         rebuilt by :meth:`restore` — snapshots are taken only at points
@@ -730,35 +804,14 @@ class Simulator:
             self._checkpointer.start(self)
         try:
             while True:
-                # Drain every event at the current instant before making
-                # scheduling decisions, so same-time arrivals can batch.
-                while self._heap and self._heap[0].time <= self.clock:
-                    self._dispatch(heapq.heappop(self._heap))
-                self._start_batches()
-                if self._heap:
-                    ev = heapq.heappop(self._heap)
-                    self.clock = ev.time
-                    if self.clock > self.config.max_sim_time:
-                        raise SimTimeExceededError(
-                            f"virtual clock exceeded max_sim_time={self.config.max_sim_time}",
-                            **self._diagnostics(),
-                        )
-                    self._dispatch(ev)
-                    continue
-                if self._any_pending():
-                    released = False
-                    for node in self.nodes:
-                        if node.up:
-                            released |= node.scheduler.force_release(self.clock)
-                    if not released:
-                        raise LivelockError(
-                            "livelock: pending queries but no schedulable work",
-                            **self._diagnostics(),
-                        )
-                    self.forced_releases += 1
-                    continue
-                break
-            return self._result()
+                self.run_window(math.inf)
+                if not self._any_pending():
+                    return self._result()
+                if not self._force_release():
+                    raise LivelockError(
+                        "livelock: pending queries but no schedulable work",
+                        **self._diagnostics(),
+                    )
         finally:
             if self._checkpointer is not None:
                 self._checkpointer.flush()
@@ -766,16 +819,15 @@ class Simulator:
     def run_window(self, horizon: float) -> None:
         """Process every pending event strictly before ``horizon``.
 
-        The conservative superstep primitive of the sharded control
-        plane (:mod:`repro.shard`): because cross-shard messages travel
-        with a positive virtual latency, every event in ``[clock,
-        horizon)`` can be processed without hearing from peer shards —
-        anything they send during the same window delivers at or after
-        ``horizon``.  The loop body mirrors :meth:`run` exactly (drain
-        same-time events, start batches, advance), minus global
-        concerns that only the control plane can decide: livelock
-        detection and forced releases need cluster-wide knowledge, so
-        an idle shard simply returns.
+        The event loop of both :meth:`run` (``horizon = inf``) and the
+        sharded control plane's conservative supersteps
+        (:mod:`repro.shard`): because cross-shard messages travel with a
+        positive virtual latency, every event in ``[clock, horizon)``
+        can be processed without hearing from peer shards — anything
+        they send during the same window delivers at or after
+        ``horizon``.  Each pass drains every event at the current
+        instant before making scheduling decisions, so same-time
+        arrivals can batch, then starts batches and advances the clock.
         """
         while True:
             while self._heap and self._heap[0].time <= self.clock:
@@ -817,12 +869,23 @@ class Simulator:
         Raises :class:`~repro.errors.RecoveryError` when no snapshot
         exists or any artifact fails validation.
         """
-        from repro.recovery.checkpoint import CheckpointManager, verify_restored_state
+        from repro.recovery.checkpoint import CheckpointManager
 
         _meta, state, manager = CheckpointManager.load_latest(directory)
+        return cls._revive(state, manager)
+
+    @classmethod
+    def _revive(
+        cls, state: dict, checkpointer: Optional["CheckpointManager"]
+    ) -> "Simulator":
+        """Rebuild an engine from decoded snapshot state: reattach the
+        sanitizer and ``checkpointer``, disarm any armed coordinator
+        crash, and audit the queues and gating graphs."""
+        from repro.recovery.checkpoint import verify_restored_state
+
         sim = object.__new__(cls)
         sim.__dict__.update(state)
-        sim._checkpointer = manager
+        sim._checkpointer = checkpointer
         if sim.sanitizer is not None:
             sim.sanitizer.attach(sim)
         if sim.injector is not None:
@@ -831,19 +894,22 @@ class Simulator:
         return sim
 
     # ------------------------------------------------------------------
+    # Results
+    # ------------------------------------------------------------------
     def _result(self) -> RunResult:
-        responses = np.asarray(self._response_times, dtype=np.float64)
-        arr_min = min((j.submit_time for j in self.trace.jobs), default=0.0)
-        # First submit to last completion: trailing idle work (e.g. a
-        # final speculative prefetch batch) must not inflate makespan.
-        makespan = self._last_completion - arr_min if self._response_times else 0.0
+        return build_result(self.trace, [self._partial()])
+
+    def _partial(self) -> dict:
+        """This engine's share of a :class:`RunResult`: the counters of
+        the nodes it runs, merged by :func:`build_result`."""
         cache: dict = {}
         disk: dict = {}
         execs: dict = {}
         gating_ns = 0
         sched_forced = 0
         alpha_histories: list[list[float]] = []
-        for node in self.nodes:
+        local = [node for node in self.nodes if isinstance(node, _Node)]
+        for node in local:
             for key, val in node.cache.stats.snapshot().items():
                 if key != "hit_ratio":
                     cache[key] = cache.get(key, 0) + val
@@ -856,47 +922,113 @@ class Simulator:
             history = getattr(node.scheduler, "alpha_history", None)
             if history:
                 alpha_histories.append(list(history))
-        accesses = cache.get("hits", 0) + cache.get("misses", 0)
-        cache["hit_ratio"] = cache.get("hits", 0) / accesses if accesses else 0.0
-        faults = self.injector.snapshot() if self.injector is not None else {}
-        faults.update(
-            node_downs=self._node_downs,
-            requeued_subqueries=self._requeues,
-            deferred_subqueries=self._deferred,
-            data_loss_cancels=self._data_loss_cancels,
-            aborted_unarrived_queries=self._aborted_unarrived,
-        )
-        overload = self.overload.snapshot(self.clock) if self.overload is not None else {}
-        return RunResult(
-            scheduler_name=self.nodes[0].scheduler.name,
-            n_queries=len(responses),
-            n_jobs=len(self._job_durations),
-            makespan=makespan,
-            response_times=responses,
-            job_durations=dict(self._job_durations),
-            runs=list(self._runs),
-            alpha_history=alpha_histories[0] if alpha_histories else [],
-            alpha_histories=alpha_histories,
-            cache=cache,
-            disk=disk,
-            exec=execs,
-            forced_releases=self.forced_releases + sched_forced,
-            gating_overhead_ns=gating_ns,
-            cache_overhead_ns=cache.get("overhead_ns", 0),
-            timeouts=self._timeouts,
-            retries=self.injector.stats.retries if self.injector is not None else 0,
-            failovers=self._failovers,
-            aborted_jobs=self._aborted_jobs,
-            cancelled_queries=self._cancelled,
-            faults=faults,
-            rejected_jobs=self.overload.rejected_jobs if self.overload is not None else 0,
-            rejected_queries=(
-                self.overload.rejected_queries if self.overload is not None else 0
-            ),
-            shed_queries=self._shed,
-            throttled_jobs=self.overload.throttled_jobs if self.overload is not None else 0,
-            class_response_times={
-                k: list(v) for k, v in sorted(self._class_responses.items())
-            },
-            overload=overload,
-        )
+        overload = self.overload
+        return {
+            "scheduler_name": local[0].scheduler.name,
+            "response_times": self._response_times,
+            "job_durations": self._job_durations,
+            "runs": self._runs,
+            "alpha_histories": alpha_histories,
+            "cache": cache,
+            "disk": disk,
+            "exec": execs,
+            "forced_releases": self.forced_releases + sched_forced,
+            "gating_overhead_ns": gating_ns,
+            "timeouts": self._timeouts,
+            "retries": self.injector.stats.retries if self.injector is not None else 0,
+            "failovers": self._failovers,
+            "aborted_jobs": self._aborted_jobs,
+            "cancelled": self._cancelled,
+            "completed": self._completed,
+            "last_completion": self._last_completion,
+            "class_responses": self._class_responses,
+            "faults": self.injector.snapshot() if self.injector is not None else {},
+            "node_downs": self._node_downs,
+            "requeues": self._requeues,
+            "deferred": self._deferred,
+            "data_loss_cancels": self._data_loss_cancels,
+            "aborted_unarrived": self._aborted_unarrived,
+            "shed": self._shed,
+            "rejected_jobs": overload.rejected_jobs if overload is not None else 0,
+            "rejected_queries": overload.rejected_queries if overload is not None else 0,
+            "throttled_jobs": overload.throttled_jobs if overload is not None else 0,
+            "overload": overload.snapshot(self.clock) if overload is not None else {},
+        }
+
+
+def build_result(trace: Trace, partials: Sequence[dict], **extra_faults: int) -> RunResult:
+    """Merge per-engine :meth:`Simulator._partial` counters into one
+    :class:`RunResult`: a single coordinator is the one-partial case,
+    a sharded run passes one partial per domain plus its control-plane
+    fault counters as ``extra_faults``."""
+    responses = np.asarray(
+        [r for part in partials for r in part["response_times"]], dtype=np.float64
+    )
+    arr_min = min((j.submit_time for j in trace.jobs), default=0.0)
+    # First submit to last completion: trailing idle work (e.g. a
+    # final speculative prefetch batch) must not inflate makespan.
+    last = max((p["last_completion"] for p in partials if p["completed"]), default=0.0)
+    makespan = last - arr_min if responses.size else 0.0
+    cache: dict = {}
+    disk: dict = {}
+    execs: dict = {}
+    job_durations: dict[int, float] = {}
+    faults: dict = {}
+    class_responses: dict[str, list[float]] = {}
+    overload: dict = {}
+    runs: list[RunObservation] = []
+    alpha_histories: list[list[float]] = []
+    for part in partials:
+        for target, source in ((cache, "cache"), (disk, "disk"), (execs, "exec")):
+            for key, val in part[source].items():
+                target[key] = target.get(key, 0) + val
+        job_durations.update(part["job_durations"])
+        runs.extend(part["runs"])
+        alpha_histories.extend(part["alpha_histories"])
+        for key, val in part["faults"].items():
+            if isinstance(val, bool):
+                faults[key] = faults.get(key, False) or val
+            else:
+                faults[key] = faults.get(key, 0) + val
+        for cls, values in part["class_responses"].items():
+            class_responses.setdefault(cls, []).extend(values)
+        overload.update(part["overload"])
+    accesses = cache.get("hits", 0) + cache.get("misses", 0)
+    cache["hit_ratio"] = cache.get("hits", 0) / accesses if accesses else 0.0
+    faults.update(
+        node_downs=sum(p["node_downs"] for p in partials),
+        requeued_subqueries=sum(p["requeues"] for p in partials),
+        deferred_subqueries=sum(p["deferred"] for p in partials),
+        data_loss_cancels=sum(p["data_loss_cancels"] for p in partials),
+        aborted_unarrived_queries=sum(p["aborted_unarrived"] for p in partials),
+        **extra_faults,
+    )
+    return RunResult(
+        scheduler_name=partials[0]["scheduler_name"],
+        n_queries=int(responses.size),
+        n_jobs=len(job_durations),
+        makespan=makespan,
+        response_times=responses,
+        job_durations=job_durations,
+        runs=runs,
+        alpha_history=alpha_histories[0] if alpha_histories else [],
+        alpha_histories=alpha_histories,
+        cache=cache,
+        disk=disk,
+        exec=execs,
+        forced_releases=sum(p["forced_releases"] for p in partials),
+        gating_overhead_ns=sum(p["gating_overhead_ns"] for p in partials),
+        cache_overhead_ns=cache.get("overhead_ns", 0),
+        timeouts=sum(p["timeouts"] for p in partials),
+        retries=sum(p["retries"] for p in partials),
+        failovers=sum(p["failovers"] for p in partials),
+        aborted_jobs=sum(p["aborted_jobs"] for p in partials),
+        cancelled_queries=sum(p["cancelled"] for p in partials),
+        faults=faults,
+        rejected_jobs=sum(p["rejected_jobs"] for p in partials),
+        rejected_queries=sum(p["rejected_queries"] for p in partials),
+        shed_queries=sum(p["shed"] for p in partials),
+        throttled_jobs=sum(p["throttled_jobs"] for p in partials),
+        class_response_times={k: list(v) for k, v in sorted(class_responses.items())},
+        overload=overload,
+    )

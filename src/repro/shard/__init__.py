@@ -67,7 +67,11 @@ def _shard_engine(
 ) -> EngineConfig:
     """Narrow the run's engine config to one domain: local node crashes
     only, a derived fault seed, and no coordinator-crash / checkpoint /
-    overload / sanitizer — those concerns live in the control plane."""
+    overload / sanitizer — those concerns live in the control plane.
+
+    The domain reads the cluster-wide crash schedule from
+    ``ShardSimulator``'s own argument; the narrowed one only decides
+    whether the domain runs a fault injector."""
     local = set(topology.nodes_of_shard(domain))
     faults = engine.faults.with_(
         seed=shard_fault_seed(engine.faults.seed, domain),
@@ -95,7 +99,6 @@ def run_sharded(
     engine: Optional[EngineConfig] = None,
     config: Optional[SchedulerConfig] = None,
     faults: Optional[FaultConfig] = None,
-    replication: Optional[int] = None,
     jobs: int = 1,
     supervisor: Optional[SupervisorConfig] = None,
 ) -> ShardRunResult:
@@ -115,8 +118,6 @@ def run_sharded(
     engine = engine or EngineConfig()
     if faults is not None:
         engine = engine.with_(faults=faults)
-    if replication is None:
-        replication = engine.faults.replication
     if shards.sharded and engine.overload.enabled:
         raise ConfigurationError(
             "overload admission control is not modeled under sharded "
@@ -152,14 +153,7 @@ def run_sharded(
                     every_events=shards.barrier_every_events or 500,
                 )
             )
-        cluster = run_cluster(
-            trace,
-            scheduler_name,
-            n_nodes,
-            engine=engine,
-            config=config,
-            replication=replication,
-        )
+        cluster = run_cluster(trace, scheduler_name, n_nodes, engine=engine, config=config)
         return ShardRunResult(
             result=cluster.result,
             n_shards=1,
@@ -177,7 +171,9 @@ def run_sharded(
             },
         )
 
-    partitioner = MortonRangePartitioner(trace.spec, n_nodes, replication=replication)
+    partitioner = MortonRangePartitioner(
+        trace.spec, n_nodes, replication=engine.faults.replication
+    )
     partitioner.assert_replication(context="shard topology build")
     full_crashes = tuple(
         (int(node), float(down_t), float(up_t))

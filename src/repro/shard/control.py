@@ -45,11 +45,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.cluster.partition import MortonRangePartitioner
 from repro.config import CheckpointConfig, ShardConfig
 from repro.engine.results import RunResult
+from repro.engine.simulator import build_result
 from repro.errors import CoordinatorCrash, LivelockError, ShardProtocolError
 from repro.parallel.pool import map_many
 from repro.parallel.supervisor import SupervisorConfig
@@ -511,76 +510,13 @@ class ClusterControlPlane:
     def _finalize(self) -> ShardRunResult:
         partials = [domain.partial() for domain in self.domains]
         conservation = self._check_conservation(partials)
-        responses = np.asarray(
-            [r for part in partials for r in part["response_times"]], dtype=np.float64
-        )
-        arr_min = min(
-            (j.submit_time for j in self.domains[0].trace.jobs), default=0.0
-        )
-        last = max(
-            (p["last_completion"] for p in partials if p["completed"]), default=0.0
-        )
-        makespan = last - arr_min if responses.size else 0.0
-        cache: Dict[str, float] = {}
-        disk: Dict[str, float] = {}
-        execs: Dict[str, float] = {}
-        job_durations: Dict[int, float] = {}
-        faults: Dict[str, Any] = {}
-        class_responses: Dict[str, List[float]] = {}
-        runs: List = []
-        alpha_histories: List[List[float]] = []
-        for part in partials:
-            for target, source in ((cache, "cache"), (disk, "disk"), (execs, "exec")):
-                for key, val in part[source].items():
-                    target[key] = target.get(key, 0) + val
-            job_durations.update(part["job_durations"])
-            runs.extend(part["runs"])
-            alpha_histories.extend(part["alpha_histories"])
-            for key, val in part["faults"].items():
-                if isinstance(val, bool):
-                    faults[key] = faults.get(key, False) or val
-                else:
-                    faults[key] = faults.get(key, 0) + val
-            for cls, values in part["class_responses"].items():
-                class_responses.setdefault(cls, []).extend(values)
-        accesses = cache.get("hits", 0) + cache.get("misses", 0)
-        cache["hit_ratio"] = cache.get("hits", 0) / accesses if accesses else 0.0
-        faults.update(
-            node_downs=sum(p["node_downs"] for p in partials),
-            requeued_subqueries=sum(p["requeues"] for p in partials),
-            deferred_subqueries=sum(p["deferred"] for p in partials),
-            data_loss_cancels=sum(p["data_loss_cancels"] for p in partials),
-            aborted_unarrived_queries=sum(p["aborted_unarrived"] for p in partials),
+        result = build_result(
+            self.domains[0].trace,
+            partials,
             shard_crashes=self.shard_crashes,
             shard_epoch_bumps=self.epoch_bumps,
             shard_stale_retries=self.stale_retries,
             shard_messages=conservation.get("messages_sent", 0),
-        )
-        result = RunResult(
-            scheduler_name=partials[0]["scheduler_name"],
-            n_queries=int(responses.size),
-            n_jobs=len(job_durations),
-            makespan=makespan,
-            response_times=responses,
-            job_durations=job_durations,
-            runs=runs,
-            alpha_history=alpha_histories[0] if alpha_histories else [],
-            alpha_histories=alpha_histories,
-            cache=cache,
-            disk=disk,
-            exec=execs,
-            forced_releases=sum(p["forced_releases"] for p in partials),
-            gating_overhead_ns=sum(p["gating_overhead_ns"] for p in partials),
-            cache_overhead_ns=int(cache.get("overhead_ns", 0)),
-            timeouts=sum(p["timeouts"] for p in partials),
-            retries=sum(p["retries"] for p in partials),
-            failovers=sum(p["failovers"] for p in partials),
-            aborted_jobs=sum(p["aborted_jobs"] for p in partials),
-            cancelled_queries=sum(p["cancelled"] for p in partials),
-            faults=faults,
-            class_response_times={
-                k: list(v) for k, v in sorted(class_responses.items())
-            },
         )
         stats = {
             "n_shards": self.topology.n_shards,

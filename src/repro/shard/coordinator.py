@@ -33,14 +33,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.config import EngineConfig
 from repro.core.base import Scheduler
 from repro.engine.events import Event, EventKind
-from repro.engine.faults import FaultInjector
-from repro.engine.simulator import Simulator, _Node
+from repro.engine.simulator import Simulator
 from repro.errors import ShardProtocolError
-from repro.grid.atoms import AtomMapper
 from repro.shard.messages import ShardMessage
 from repro.shard.topology import ShardTopology
 from repro.workload.job import Job
-from repro.workload.query import Query, SubQuery, preprocess_query
+from repro.workload.query import Query, SubQuery
 from repro.workload.trace import Trace
 
 __all__ = ["ShardSimulator"]
@@ -123,17 +121,24 @@ class _RemoteNode:
 
 
 class ShardSimulator(Simulator):
-    """The engine for one shard *domain*.
+    """The engine for one shard *domain*: the base engine plus boundary
+    hooks.
 
-    Deliberately re-implements ``__init__`` rather than calling the
-    base constructor: the node list mixes real nodes with remote stubs,
-    only home jobs are seeded, and the per-domain fault config has
-    already been narrowed (local node crashes only, no coordinator
-    crash, no overload/sanitizer — cluster-level invariants are checked
-    by the control plane and the conservation counters instead).  Every
-    base attribute is initialised here; the event handlers below
-    override exactly the points where work crosses a shard boundary.
+    The base constructor initialises all engine state; this class only
+    adds its shard fields and answers :meth:`Simulator._domain` — a
+    full-cluster node list whose peer slots hold :class:`_RemoteNode`
+    stubs, the home jobs, and the cluster-wide crash schedule.  The
+    per-domain config arrives already narrowed by
+    :func:`repro.shard.run_sharded` (local node crashes only, a derived
+    fault seed, no coordinator crash, checkpoint, overload or sanitizer
+    — cluster-level invariants are checked by the control plane and the
+    conservation counters instead).  The handlers below override
+    exactly the points where work crosses a shard boundary.
     """
+
+    # A peer's node can be down while this domain injects no faults:
+    # every arrival goes through :meth:`_route`.
+    _route_fault_free = False
 
     def __init__(
         self,
@@ -153,96 +158,10 @@ class ShardSimulator(Simulator):
                 f"shard {shard_id} owns {len(local_idx)} node(s) but got "
                 f"{len(schedulers)} scheduler(s)"
             )
-        self.trace = trace
-        self.config = config
-        self.spec = trace.spec
-        self.mapper = AtomMapper(self.spec)
-        faults = config.faults
-        home_jobs = [
-            job for job in trace.jobs
-            if topology.home_shard_of_job(job.job_id) == shard_id
-        ]
-        guaranteed_events = len(home_jobs) + 2 * len(faults.node_crashes)
-        # One injector per domain, indexed by GLOBAL node id: executors
-        # pass their cluster-wide node index, and the per-domain seed is
-        # already derived (run_sharded), so peer domains never share a
-        # fault stream.
-        self.injector = (
-            FaultInjector(faults, topology.n_nodes, guaranteed_events=guaranteed_events)
-            if faults.enabled
-            else None
-        )
-        self.sanitizer = None
-        sched_iter = iter(schedulers)
-        self.nodes = [
-            _Node(i, next(sched_iter), self.spec, config, self.injector, None)
-            if i in local_idx
-            else _RemoteNode()
-            for i in range(topology.n_nodes)
-        ]
-        self._node_of = node_of
-        self._replicas_of = replicas_of
-
-        self._heap: List[Event] = []
-        self._seq = 0
-        self.clock = 0.0
-        self.event_index = 0
-        self._last_completion = 0.0
-
-        self._arrival: Dict[int, float] = {}
-        self._remaining: Dict[int, int] = {}
-        self._live_query: Dict[int, Query] = {}
-        self._job_of: Dict[int, Job] = {}
-        self._job_left: Dict[int, int] = {}
-        self._job_first_arrival: Dict[int, float] = {}
-        self._impaired_jobs: Set[int] = set()
-
-        self._response_times: List[float] = []
-        self._job_durations: Dict[int, float] = {}
-        self._completed = 0
-        self._runs: List = []
-        self._run_start = 0.0
-        self._run_responses: List[float] = []
-        self.forced_releases = 0
-
-        self._timeouts = 0
-        self._failovers = 0
-        self._requeues = 0
-        self._data_loss_cancels = 0
-        self._cancelled = 0
-        self._aborted_jobs = 0
-        self._aborted_unarrived = 0
-        self._node_downs = 0
-        self._deferred = 0
-
-        self.overload = None
-        self._admitted = 0
-        self._shed = 0
-        self._class_responses: Dict[str, List[float]] = {}
-        self._tick_armed = False
-
-        self._job_index = {job.job_id: job for job in trace.jobs}
-        for job in home_jobs:
-            self._push(job.submit_time, EventKind.JOB_SUBMIT, job)
-        local_set = frozenset(local_idx)
-        for node_idx, down_t, up_t in faults.node_crashes:
-            if int(node_idx) not in local_set:
-                raise ValueError(
-                    f"shard {shard_id} got a crash schedule for node "
-                    f"{node_idx}, outside its block {local_idx}"
-                )
-            self._push(down_t, EventKind.NODE_DOWN, int(node_idx))
-            self._push(up_t, EventKind.NODE_UP, int(node_idx))
-        # Deferral parks work until the next recovery anywhere in the
-        # CLUSTER — a home shard may be waiting on a remote node.
-        self._recovery_times = sorted(up_t for _, _, up_t in full_node_crashes)
-        self._checkpointer = None
-
-        # ---- shard-specific state ------------------------------------
         self.shard_id = shard_id
         self._topology = topology
         self._local_idx: Tuple[int, ...] = tuple(local_idx)
-        self._local_set = local_set
+        self._local_set = frozenset(local_idx)
         self._full_node_crashes = tuple(
             (int(n), float(d), float(u)) for n, d, u in full_node_crashes
         )
@@ -263,6 +182,22 @@ class ShardSimulator(Simulator):
         self._sq_exec_dropped = 0  # executed here for an already-dead query
         self._late_done_dropped = 0  # done-counts arriving after cancel
         self._msgs_sent = 0
+        super().__init__(trace, schedulers, config, node_of, replicas_of)
+
+    def _domain(self, schedulers: Sequence[Scheduler]) -> tuple:
+        # Slots span the whole cluster, so the domain's one injector is
+        # indexed by GLOBAL node id (executors pass their cluster-wide
+        # node index); its seed is already derived per domain
+        # (run_sharded), so peer domains never share a fault stream.
+        slots = [
+            None if i in self._local_set else _RemoteNode()
+            for i in range(self._topology.n_nodes)
+        ]
+        home_jobs = [
+            job for job in self.trace.jobs
+            if self._topology.home_shard_of_job(job.job_id) == self.shard_id
+        ]
+        return slots, home_jobs, self._full_node_crashes
 
     # ------------------------------------------------------------------
     # Control-plane surface
@@ -282,13 +217,8 @@ class ShardSimulator(Simulator):
     def force_release_pass(self) -> bool:
         """Cluster-idle fallback: ask every live local scheduler to
         force-release gated work (the control plane decides livelock)."""
-        released = False
-        for idx in self._local_idx:
-            node = self.nodes[idx]
-            if node.up:
-                released |= node.scheduler.force_release(self.clock)
+        released = self._force_release()
         if released:
-            self.forced_releases += 1
             self._start_batches()
         return released
 
@@ -309,16 +239,9 @@ class ShardSimulator(Simulator):
         evacuated: List[Tuple[float, SubQuery]] = []
         for idx in self._local_idx:
             node = self.nodes[idx]
-            if node.inflight is None:
-                continue
-            node.epoch += 1
-            for _, subqueries in node.inflight.atoms:
-                for sq in subqueries:
-                    qid = sq.query.query_id
-                    if qid in self._remaining or qid in self._foreign:
-                        evacuated.append((self._arrival.get(qid, resume_time), sq))
-            node.busy = False
-            node.inflight = None
+            if node.inflight is not None:
+                node.epoch += 1
+                evacuated.extend(self._abort_inflight(node, resume_time))
         if self._heap and self._heap[0].time < resume_time:
             self._heap = [
                 Event(max(ev.time, resume_time), ev.kind, ev.seq, ev.payload)
@@ -388,33 +311,22 @@ class ShardSimulator(Simulator):
         return None, lost_everywhere
 
     def _reroute(self, sq: SubQuery, arrival: float, now: float, from_node: Optional[int]) -> None:
-        qid = sq.query.query_id
-        home = self._foreign.get(qid)
-        if home is not None:
-            # Not our query: report the failure (plus any loss facts we
-            # learned locally) to the home shard, which owns routing.
-            lost_pairs = tuple(
-                (idx, sq.atom_id)
-                for idx in self._local_idx
-                if self.injector is not None and self.injector.is_lost(idx, sq.atom_id)
-            )
-            self._send(home, "fail", (sq, arrival, from_node, lost_pairs), now)
+        home = self._foreign.get(sq.query.query_id)
+        if home is None:
+            super()._reroute(sq, arrival, now, from_node)
             return
-        if qid not in self._remaining:
-            return  # query already completed or cancelled
-        target, lost_everywhere = self._route(sq.atom_id)
-        if target is None:
-            if lost_everywhere:
-                self._cancel_query(qid, now, reason="data_loss")
-            else:
-                self._defer(sq, arrival, now)
-            return
-        if from_node is not None and target == from_node:
-            self._requeues += 1
-        else:
-            self._failovers += 1
+        # Not our query: report the failure (plus any loss facts we
+        # learned locally) to the home shard, which owns routing.
+        lost_pairs = tuple(
+            (idx, sq.atom_id)
+            for idx in self._local_idx
+            if self.injector is not None and self.injector.is_lost(idx, sq.atom_id)
+        )
+        self._send(home, "fail", (sq, arrival, from_node, lost_pairs), now)
+
+    def _readmit(self, target: int, sq: SubQuery, arrival: float, now: float) -> None:
         if target in self._local_set:
-            self.nodes[target].scheduler.readmit([(arrival, sq)], now)
+            super()._readmit(target, sq, arrival, now)
         else:
             self._send(
                 self._topology.shard_of_node(target), "route", (target, sq, arrival), now
@@ -436,29 +348,12 @@ class ShardSimulator(Simulator):
         # lower sequence number, FIFO per sender-pair).
         self._broadcast("job", (job,), now)
 
-    def _on_query_arrival(self, query: Query, now: float) -> None:
-        qid = query.query_id
-        self._arrival[qid] = now
-        self._job_first_arrival.setdefault(query.job_id, now)
-        self._live_query[qid] = query
-        self._job_of[qid] = self._job_index[query.job_id]
-        subqueries = preprocess_query(query, self.mapper)
-        self._remaining[qid] = len(subqueries)
-        self._admitted += 1
-        self._sq_created += len(subqueries)
-        by_node: Dict[int, List[SubQuery]] = {}
-        deferred: List[SubQuery] = []
-        lost = False
-        for sq in subqueries:
-            target, lost_everywhere = self._route(sq.atom_id)
-            if target is not None:
-                if target != self._node_of(sq.atom_id):
-                    self._failovers += 1
-                by_node.setdefault(target, []).append(sq)
-            elif lost_everywhere:
-                lost = True
-            else:
-                deferred.append(sq)
+    def _deliver_arrival(
+        self, query: Query, by_node: Dict[int, List[SubQuery]], now: float
+    ) -> None:
+        # Routing has not touched the outstanding count yet: it is still
+        # the number of sub-queries this arrival created.
+        self._sq_created += self._remaining[query.query_id]
         for idx in self._local_idx:
             self.nodes[idx].scheduler.on_query_arrival(query, by_node.get(idx, []), now)
         # Every peer domain hears every arrival (even with no local
@@ -472,18 +367,11 @@ class ShardSimulator(Simulator):
                 if idx in by_node
             )
             self._send(domain, "arrival", (query, routed), now)
-        for sq in deferred:
-            self._defer(sq, now, now)
-        if lost:
-            self._cancel_query(qid, now, reason="data_loss")
-            return
-        deadline = self.config.faults.query_deadline
-        if deadline is not None:
-            self._push(now + deadline, EventKind.QUERY_DEADLINE, qid)
 
-    def _apply_done(self, qid: int, count: int, query: Query, now: float) -> None:
-        """Apply ``count`` sub-query completions to the home-side
-        outstanding counter — at most once per sub-query, by contract."""
+    def _apply_done(self, qid: int, count: int, now: float) -> None:
+        """Apply ``count`` sub-query completions reported by a peer to
+        the home-side outstanding counter — at most once per sub-query,
+        by contract."""
         remaining = self._remaining.get(qid)
         if remaining is None:
             self._late_done_dropped += count
@@ -500,38 +388,35 @@ class ShardSimulator(Simulator):
         self._remaining[qid] = remaining - count
         self._sq_applied += count
         if self._remaining[qid] == 0:
-            self._complete_query(query, now)
+            self._complete_query(self._live_query[qid], now)
 
     def _on_batch_done(self, node_idx: int, epoch: int, batch, failed: list, now: float) -> None:
-        node = self.nodes[node_idx]
-        if epoch != node.epoch:
-            return  # node (or shard) crashed mid-batch; work was re-routed
-        node.busy = False
-        node.inflight = None
-        failed_ids = {id(sq) for sq in failed}
-        done_for_home: Dict[int, Dict[int, Tuple[int, Query]]] = {}
-        for _, subqueries in batch.atoms:
-            for sq in subqueries:
-                if id(sq) in failed_ids:
-                    continue
-                qid = sq.query.query_id
-                self._sq_executed += 1
-                if qid in self._remaining:
-                    self._apply_done(qid, 1, sq.query, now)
-                elif qid in self._foreign:
-                    per_home = done_for_home.setdefault(self._foreign[qid], {})
-                    count, _ = per_home.get(qid, (0, sq.query))
-                    per_home[qid] = (count + 1, sq.query)
-                else:
-                    self._sq_exec_dropped += 1  # cancelled while running
+        if epoch == self.nodes[node_idx].epoch:
+            # Every sub-query of a current batch that did not fail ran
+            # here, and the base handler applies it to its outstanding
+            # count here — except the strays (foreign or already ended)
+            # that _on_stray_done takes back.
+            ran = sum(len(subqueries) for _, subqueries in batch.atoms) - len(failed)
+            self._sq_executed += ran
+            self._sq_applied += ran
+        super()._on_batch_done(node_idx, epoch, batch, failed, now)
+
+    def _on_stray_done(self, stray: List[SubQuery], now: float) -> None:
+        """Report foreign sub-queries done to their home shards, one
+        count per query; the rest were cancelled while running."""
+        self._sq_applied -= len(stray)
+        done_for_home: Dict[int, Dict[int, int]] = {}
+        for sq in stray:
+            qid = sq.query.query_id
+            home = self._foreign.get(qid)
+            if home is None:
+                self._sq_exec_dropped += 1
+            else:
+                per_home = done_for_home.setdefault(home, {})
+                per_home[qid] = per_home.get(qid, 0) + 1
         for home in sorted(done_for_home):
             for qid in sorted(done_for_home[home]):
-                count, _query = done_for_home[home][qid]
-                self._send(home, "done", (qid, count), now)
-        for sq in failed:
-            self._reroute(
-                sq, self._arrival.get(sq.query.query_id, now), now, from_node=node_idx
-            )
+                self._send(home, "done", (qid, done_for_home[home][qid]), now)
 
     def _complete_query(self, query: Query, now: float) -> None:
         super()._complete_query(query, now)
@@ -577,11 +462,7 @@ class ShardSimulator(Simulator):
                 self._reroute(sq, now, now, from_node=None)
         elif kind == "done":
             qid, count = msg.payload
-            query = self._live_query.get(qid)
-            if query is None:
-                self._late_done_dropped += count
-            else:
-                self._apply_done(qid, count, query, now)
+            self._apply_done(qid, count, now)
         elif kind == "fail":
             sq, arrival_hint, from_node, lost_pairs = msg.payload
             self._remote_lost.update(lost_pairs)
@@ -623,56 +504,13 @@ class ShardSimulator(Simulator):
     # Result fragment
     # ------------------------------------------------------------------
     def partial(self) -> dict:
-        """This domain's slice of the cluster result, merged by the
-        control plane into one :class:`~repro.engine.results.RunResult`
-        (mirrors :meth:`Simulator._result`, restricted to real nodes)."""
-        cache: Dict[str, float] = {}
-        disk: Dict[str, float] = {}
-        execs: Dict[str, float] = {}
-        gating_ns = 0
-        sched_forced = 0
-        alpha_histories: List[List[float]] = []
-        for idx in self._local_idx:
-            node = self.nodes[idx]
-            for key, val in node.cache.stats.snapshot().items():
-                if key != "hit_ratio":
-                    cache[key] = cache.get(key, 0) + val
-            for key, val in node.disk.stats.snapshot().items():
-                disk[key] = disk.get(key, 0) + val
-            for key, val in node.executor.stats.snapshot().items():
-                execs[key] = execs.get(key, 0) + val
-            gating_ns += getattr(node.scheduler, "gating_overhead_ns", 0)
-            sched_forced += getattr(node.scheduler, "forced_releases", 0)
-            history = getattr(node.scheduler, "alpha_history", None)
-            if history:
-                alpha_histories.append(list(history))
+        """This domain's share of the cluster result — the base
+        :meth:`Simulator._partial` over its real nodes, plus the
+        counters the control plane audits — merged by
+        :func:`~repro.engine.simulator.build_result`."""
         return {
-            "scheduler_name": self.nodes[self._local_idx[0]].scheduler.name,
-            "response_times": list(self._response_times),
-            "job_durations": dict(self._job_durations),
-            "runs": list(self._runs),
-            "alpha_histories": alpha_histories,
-            "cache": cache,
-            "disk": disk,
-            "exec": execs,
-            "forced_releases": self.forced_releases + sched_forced,
-            "gating_overhead_ns": gating_ns,
-            "timeouts": self._timeouts,
-            "retries": self.injector.stats.retries if self.injector is not None else 0,
-            "failovers": self._failovers,
-            "aborted_jobs": self._aborted_jobs,
-            "cancelled": self._cancelled,
-            "completed": self._completed,
-            "last_completion": self._last_completion,
-            "class_responses": {k: list(v) for k, v in self._class_responses.items()},
-            "faults": self.injector.snapshot() if self.injector is not None else {},
-            "node_downs": self._node_downs,
-            "requeues": self._requeues,
-            "deferred": self._deferred,
-            "data_loss_cancels": self._data_loss_cancels,
-            "aborted_unarrived": self._aborted_unarrived,
+            **self._partial(),
             "event_index": self.event_index,
-            "lease_epoch": self._lease_epoch,
             "conservation": {
                 "created": self._sq_created,
                 "applied": self._sq_applied,

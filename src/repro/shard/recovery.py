@@ -32,7 +32,7 @@ from typing import Optional
 from repro.config import CheckpointConfig
 from repro.errors import RecoveryError
 from repro.parallel.supervisor import SupervisorConfig
-from repro.recovery.checkpoint import CheckpointManager, verify_restored_state
+from repro.recovery.checkpoint import CheckpointManager
 from repro.recovery.codec import decode_snapshot
 from repro.shard.control import _NEVER_EVENTS, MANIFEST_GLOB, ClusterControlPlane
 from repro.shard.coordinator import ShardSimulator
@@ -99,11 +99,8 @@ def resume_cluster(
             indices[d],
             CheckpointConfig(directory=str(shard_dir), every_events=_NEVER_EVENTS),
         )
-        sim = object.__new__(ShardSimulator)
-        sim.__dict__.update(shard_state)
-        sim._checkpointer = None
-        verify_restored_state(sim)
-        domains.append(sim)
+        # The control plane, not the domain, owns the shard's manager.
+        domains.append(ShardSimulator._revive(shard_state, None))
         managers.append(manager)
     restored = {
         "ownership": state["ownership"],

@@ -79,6 +79,21 @@ class TestRunCommands:
         out = capsys.readouterr().out
         assert "noshare" in out and "jaws2" in out
 
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            ["--nodes", "2", "--crash", "5:100:200"],
+            ["--nodes", "4", "--shards", "2", "--crash", "7:100:200"],
+        ],
+        ids=["single", "sharded"],
+    )
+    def test_out_of_range_crash_node_is_a_configuration_error(
+        self, trace_file, capsys, topology
+    ):
+        argv = ["run", "--trace", str(trace_file), "--scheduler", "jaws2", *topology]
+        assert main(argv) == 2
+        assert "names node" in capsys.readouterr().err
+
     def test_unknown_scheduler_rejected(self, trace_file):
         with pytest.raises(SystemExit):
             main(["run", "--trace", str(trace_file), "--scheduler", "belady"])

@@ -279,6 +279,18 @@ class TestFailover:
         assert result.faults["deferred_subqueries"] > 0
         assert result.n_queries == trace.n_queries
 
+    def test_permanent_outage_ends_with_the_last_completion(self):
+        # up_time = inf: the node never returns.  Its work fails over to
+        # the replica and the run ends once nothing is pending; the
+        # recovery event at t = inf is never dispatched, so it cannot
+        # trip the max_sim_time bound.
+        trace = small_trace(seed=5, n_jobs=20)
+        faults = FaultConfig(seed=7, replication=2, node_crashes=((1, 1.0, float("inf")),))
+        result = run_cluster(trace, "jaws2", 4, engine=engine(), faults=faults).result
+        assert result.failovers > 0
+        assert result.n_queries == trace.n_queries
+        assert_conserved(trace, result)
+
     def test_outage_past_sim_bound_raises(self):
         # A node down until far past max_sim_time: its deferred work
         # waits for the recovery, and the clock bound trips first.

@@ -229,6 +229,20 @@ class TestFailover:
         assert_conserved(a.shard_stats)
         assert results_equivalent(a.result, b.result) is None
 
+    def test_node_crash_moves_inflight_foreign_work(self):
+        # Node 0 goes down while running sub-queries of queries homed on
+        # the peer shard; they must travel back as 'fail' reports and be
+        # re-routed, or their queries never complete (cluster livelock).
+        trace = small_trace()
+        faults = FaultConfig(replication=2, node_crashes=((0, 48.0, 68.0),))
+        out = run_sharded(
+            trace, "jaws2", 4, shards=ShardConfig(n_shards=2), engine=engine(),
+            faults=faults,
+        )
+        assert out.result.n_queries == trace.n_queries
+        assert out.result.failovers > 0
+        assert_conserved(out.shard_stats)
+
     def test_permanent_loss_conserves_residual(self):
         trace = small_trace(seed=6)
         faults = FaultConfig(seed=3, permanent_loss_rate=0.01)
