@@ -16,7 +16,11 @@ worst flags a line that then needs an (auditable) suppression.  Edges:
   receiver of unknown static type adds edges to *every* project class
   method of that name.  This is the deliberate over-approximation that
   lets the closure follow ``node.scheduler.next_batch()`` into every
-  scheduler implementation without type inference.
+  scheduler implementation without type inference;
+* **hoisted bound methods**: a local bound to ``<expr>.method``
+  (``access = self.cache.access`` … ``access(...)``) is dispatched on
+  ``method`` the same way, so hoisting a lookup out of a loop never
+  drops the call edge.
 
 Builtin/stdlib attribute calls (``list.append``, ``dict.get`` …) only
 produce edges when a project class happens to define a method of the
@@ -105,10 +109,42 @@ def _method_on_class_or_bases(
     return None
 
 
+def _bound_attrs(fn: FunctionInfo) -> Dict[str, str]:
+    """Local names bound to an attribute (``name = <expr>.attr``, also
+    element-wise in tuple assignments) → the attribute names, per
+    function.  A name bound more than once keeps its last binding; the
+    dynamic dispatch it feeds is name-based anyway."""
+    bound: Dict[str, str] = {}
+    for node in ast.walk(fn.node):
+        if isinstance(node, ast.Assign):
+            pairs = [(target, node.value) for target in node.targets]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            pairs = [(node.target, node.value)]
+        else:
+            continue
+        while pairs:
+            target, value = pairs.pop()
+            if isinstance(target, ast.Name) and isinstance(value, ast.Attribute):
+                bound[target.id] = value.attr
+            elif (
+                isinstance(target, ast.Tuple)
+                and isinstance(value, ast.Tuple)
+                and len(target.elts) == len(value.elts)
+            ):
+                pairs.extend(zip(target.elts, value.elts))
+    return bound
+
+
 def _edges_for_call(
-    model: ProjectModel, fn: FunctionInfo, call: ast.Call
+    model: ProjectModel,
+    fn: FunctionInfo,
+    call: ast.Call,
+    bound: Optional[Dict[str, str]] = None,
 ) -> List[str]:
-    """Resolve one call site to zero or more callee qualnames."""
+    """Resolve one call site to zero or more callee qualnames.
+
+    ``bound`` maps the caller's hoisted bound-method locals to their
+    attribute names (see :func:`_bound_attrs`)."""
     out: List[str] = []
     mod = model.modules.get(fn.module)
     func = call.func
@@ -143,9 +179,14 @@ def _edges_for_call(
             if target_mod is not None and tail in target_mod.functions:
                 return [target_mod.functions[tail].qualname]
 
-    # Dynamic dispatch: attribute call on an unknown receiver.
+    # Dynamic dispatch: attribute call on an unknown receiver, directly
+    # or through a local the attribute was hoisted into.
+    method: Optional[str] = None
     if isinstance(func, ast.Attribute):
         method = func.attr
+    elif isinstance(func, ast.Name) and bound:
+        method = bound.get(func.id)
+    if method is not None:
         for candidate in model.methods_named(method):
             out.append(candidate.qualname)
     return out
@@ -155,10 +196,11 @@ def build_call_graph(model: ProjectModel) -> CallGraph:
     """Build the conservative call graph for every function in the model."""
     graph = CallGraph()
     for fn in model.iter_functions():
+        bound = _bound_attrs(fn)
         for node in ast.walk(fn.node):
             if not isinstance(node, ast.Call):
                 continue
-            for callee in _edges_for_call(model, fn, node):
+            for callee in _edges_for_call(model, fn, node, bound):
                 if callee != fn.qualname:
                     graph.add_edge(fn.qualname, callee)
     return graph

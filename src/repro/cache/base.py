@@ -22,15 +22,16 @@ class CachePolicy(ABC):
 
     * ``on_insert`` is called once per resident atom, and ``on_evict``
       exactly once when it leaves;
-    * ``on_access`` is called for every lookup of a *resident* atom
-      (hits) and immediately after ``on_insert`` for misses;
+    * ``on_insert`` is the atom's first reference of its stay (a miss),
+      and ``on_access`` is called for every later lookup of the
+      *resident* atom (hits) — a miss makes exactly one call;
     * ``choose_victim`` is only called when the cache is full, and must
       return a currently resident atom id.
     """
 
     @abstractmethod
     def on_insert(self, atom_id: int, now: float) -> None:
-        """An atom became resident."""
+        """An atom became resident, referenced at ``now``."""
 
     @abstractmethod
     def on_evict(self, atom_id: int) -> None:

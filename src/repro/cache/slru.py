@@ -51,6 +51,7 @@ class SLRUPolicy(CachePolicy):
     # -- residency ------------------------------------------------------
     def on_insert(self, atom_id: int, now: float) -> None:
         self._probation[atom_id] = None
+        self._run_counts[atom_id] = 1
 
     def on_evict(self, atom_id: int) -> None:
         self._probation.pop(atom_id, None)
@@ -103,8 +104,3 @@ class SLRUPolicy(CachePolicy):
     def protected_size(self) -> int:
         """Current number of atoms in the protected segment."""
         return len(self._protected)
-
-    @property
-    def probation_size(self) -> int:
-        """Current number of atoms in the probationary segment."""
-        return len(self._probation)

@@ -523,11 +523,6 @@ class ShardConfig:
         """True when execution actually fans out over multiple shards."""
         return self.n_shards > 1
 
-    @property
-    def crash_configured(self) -> bool:
-        """True when any shard crash (explicit or seeded) is armed."""
-        return bool(self.crashes) or self.crash_window is not None
-
     def with_(self, **kwargs: Any) -> "ShardConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["EventKind", "Event"]
 
@@ -40,11 +39,14 @@ class EventKind(enum.IntEnum):
     SHARD_MSG = 8
 
 
-@dataclass(order=True)
-class Event:
-    """Heap entry.  ``seq`` breaks ties deterministically."""
+class Event(NamedTuple):
+    """Heap entry, ordered as a plain tuple so the heap compares in C.
+
+    ``seq`` is unique per engine and breaks ties deterministically, so
+    two events never compare equal on ``(time, kind, seq)`` and
+    ``payload`` is never compared."""
 
     time: float
     kind: EventKind
     seq: int
-    payload: Any = field(compare=False, default=None)
+    payload: Any = None

@@ -100,15 +100,12 @@ class BatchExecutor:
         self.stats = ExecStats()
 
     # ------------------------------------------------------------------
-    def _charge_read(self, atom_id: int) -> tuple[float, bool]:
-        """One fault-aware primary read: ``(seconds consumed, ok)``.
+    def _charge_read(self, inj: FaultInjector, atom_id: int) -> tuple[float, bool]:
+        """One fault-injected primary read: ``(seconds consumed, ok)``.
 
         Transient faults charge the failed attempt plus a backoff delay
         and retry; a lost atom or exhausted retries abandon the read.
         """
-        inj = self.injector
-        if inj is None:
-            return self.disk.read_atom(atom_id), True
         seconds = 0.0
         attempt = 0
         while True:
@@ -131,29 +128,40 @@ class BatchExecutor:
     def execute(self, batch: Batch, now: float) -> BatchOutcome:
         """Run a batch starting at ``now``; returns its duration in
         simulated seconds plus any sub-queries that failed."""
+        stats = self.stats
+        access = self.cache.access
+        read = self.disk.read_atom
+        inj = self.injector
+        t_m = self.cost.t_m
+        spec = self.spec
+        interp = self.interp
         duration = self.cost.t_overhead
         failed: list[SubQuery] = []
         for atom_id, subqueries in batch.atoms:
-            if not self.cache.access(atom_id, now):
-                seconds, ok = self._charge_read(atom_id)
-                duration += seconds
-                if not ok:
-                    # The atom never materialized: undo the cache insert
-                    # and hand its sub-queries back to the engine.
-                    self.cache.drop([atom_id])
-                    self.stats.failed_atoms += 1
-                    failed.extend(subqueries)
-                    continue
-            self.stats.atoms_executed += 1
+            if not access(atom_id, now):
+                if inj is None:
+                    duration += read(atom_id)
+                else:
+                    seconds, ok = self._charge_read(inj, atom_id)
+                    duration += seconds
+                    if not ok:
+                        # The atom never materialized: undo the cache
+                        # insert and hand its sub-queries back.
+                        self.cache.drop([atom_id])
+                        stats.failed_atoms += 1
+                        failed.extend(subqueries)
+                        continue
+            stats.atoms_executed += 1
             for sq in subqueries:
-                for required in sq.neighbor_atoms(self.spec, self.interp):
-                    self.stats.neighbor_reads += 1
-                    if not self.cache.access(required, now):
-                        duration += self.disk.read_atom(required)
-                duration += self.cost.t_m * sq.n_positions
-                self.stats.positions += sq.n_positions
-        self.stats.batches += 1
-        self.stats.busy_seconds += duration
+                for required in sq.neighbor_atoms(spec, interp):
+                    stats.neighbor_reads += 1
+                    if not access(required, now):
+                        duration += read(required)
+                n_positions = len(sq.position_indices)
+                duration += t_m * n_positions
+                stats.positions += n_positions
+        stats.batches += 1
+        stats.busy_seconds += duration
         outcome = BatchOutcome(duration, failed)
         if self.sanitizer is not None:
             self.sanitizer.check_batch(batch, outcome)

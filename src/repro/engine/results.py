@@ -113,12 +113,6 @@ class RunResult:
             float(np.percentile(self.response_times, 95)) if len(self.response_times) else 0.0
         )
 
-    @property
-    def p99_response_time(self) -> float:
-        return (
-            float(np.percentile(self.response_times, 99)) if len(self.response_times) else 0.0
-        )
-
     def class_percentiles(self) -> dict[str, dict[str, float]]:
         """Per-client-class latency profile of *completed* queries:
         count, p50, p95, p99 (the overload acceptance metric — rejected

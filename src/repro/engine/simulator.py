@@ -326,11 +326,16 @@ class Simulator:
         return [None] * len(schedulers), self.trace.jobs, self.config.faults.node_crashes
 
     # ------------------------------------------------------------------
-    def _push(self, time_: float, kind: EventKind, payload: object) -> None:
+    def _event(self, time_: float, kind: EventKind, payload: object) -> Event:
+        """Number a new event; the sanitizer vets its time first."""
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(time_, kind)
-        heapq.heappush(self._heap, Event(time_, kind, self._seq, payload))
+        ev = Event(time_, kind, self._seq, payload)
         self._seq += 1
+        return ev
+
+    def _push(self, time_: float, kind: EventKind, payload: object) -> None:
+        heapq.heappush(self._heap, self._event(time_, kind, payload))
 
     def _arm_tick(self, time_: float) -> None:
         """Schedule the next overload control tick, at most one at a
@@ -422,22 +427,23 @@ class Simulator:
             )
         if self._checkpointer is not None:
             self._checkpointer.log_event(self, ev)
-        if ev.kind is EventKind.JOB_SUBMIT:
-            self._on_job_submit(ev.payload, ev.time)
-        elif ev.kind is EventKind.QUERY_ARRIVAL:
-            self._on_query_arrival(ev.payload, ev.time)
-        elif ev.kind is EventKind.BATCH_DONE:
+        kind = ev.kind
+        if kind is EventKind.BATCH_DONE:
             self._on_batch_done(*ev.payload, now=ev.time)
-        elif ev.kind is EventKind.NODE_DOWN:
+        elif kind is EventKind.JOB_SUBMIT:
+            self._on_job_submit(ev.payload, ev.time)
+        elif kind is EventKind.QUERY_ARRIVAL:
+            self._on_query_arrival(ev.payload, ev.time)
+        elif kind is EventKind.NODE_DOWN:
             self._on_node_down(ev.payload, ev.time)
-        elif ev.kind is EventKind.NODE_UP:
+        elif kind is EventKind.NODE_UP:
             self._on_node_up(ev.payload, ev.time)
-        elif ev.kind is EventKind.REROUTE:
+        elif kind is EventKind.REROUTE:
             sq, arrival = ev.payload
             self._reroute(sq, arrival, ev.time, from_node=None)
-        elif ev.kind is EventKind.QUERY_DEADLINE:
+        elif kind is EventKind.QUERY_DEADLINE:
             self._on_query_deadline(ev.payload, ev.time)
-        elif ev.kind is EventKind.SHARD_MSG:
+        elif kind is EventKind.SHARD_MSG:
             self._on_shard_msg(ev.payload, ev.time)
         else:  # OVERLOAD_TICK
             self._on_overload_tick(ev.time)
@@ -566,20 +572,23 @@ class Simulator:
             return  # the node crashed mid-batch; this work was re-routed
         node.busy = False
         node.inflight = None
-        failed_ids = {id(sq) for sq in failed}
+        failed_ids = {id(sq) for sq in failed} if failed else ()
+        remaining = self._remaining
+        overload = self.overload
         stray: list[SubQuery] = []
         for _, subqueries in batch.atoms:
             for sq in subqueries:
                 if id(sq) in failed_ids:
                     continue
                 qid = sq.query.query_id
-                if qid not in self._remaining:
+                left = remaining.get(qid)
+                if left is None:
                     stray.append(sq)
                     continue
-                self._remaining[qid] -= 1
-                if self.overload is not None:
-                    self.overload.on_subquery_done(qid)
-                if self._remaining[qid] == 0:
+                remaining[qid] = left - 1
+                if overload is not None:
+                    overload.on_subquery_done(qid)
+                if left == 1:
                     self._complete_query(sq.query, now)
         if stray:
             self._on_stray_done(stray, now)
@@ -745,23 +754,44 @@ class Simulator:
     # Main loop
     # ------------------------------------------------------------------
     def _start_batches(self) -> None:
+        """Start a batch on every idle live node that has work and
+        schedule every completion."""
+        done = self._launch_batches()
+        if done is not None:
+            heapq.heappush(self._heap, done)
+
+    def _launch_batches(self) -> Optional[Event]:
+        """Start a batch on every idle live node that has work.
+
+        The first batch's numbered BATCH_DONE event is returned
+        unpushed for :meth:`run_window` to place; the completions of
+        any later batches go onto the heap.  None when nothing
+        started."""
+        held: Optional[Event] = None
+        clock = self.clock
         for idx, node in enumerate(self.nodes):
             if node.busy or not node.up:
                 continue
-            batch = node.scheduler.next_batch(self.clock)
-            if batch is None or batch.n_atoms == 0:
+            batch = node.scheduler.next_batch(clock)
+            if batch is None or not batch.atoms:
                 continue
-            outcome = node.executor.execute(batch, self.clock)
+            outcome = node.executor.execute(batch, clock)
             node.busy = True
             node.inflight = batch
-            self._push(
-                self.clock + outcome.duration,
+            done = self._event(
+                clock + outcome.duration,
                 EventKind.BATCH_DONE,
                 (idx, node.epoch, batch, outcome.failed),
             )
-            # Work resumed after an idle stretch: make sure the
-            # overload control loop is ticking again.
-            self._arm_tick(self.clock + self.config.overload.control_interval)
+            if held is None:
+                held = done
+            else:
+                heapq.heappush(self._heap, done)
+            if self.overload is not None:
+                # Work resumed after an idle stretch: make sure the
+                # overload control loop is ticking again.
+                self._arm_tick(clock + self.config.overload.control_interval)
+        return held
 
     def _any_pending(self) -> bool:
         return any(n.scheduler.has_pending() for n in self.nodes) or bool(self._remaining)
@@ -828,16 +858,32 @@ class Simulator:
         ``horizon``.  Each pass drains every event at the current
         instant before making scheduling decisions, so same-time
         arrivals can batch, then starts batches and advances the clock.
+
+        The first completion a pass starts is held out of the heap.
+        When it falls strictly before both the heap top and ``horizon``
+        it is the event the heap would pop next, so it is dispatched
+        directly — numbered and vetted like any other, and still
+        through :meth:`_dispatch` (WAL record, crash probe, snapshot
+        cadence, the shard window log); otherwise it is pushed.  The
+        heap push and pop it skips are the bulk of a quiet stretch's
+        loop cost.
         """
+        heap = self._heap
+        max_sim_time = self.config.max_sim_time
         while True:
-            while self._heap and self._heap[0].time <= self.clock:
-                self._dispatch(heapq.heappop(self._heap))
-            self._start_batches()
-            if not self._heap or self._heap[0].time >= horizon:
-                return
-            ev = heapq.heappop(self._heap)
+            while heap and heap[0].time <= self.clock:
+                self._dispatch(heapq.heappop(heap))
+            done = self._launch_batches()
+            if done is not None and done.time < horizon and (not heap or done.time < heap[0].time):
+                ev = done
+            else:
+                if done is not None:
+                    heapq.heappush(heap, done)
+                if not heap or heap[0].time >= horizon:
+                    return
+                ev = heapq.heappop(heap)
             self.clock = ev.time
-            if self.clock > self.config.max_sim_time:
+            if self.clock > max_sim_time:
                 raise SimTimeExceededError(
                     f"virtual clock exceeded max_sim_time={self.config.max_sim_time}",
                     **self._diagnostics(),

@@ -255,13 +255,24 @@ def _encode_error(
     return carried, type(exc).__name__, str(exc), tb
 
 
-def _worker_main(fn: Callable[[Any], Any], conn: Connection) -> None:
+def _worker_main(
+    fn: Callable[[Any], Any], conn: Connection, parent_end: Optional[Connection] = None
+) -> None:
     """Worker loop: receive ``(index, item)``, run ``fn``, send back
     ``("ok", index, value)`` or ``("err", index, encoded-error)``.
 
     Top-level so it works under every multiprocessing start method.
     A ``None`` message (or a closed pipe) is the shutdown signal.
+
+    ``parent_end`` is the supervisor's end of this worker's pipe when a
+    fork copied it into the worker.  It is closed first: while the
+    worker held it, the pipe never reached EOF, so a worker whose
+    supervisor was SIGKILLed blocked in ``recv`` forever.  Now a dead
+    supervisor means EOF on ``recv`` or a broken pipe on ``send``, and
+    the worker exits.
     """
+    if parent_end is not None:
+        parent_end.close()
     while True:
         try:
             msg = conn.recv()
@@ -277,6 +288,8 @@ def _worker_main(fn: Callable[[Any], Any], conn: Connection) -> None:
             payload = ("err", index, _encode_error(exc))
         try:
             conn.send(payload)
+        except OSError:
+            break  # the supervisor is gone
         except Exception as exc:  # noqa: BLE001 - e.g. unpicklable result
             conn.send(("err", index, _encode_error(exc)))
 
@@ -300,8 +313,11 @@ class _Worker:
     def __init__(self, fn: Callable[[Any], Any]) -> None:
         ctx = multiprocessing.get_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
+        # Only a forked child inherits the parent's end; other start
+        # methods would receive a fresh duplicate instead.
+        inherited = parent_conn if ctx.get_start_method() == "fork" else None
         self.proc = ctx.Process(
-            target=_worker_main, args=(fn, child_conn), daemon=True
+            target=_worker_main, args=(fn, child_conn, inherited), daemon=True
         )
         self.proc.start()
         child_conn.close()

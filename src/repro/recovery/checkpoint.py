@@ -171,11 +171,6 @@ class CheckpointManager:
         """True while pre-crash WAL records remain to be verified."""
         return self._replay_pos < len(self._replay)
 
-    @property
-    def wal_events_replayed(self) -> int:
-        """Pre-crash events re-verified so far (diagnostics)."""
-        return self._replay_pos
-
     def start(self, sim: "Simulator") -> None:
         """Write the genesis snapshot on a fresh run (no-op on resume)."""
         if not self._has_snapshot:

@@ -36,10 +36,11 @@ through a ``state_setter``.  An object that merely shares an id with an
 input object is pickled by value.
 
 **Compact records.**  :class:`SubQuery` pickles as ``(query, atom_id,
-dtype, index bytes)``, :class:`Event` as its positional fields and a
-``deque`` (the LRU-K access histories) as ``(items, maxlen)``, instead
-of through the generic dataclass, ndarray and deque reducers — the
-engine holds thousands of each.
+dtype, index bytes)`` and a ``deque`` (the LRU-K access histories) as
+``(items, maxlen)``, instead of through the generic dataclass, ndarray
+and deque reducers — the engine holds thousands of each.
+:class:`~repro.engine.events.Event` is a ``NamedTuple`` and already
+pickles as its positional fields.
 
 Every decode failure — wrong magic, version mismatch, truncated file,
 checksum mismatch, unpicklable payload, unresolvable reference — raises
@@ -62,7 +63,6 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.events import Event
 from repro.errors import RecoveryError
 from repro.storage.btree import BPlusTree
 from repro.workload.job import Job
@@ -105,10 +105,6 @@ def _reduce_subquery(sq: SubQuery) -> tuple:
     return _subquery, (sq.query, sq.atom_id, idx.dtype, idx.tobytes())
 
 
-def _reduce_event(ev: Event) -> tuple:
-    return Event, (ev.time, ev.kind, ev.seq, ev.payload)
-
-
 def _reduce_deque(d: deque) -> tuple:
     # deque's own reducer goes through copyreg._slotnames per instance.
     return deque, (list(d), d.maxlen)
@@ -116,7 +112,6 @@ def _reduce_deque(d: deque) -> tuple:
 
 _COMPACT: dict[type, Callable[[Any], Any]] = {
     SubQuery: _reduce_subquery,
-    Event: _reduce_event,
     deque: _reduce_deque,
 }
 

@@ -243,9 +243,9 @@ class ShardSimulator(Simulator):
                 node.epoch += 1
                 evacuated.extend(self._abort_inflight(node, resume_time))
         if self._heap and self._heap[0].time < resume_time:
-            self._heap = [
-                Event(max(ev.time, resume_time), ev.kind, ev.seq, ev.payload)
-                for ev in self._heap
+            # In place: ``run_window`` keeps a local alias of the heap.
+            self._heap[:] = [
+                ev._replace(time=max(ev.time, resume_time)) for ev in self._heap
             ]
             heapq.heapify(self._heap)
         for arrival, sq in evacuated:

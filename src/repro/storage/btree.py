@@ -46,6 +46,11 @@ class BPlusTree:
         self._order = order
         self._root = _Node(is_leaf=True)
         self._size = 0
+        # Derived, never pickled: True while the tree holds exactly the
+        # keys 0..size-1, each at the block address equal to its key
+        # (the layout ``build_clustered`` produces).  ``get`` then
+        # answers without a descent.
+        self._identity = True
 
     def __len__(self) -> int:
         return self._size
@@ -55,6 +60,7 @@ class BPlusTree:
     # ------------------------------------------------------------------
     def insert(self, key: int, value: int) -> None:
         """Insert ``key -> value``; replaces the value on duplicate key."""
+        self._identity = self._identity and key == value == self._size
         split = self._insert(self._root, key, value)
         if split is not None:
             sep, right = split
@@ -118,6 +124,8 @@ class BPlusTree:
 
     def get(self, key: int) -> Optional[int]:
         """Point lookup; returns ``None`` when the key is absent."""
+        if self._identity:
+            return key if 0 <= key < self._size else None
         leaf = self._find_leaf(key)
         i = bisect.bisect_left(leaf.keys, key)
         if i < len(leaf.keys) and leaf.keys[i] == key:
@@ -208,6 +216,27 @@ class BPlusTree:
             node.values = values
             node.next_leaf = None if next_leaf < 0 else nodes[next_leaf]
         self._root = nodes[state["root"]]
+        self._identity = self._has_identity_layout()
+
+    def _has_identity_layout(self) -> bool:
+        """Walk the leaf chain: do the leaves hold exactly the keys
+        0..size-1 in order, each at the block address equal to its key?
+        Keys ascend strictly within a leaf, so matching endpoints mean a
+        contiguous run."""
+        leaf: Optional[_Node] = self._root
+        while leaf is not None and not leaf.is_leaf:
+            leaf = leaf.children[0]
+        expected = 0
+        while leaf is not None:
+            keys = leaf.keys
+            if keys:
+                if keys != leaf.values or keys[0] != expected:
+                    return False
+                expected += len(keys)
+                if keys[-1] != expected - 1:
+                    return False
+            leaf = leaf.next_leaf
+        return expected == self._size
 
     @staticmethod
     def build_clustered(n_keys: int, order: int = 64) -> "BPlusTree":

@@ -101,31 +101,35 @@ class BufferCache:
         the disk cost), evicting the policy's victim if full.
         """
         t0 = time.perf_counter_ns()  # jawslint: disable=D001
-        if atom_id in self._resident:
+        stats = self.stats
+        resident = self._resident
+        if atom_id in resident:
             self.policy.on_access(atom_id, now)
-            self.stats.overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
-            self.stats.hits += 1
+            stats.overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
+            stats.hits += 1
             return True
 
-        if len(self._resident) >= self.capacity:
-            victim = self.policy.choose_victim()
-            if victim not in self._resident:
+        policy = self.policy
+        if len(resident) >= self.capacity:
+            victim = policy.choose_victim()
+            if victim not in resident:
                 raise RuntimeError(
                     f"policy chose non-resident victim {victim}"
                 )
-            self._resident.remove(victim)
-            self.policy.on_evict(victim)
-            self.stats.evictions += 1
-            self.stats.overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
-            for cb in self._on_evict:
-                cb(victim)
-            t0 = time.perf_counter_ns()  # jawslint: disable=D001
+            resident.remove(victim)
+            policy.on_evict(victim)
+            stats.evictions += 1
+            if self._on_evict:
+                # Listener time is the scheduler's, not the policy's.
+                stats.overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
+                for cb in self._on_evict:
+                    cb(victim)
+                t0 = time.perf_counter_ns()  # jawslint: disable=D001
 
-        self._resident.add(atom_id)
-        self.policy.on_insert(atom_id, now)
-        self.policy.on_access(atom_id, now)
-        self.stats.overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
-        self.stats.misses += 1
+        resident.add(atom_id)
+        policy.on_insert(atom_id, now)
+        stats.overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
+        stats.misses += 1
         for cb in self._on_insert:
             cb(atom_id)
         return False

@@ -20,7 +20,6 @@ from repro.grid.dataset import DatasetSpec
 from repro.grid.interpolation import (
     InterpolationSpec,
     neighbor_atoms_from_keys,
-    stencil_atoms,
     stencil_overshoot_keys,
 )
 
@@ -115,16 +114,6 @@ class SubQuery:
     @property
     def n_positions(self) -> int:
         return len(self.position_indices)
-
-    def positions(self) -> np.ndarray:
-        """The sub-query's positions, ``(n, 3)``."""
-        return self.query.positions[self.position_indices]
-
-    def required_atoms(self, spec: DatasetSpec, interp: InterpolationSpec) -> np.ndarray:
-        """All atom ids (primary + stencil neighbors) this sub-query reads."""
-        if self.query.op == "interp":
-            return stencil_atoms(spec, self.positions(), self.query.timestep, interp)
-        return np.array([self.atom_id], dtype=np.int64)
 
     def neighbor_atoms(self, spec: DatasetSpec, interp: InterpolationSpec) -> list[int]:
         """Stencil-neighbor atom ids only (primary excluded, hot path).

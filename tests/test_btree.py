@@ -163,3 +163,65 @@ class TestPickling:
         clone.insert(10_000, 1)
         assert clone.get(10_000) == 1
         assert len(clone) == 501
+
+
+class TestIdentityLookup:
+    """``get`` answers an identity-layout tree (keys 0..n-1, each at
+    block address = key) with a range check; the flag must be exact."""
+
+    @staticmethod
+    def _descend(tree, key):
+        leaf = tree._find_leaf(key)
+        if key in leaf.keys:
+            return leaf.values[leaf.keys.index(key)]
+        return None
+
+    def test_clustered_lookup_matches_descent(self):
+        tree = BPlusTree.build_clustered(3000, order=8)
+        assert tree._identity
+        for key in (-1, 0, 1, 1234, 2999, 3000, 10**6):
+            assert tree.get(key) == self._descend(tree, key)
+
+    def test_any_other_insert_falls_back_to_descent(self):
+        tree = BPlusTree.build_clustered(100, order=8)
+        tree.insert(5, 999)  # replace: block address no longer = key
+        assert not tree._identity
+        assert tree.get(5) == 999 and tree.get(6) == 6
+        gapped = BPlusTree.build_clustered(100, order=8)
+        gapped.insert(1000, 1000)  # not the next key
+        assert not gapped._identity
+        assert gapped.get(1000) == 1000 and gapped.get(500) is None
+
+    def test_flag_is_derived_on_restore_not_pickled(self):
+        import pickle
+
+        state = BPlusTree.build_clustered(10).__getstate__()
+        assert set(state) == {"order", "size", "root", "nodes"}
+        # Inserted out of order: the live flag is conservatively off,
+        # but the restored tree sees the identity layout in its leaves.
+        backwards = BPlusTree(order=4)
+        for k in reversed(range(50)):
+            backwards.insert(k, k)
+        assert not backwards._identity
+        clone = pickle.loads(pickle.dumps(backwards))
+        assert clone._identity and clone.get(49) == 49 and clone.get(50) is None
+        shifted = BPlusTree(order=4)
+        for k in range(50):
+            shifted.insert(k, k + 1)
+        clone = pickle.loads(pickle.dumps(shifted))
+        assert not clone._identity and clone.get(10) == 11
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(-2, 40), max_size=80))
+    def test_matches_dict_semantics_with_identity_values(self, keys):
+        import pickle
+
+        tree = BPlusTree(order=4)
+        model = {}
+        for k in keys:
+            tree.insert(k, k)
+            model[k] = k
+        clone = pickle.loads(pickle.dumps(tree))
+        for probe in range(-3, 42):
+            assert tree.get(probe) == model.get(probe)
+            assert clone.get(probe) == model.get(probe)

@@ -1,9 +1,12 @@
 """Integration tests for the discrete-event engine."""
 
+import dataclasses
+import heapq
+
 import numpy as np
 import pytest
 
-from repro.config import CacheConfig, CostModel, EngineConfig
+from repro.config import CacheConfig, CostModel, EngineConfig, FaultConfig
 from repro.engine.runner import make_scheduler, run_trace
 from repro.engine.simulator import Simulator
 from repro.grid.dataset import DatasetSpec
@@ -186,3 +189,52 @@ class TestSharingActuallyHappens:
         lr = run_trace(trace, "liferaft2", eng)
         jw = run_trace(trace, "jaws2", eng)
         assert jw.disk["reads"] <= lr.disk["reads"]
+
+
+class _Recording(Simulator):
+    """Logs every dispatched event as ``(time, kind, seq)``."""
+
+    def _dispatch(self, ev):
+        self.dispatched.append((ev.time, ev.kind, ev.seq))
+        super()._dispatch(ev)
+
+
+class _AlwaysPush(_Recording):
+    """Reference loop: every batch completion goes through the heap."""
+
+    def _launch_batches(self):
+        done = super()._launch_batches()
+        if done is not None:
+            heapq.heappush(self._heap, done)
+        return None
+
+
+class TestHeapBypass:
+    """A completion handed straight to ``_dispatch`` must be exactly the
+    event the heap would have popped next, numbered the same way."""
+
+    @pytest.mark.parametrize(
+        "name, n_nodes, faults",
+        [
+            ("noshare", 1, None),
+            ("jaws2", 1, None),
+            ("jaws2", 2, None),
+            ("liferaft2", 3, FaultConfig(seed=5, transient_fault_rate=0.05,
+                                         node_crashes=((1, 30.0, 60.0),))),
+        ],
+    )
+    def test_same_events_in_the_same_order(self, name, n_nodes, faults):
+        trace = small_trace(seed=4)
+        cfg = engine()
+        if faults is not None:
+            cfg = dataclasses.replace(cfg, faults=faults)
+        runs = {}
+        for cls in (_Recording, _AlwaysPush):
+            scheds = [make_scheduler(name, trace, cfg) for _ in range(n_nodes)]
+            sim = cls(trace, scheds, cfg, node_of=lambda a, n=n_nodes: a % n)
+            sim.dispatched = []
+            result = sim.run()
+            # Every numbered event was dispatched or is still pending.
+            assert sim.event_index + len(sim._heap) == sim._seq
+            runs[cls] = (sim.dispatched, result.response_times.tolist())
+        assert runs[_Recording] == runs[_AlwaysPush]

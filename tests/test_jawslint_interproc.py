@@ -488,6 +488,72 @@ def test_d300_follows_dynamic_dispatch_two_hops():
     assert ("D300", "repro.core.sched", 6) in found
 
 
+def test_d300_follows_hoisted_bound_method():
+    """Hoisting ``self.cache.access`` into a local before a hot loop
+    must keep the call edge: the local dispatches on ``access``."""
+    found = interproc(
+        {
+            "repro.parallel.pool": """
+                from repro.engine.runner import run_trace
+
+                def _execute_spec(spec):
+                    return run_trace(spec)
+            """,
+            "repro.engine.runner": """
+                def run_trace(spec):
+                    access, other = spec.cache.access, 0
+                    for atom in spec.atoms:
+                        access(atom)
+            """,
+            "repro.storage.buffer": """
+                import time
+
+                class BufferCache:
+                    def access(self, atom):
+                        return time.perf_counter_ns()
+            """,
+        }
+    )
+    assert ("D300", "repro.storage.buffer", 6) in found
+
+
+def test_call_graph_hoisted_locals_resolve_by_attribute_name():
+    model = ProjectModel.from_sources(
+        {
+            "repro.engine.executor": textwrap.dedent(
+                """
+                class BatchExecutor:
+                    def execute(self, batch):
+                        access = self.cache.access
+                        read: object = self.disk.read_atom
+                        for atom in batch:
+                            if not access(atom):
+                                read(atom)
+                """
+            ),
+            "repro.storage.buffer": textwrap.dedent(
+                """
+                class BufferCache:
+                    def access(self, a):
+                        return a
+                """
+            ),
+            "repro.storage.disk": textwrap.dedent(
+                """
+                class DiskModel:
+                    def read_atom(self, a):
+                        return a
+                """
+            ),
+        }
+    )
+    callees = build_call_graph(model).callees("repro.engine.executor.BatchExecutor.execute")
+    assert callees == {
+        "repro.storage.buffer.BufferCache.access",
+        "repro.storage.disk.DiskModel.read_atom",
+    }
+
+
 def test_d300_flags_module_level_rng_in_closure():
     found = interproc(
         {

@@ -21,6 +21,10 @@ module state (``fork_only`` guards the ones that need it).
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
 from pathlib import Path
@@ -192,6 +196,69 @@ def test_healthy_workers_survive_retry_rounds(monkeypatch, tmp_path):
     assert retried.attempts == 2 and retried.value[0] == 5
     pids = {o.value[1] for o in outcomes}
     assert len(pids) <= 3, f"pool churned: {len(pids)} distinct worker pids"
+
+
+_SUPERVISING_PARENT = textwrap.dedent(
+    """
+    import os, sys, time
+    from repro.parallel import supervise
+
+    def work(item):
+        open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+        time.sleep(item)
+        return item
+
+    supervise(work, [0.05] * 2000, jobs=2)
+    """
+)
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie (an orphan's reaper may be slow)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@fork_only
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_workers_exit_when_supervisor_is_killed(tmp_path):
+    """A worker must not outlive a SIGKILLed supervisor: the forked
+    child closes its copy of the supervisor's pipe end, so the pipe
+    reports EOF (idle worker) or a broken pipe (busy worker)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _SUPERVISING_PARENT, str(tmp_path)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    pids: list[int] = []
+    try:
+        # Bounded polls (50 ms sleeps), no wall-clock read.
+        for _ in range(1200):
+            pids = [int(p.name) for p in tmp_path.iterdir()]
+            if len(pids) >= 2 or parent.poll() is not None:
+                break
+            time.sleep(0.05)
+        assert len(pids) >= 2, "workers never started"
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(timeout=60)
+        for _ in range(400):
+            if not any(_running(pid) for pid in pids):
+                break
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _running(pid)]
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait(timeout=60)
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+    assert survivors == [], f"orphaned workers still running: {survivors}"
 
 
 # ---------------------------------------------------------------------------
