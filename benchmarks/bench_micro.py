@@ -9,10 +9,12 @@ from repro.core.alignment import align_jobs
 from repro.core.gating import PrecedenceGraph
 from repro.core.merge import build_gating_offline
 from repro.core.metrics import aged_metric, workload_throughput
+from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
-from repro.grid.interpolation import InterpolationSpec, subquery_neighbor_atoms
+from repro.grid.interpolation import InterpolationSpec, neighbor_atoms_from_keys
 from repro.morton.codec import morton_decode, morton_encode
 from repro.storage.btree import BPlusTree
+from repro.workload.query import Query, preprocess_query
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +99,18 @@ def test_neighbor_atoms_boundary_cloud(benchmark):
             rng.uniform(0, 64, 200),
         ]
     )
+    query = Query(0, 0, 0, 0, "interp", 0, positions)
+    mapper = AtomMapper(spec)
     interp = InterpolationSpec(order=12)
-    primary = 0  # not used for correctness here beyond decode
 
     def run():
-        return subquery_neighbor_atoms(spec, positions[:100], primary, interp)
+        # Pre-processing computes the keys; the executor resolves them.
+        return [
+            neighbor_atoms_from_keys(spec, sq.neighbor_keys, sq.atom_id)
+            for sq in preprocess_query(query, mapper, interp)
+        ]
 
-    benchmark(run)
+    assert any(benchmark(run))
 
 
 def test_bigmin_skip_scan(benchmark):

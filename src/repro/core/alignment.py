@@ -14,69 +14,86 @@ cross, and each query has at most one edge to the other job.
 
 Cost.  The paper states :math:`O(n^2 m^2)` over all pairs of ``n`` jobs
 of ``m`` queries, counting an :math:`O(m^2)` DP per pair.  Here the
-overlap matrix comes from a *sharing index* of one job (atom →
-bitmask of its query indices, :class:`SharingIndex`): every query of
-the partner job is tested once against the index's key set with a
-C-level ``isdisjoint``, and only intersecting queries fold in masks.
-Building the index is linear in the job's atoms, and a partner that
-shares no atom costs one disjointness test per query and no DP at all.
-The DP itself is ``n`` vectorized rows: the row recurrence is a prefix
-max (see :func:`align_jobs`).
+overlap matrix comes from a *sharing index* of one job
+(:class:`SharingIndex`): its queries sorted by the lowest atom each
+touches.  Every query of the partner job bisects the index for the
+queries whose atom range ``[min, max]`` meets its own, and only those
+run a C-level ``isdisjoint``.  A query's atoms lie in one time step
+and an ordered job's queries in distinct ones, so in practice at most
+one candidate survives the range test; a partner that shares no atom
+costs two bisections per query and no DP at all.  The DP itself is
+``n`` vectorized rows: the row recurrence is a prefix max (see
+:func:`align_jobs`).
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
+from bisect import bisect_left, bisect_right
 from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["SharingIndex", "overlap_matrix", "align_jobs", "alignment_score"]
+__all__ = ["SharingIndex", "atom_span", "overlap_matrix", "align_jobs", "alignment_score"]
+
+
+def atom_span(atoms: frozenset[int]) -> tuple[int, int]:
+    """``(min, max)`` of an atom set; the empty range ``(0, -1)`` for
+    the empty set, which shares nothing."""
+    return (min(atoms), max(atoms)) if atoms else (0, -1)
 
 
 class SharingIndex:
-    """Which queries of one job touch each atom: ``atom → bitmask`` of
-    query indices, built once per arriving job and then dropped.
+    """One job's non-empty queries sorted by ``(min, max)`` of their
+    atom sets, built once per arriving job and then dropped.
 
     :meth:`overlap` gives the job's overlap matrix against any other
-    job by testing each of that job's queries once against the index.
+    job.  A set ``a`` can share an atom with ``b`` only if
+    ``min(b) - width <= min(a) <= max(b)`` and ``max(a) >= min(b)``,
+    where ``width`` is the widest ``max - min`` in the index; the first
+    condition is two bisections, and ``isdisjoint`` runs only on the
+    pairs meeting both.  Exact for any atom sets.
     """
 
-    __slots__ = ("n", "masks", "keys")
+    __slots__ = ("n", "width", "lows", "highs", "rows", "sets")
 
-    def __init__(self, atom_sets: Sequence[frozenset[int]]) -> None:
-        masks: dict[int, int] = {}
-        for j, atoms in enumerate(atom_sets):
-            bit = 1 << j
-            for atom in atoms:
-                masks[atom] = masks.get(atom, 0) | bit
+    def __init__(
+        self,
+        atom_sets: Sequence[frozenset[int]],
+        spans: Optional[Sequence[tuple[int, int]]] = None,
+    ) -> None:
+        if spans is None:
+            spans = [atom_span(a) for a in atom_sets]
+        entries = sorted((lo, hi, j) for j, (lo, hi) in enumerate(spans) if lo <= hi)
         self.n = len(atom_sets)
-        self.masks = masks
-        # A frozenset keeps the disjointness tests in C.
-        self.keys = frozenset(masks)
+        self.width = max((hi - lo for lo, hi, _ in entries), default=0)
+        self.lows = [lo for lo, _, _ in entries]
+        self.highs = [hi for _, hi, _ in entries]
+        self.rows = [j for _, _, j in entries]
+        self.sets = [atom_sets[j] for j in self.rows]
 
-    def overlap(self, atoms_b: Sequence[frozenset[int]]) -> Optional[np.ndarray]:
-        """``S[j, l]`` of the indexed job against ``atoms_b``, or ``None``
-        when no pair shares an atom."""
-        keys = self.keys
-        get = self.masks.__getitem__
-        cols: list[int] = []
-        col_masks: list[int] = []
-        for l, b in enumerate(atoms_b):
-            if keys.isdisjoint(b):
-                continue
-            cols.append(l)
-            col_masks.append(reduce(or_, map(get, keys & b)))
-        if not cols:
+    def overlap(
+        self,
+        atoms_b: Sequence[frozenset[int]],
+        spans_b: Optional[Sequence[tuple[int, int]]] = None,
+    ) -> Optional[np.ndarray]:
+        """``S[j, l]`` of the indexed job against ``atoms_b`` (with
+        their spans, computed when not given), or ``None`` when no pair
+        shares an atom."""
+        if spans_b is None:
+            spans_b = [atom_span(b) for b in atoms_b]
+        lows, highs, rows, sets = self.lows, self.highs, self.rows, self.sets
+        width = self.width
+        hit_rows: list[int] = []
+        hit_cols: list[int] = []
+        for l, (lo, hi) in enumerate(spans_b):
+            for k in range(bisect_left(lows, lo - width), bisect_right(lows, hi)):
+                if highs[k] >= lo and not sets[k].isdisjoint(atoms_b[l]):
+                    hit_rows.append(rows[k])
+                    hit_cols.append(l)
+        if not hit_rows:
             return None
-        n = self.n
-        nbytes = (n + 7) // 8
-        packed = np.frombuffer(
-            b"".join(mask.to_bytes(nbytes, "little") for mask in col_masks), dtype=np.uint8
-        ).reshape(len(cols), nbytes)
-        s = np.zeros((n, len(atoms_b)), dtype=bool)
-        s[:, cols] = np.unpackbits(packed, axis=1, count=n, bitorder="little").T
+        s = np.zeros((self.n, len(atoms_b)), dtype=bool)
+        s[hit_rows, hit_cols] = True
         return s
 
 

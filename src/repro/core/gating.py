@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.alignment import atom_span
 from repro.core.states import QueryState
 
 __all__ = ["PrecedenceGraph"]
@@ -51,6 +52,7 @@ class _Vertex:
     job_id: int
     seq: int
     atoms: frozenset[int]
+    span: tuple[int, int]  # (min, max) of atoms, for the sharing index
     group: int
     state: QueryState = QueryState.WAIT
 
@@ -83,7 +85,9 @@ class PrecedenceGraph:
                 raise ValueError(f"query {qid} already in graph")
             gid = self._next_group
             self._next_group += 1
-            self._v[qid] = _Vertex(job_id=job_id, seq=seq, atoms=atoms, group=gid)
+            self._v[qid] = _Vertex(
+                job_id=job_id, seq=seq, atoms=atoms, span=atom_span(atoms), group=gid
+            )
             self._groups[gid] = {qid}
         self._job_queries[job_id] = list(query_ids)
 
@@ -103,6 +107,12 @@ class PrecedenceGraph:
         """Atom sets of the job's live queries, in sequence order."""
         v = self._v
         return [v[qid].atoms for qid in self._job_queries.get(job_id, ())]
+
+    def job_spans(self, job_id: int) -> list[tuple[int, int]]:
+        """``(min, max)`` atom spans of the job's live queries, in
+        sequence order (see :func:`repro.core.alignment.atom_span`)."""
+        v = self._v
+        return [v[qid].span for qid in self._job_queries.get(job_id, ())]
 
     def state(self, qid: int) -> QueryState:
         return self._v[qid].state

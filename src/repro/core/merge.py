@@ -10,10 +10,10 @@ already-merged job has the most edges, admitting each edge through
 
 Both entry points find a job's partners the same way
 (:func:`_sharing_alignments`): one transient sharing index of the job
-(:class:`repro.core.alignment.SharingIndex`), against which every live
-query of every other job is tested once; only partners that share an
+(:class:`repro.core.alignment.SharingIndex`), which every live query of
+every other job bisects by its atom span; only partners that share an
 atom are aligned.  With ``n`` live jobs of ``m`` queries, adding one
-job costs ``O(n m)`` disjointness tests plus an ``O(m^2)`` DP per
+job costs ``O(n m log m)`` range lookups plus an ``O(m^2)`` DP per
 sharing partner, and each admitted edge a reachability search bounded
 by the contracted graph (``O(n m)``), so the merge stays
 :math:`O(n^3 m^2)` worst case over all jobs.  It is cheap in practice:
@@ -75,11 +75,11 @@ def _sharing_alignments(
     matched pair.
     """
     atoms = graph.job_atoms(job_id)
-    index = SharingIndex(atoms)
+    index = SharingIndex(atoms, graph.job_spans(job_id))
     out: list[tuple[int, list[tuple[int, int]]]] = []
     for other in partners:
         other_atoms = graph.job_atoms(other)
-        s = index.overlap(other_atoms)
+        s = index.overlap(other_atoms, graph.job_spans(other))
         if s is not None:
             out.append((other, align_jobs(atoms, other_atoms, s)))
     return out

@@ -3,7 +3,8 @@
 Evaluating a batch (Fig. 6) means, for each atom in the given (Morton)
 order: reference it through the buffer cache, paying the disk cost
 :math:`T_b` on a miss; reference any neighbor atoms that the
-interpolation stencils of the atom's sub-queries require (cache-
+interpolation stencils of the atom's sub-queries require (resolved
+from the overshoot keys pre-processing stored on each sub-query; cache-
 mediated too — this is where co-scheduling ``k`` nearby atoms pays
 off, since one sub-query's neighbor is another's primary); and charge
 :math:`T_m` per evaluated position.  The returned duration advances
@@ -29,7 +30,7 @@ from repro.config import CostModel
 from repro.core.base import Batch
 from repro.engine.faults import FaultInjector, FaultKind
 from repro.grid.dataset import DatasetSpec
-from repro.grid.interpolation import InterpolationSpec
+from repro.grid.interpolation import neighbor_atoms_from_keys
 from repro.storage.buffer import BufferCache
 from repro.storage.disk import DiskModel
 from repro.workload.query import SubQuery
@@ -84,7 +85,6 @@ class BatchExecutor:
         cost: CostModel,
         cache: BufferCache,
         disk: DiskModel,
-        interp: InterpolationSpec,
         injector: Optional[FaultInjector] = None,
         node_idx: int = 0,
         sanitizer: Optional["SimulationSanitizer"] = None,
@@ -93,7 +93,6 @@ class BatchExecutor:
         self.cost = cost
         self.cache = cache
         self.disk = disk
-        self.interp = interp
         self.injector = injector
         self.node_idx = node_idx
         self.sanitizer = sanitizer
@@ -134,7 +133,6 @@ class BatchExecutor:
         inj = self.injector
         t_m = self.cost.t_m
         spec = self.spec
-        interp = self.interp
         duration = self.cost.t_overhead
         failed: list[SubQuery] = []
         for atom_id, subqueries in batch.atoms:
@@ -153,10 +151,11 @@ class BatchExecutor:
                         continue
             stats.atoms_executed += 1
             for sq in subqueries:
-                for required in sq.neighbor_atoms(spec, interp):
-                    stats.neighbor_reads += 1
-                    if not access(required, now):
-                        duration += read(required)
+                if sq.neighbor_keys:
+                    for required in neighbor_atoms_from_keys(spec, sq.neighbor_keys, atom_id):
+                        stats.neighbor_reads += 1
+                        if not access(required, now):
+                            duration += read(required)
                 n_positions = len(sq.position_indices)
                 duration += t_m * n_positions
                 stats.positions += n_positions

@@ -144,7 +144,6 @@ class _Node:
             config.cost,
             self.cache,
             self.disk,
-            InterpolationSpec(order=config.interpolation_order),
             injector=injector,
             node_idx=idx,
             sanitizer=sanitizer,
@@ -200,6 +199,7 @@ class Simulator:
         self.config = config or EngineConfig()
         self.spec = trace.spec
         self.mapper = AtomMapper(self.spec)
+        self.interp = InterpolationSpec(order=self.config.interpolation_order)
         faults = self.config.faults
         slots, jobs, crashes = self._domain(schedulers)
         for node_idx, _, _ in crashes:
@@ -480,7 +480,7 @@ class Simulator:
         self._job_first_arrival.setdefault(query.job_id, now)
         self._live_query[qid] = query
         self._job_of[qid] = self._job_index[query.job_id]
-        subqueries = preprocess_query(query, self.mapper)
+        subqueries = preprocess_query(query, self.mapper, self.interp)
         self._remaining[qid] = len(subqueries)
         self._admitted += 1
         if self.overload is not None:

@@ -9,14 +9,29 @@ implements the vectorized position→atom mapping that underlies it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.grid.dataset import DatasetSpec
 from repro.morton.codec import morton_encode_unchecked
-from repro.morton.index import MortonIndex
 
-__all__ = ["AtomMapper"]
+__all__ = ["AtomMapper", "morton_table"]
+
+
+@lru_cache(maxsize=None)
+def morton_table(n_axis: int) -> np.ndarray:
+    """Within-step Morton code of every atom of an ``n_axis``³ grid,
+    flat: ``table[(x * n_axis + y) * n_axis + z]``.
+
+    Built once per grid resolution; a lookup replaces the bit-spreading
+    encode per position.  Read-only, since every caller shares it.
+    """
+    axis = np.arange(n_axis, dtype=np.int64)
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    table = morton_encode_unchecked(gx, gy, gz).astype(np.int64).ravel()
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -24,9 +39,6 @@ class AtomMapper:
     """Vectorized position→atom resolution for one :class:`DatasetSpec`."""
 
     spec: DatasetSpec
-
-    def _index(self) -> MortonIndex:
-        return self.spec.morton_index()
 
     def wrap(self, positions: np.ndarray) -> np.ndarray:
         """Wrap continuous positions into the periodic domain.
@@ -37,23 +49,49 @@ class AtomMapper:
         return np.mod(np.asarray(positions, dtype=np.float64), self.spec.grid_side)
 
     def atom_coords(self, positions: np.ndarray) -> np.ndarray:
-        """Integer atom coordinates ``(N, 3)`` containing each position."""
+        """Integer atom coordinates ``(N, 3)`` containing each position.
+
+        Wrapped once more on the atom grid: a tiny negative coordinate
+        wraps to exactly ``grid_side`` in floating point
+        (``np.mod(-1e-20, 512.0) == 512.0``), which is atom 0.
+        """
         pos = self.wrap(positions)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must have shape (N, 3)")
-        return (pos // self.spec.atom_side).astype(np.int64)
+        coords = (pos // self.spec.atom_side).astype(np.int64)
+        coords %= self.spec.atoms_per_axis
+        return coords
 
     def morton_of(self, positions: np.ndarray) -> np.ndarray:
-        """Within-step Morton code of the atom containing each position."""
+        """Within-step Morton code (int64) of the atom containing each
+        position, read from :func:`morton_table`."""
         coords = self.atom_coords(positions)
-        return morton_encode_unchecked(coords[:, 0], coords[:, 1], coords[:, 2])
+        n = self.spec.atoms_per_axis
+        flat = (coords[:, 0] * n + coords[:, 1]) * n + coords[:, 2]
+        codes: np.ndarray = morton_table(n)[flat]
+        return codes
 
     def atom_ids(self, positions: np.ndarray, timestep: int) -> np.ndarray:
         """Packed atom ids for each position at the given time step."""
         if not 0 <= timestep < self.spec.n_timesteps:
             raise ValueError(f"timestep {timestep} out of range")
-        morton = self.morton_of(positions).astype(np.int64)
-        return timestep * self.spec.atoms_per_timestep + morton
+        return timestep * self.spec.atoms_per_timestep + self.morton_of(positions)
+
+    def sort_by_atom(
+        self, positions: np.ndarray, timestep: int
+    ) -> tuple[np.ndarray, list[int], list[int]]:
+        """``(order, bounds, atoms)``: the stable argsort of the
+        positions by atom id, the group boundaries into it
+        (``[0, ..., N]``, one group per atom) and each group's atom id,
+        ascending."""
+        ids = self.atom_ids(positions, timestep)
+        order = np.argsort(ids, kind="stable")
+        if not len(ids):
+            return order, [0], []
+        sorted_ids = ids[order]
+        starts = np.flatnonzero(np.diff(sorted_ids)) + 1
+        bounds = [0, *starts.tolist(), len(ids)]
+        return order, bounds, sorted_ids[bounds[:-1]].tolist()
 
     def group_by_atom(
         self, positions: np.ndarray, timestep: int
@@ -67,12 +105,5 @@ class AtomMapper:
         ``position_indices`` index into the input array; each is a slice
         view of one stable argsort.
         """
-        ids = self.atom_ids(positions, timestep)
-        if not len(ids):
-            return []
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        starts = np.flatnonzero(np.diff(sorted_ids)) + 1
-        bounds = [0, *starts.tolist(), len(ids)]
-        atoms = sorted_ids[bounds[:-1]].tolist()
+        order, bounds, atoms = self.sort_by_atom(positions, timestep)
         return [(a, order[s:e]) for a, s, e in zip(atoms, bounds, bounds[1:])]

@@ -16,18 +16,21 @@ the same batch, so it is read once (paper §V).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
+from repro.grid.atoms import morton_table
 from repro.grid.dataset import DatasetSpec
 from repro.morton.codec import morton_decode, morton_encode_unchecked
 
 __all__ = [
     "InterpolationSpec",
+    "group_overshoot_keys",
     "neighbor_atoms_from_keys",
     "stencil_atoms",
     "stencil_overshoot_keys",
-    "subquery_neighbor_atoms",
 ]
 
 
@@ -77,7 +80,8 @@ def stencil_atoms(
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValueError("positions must have shape (N, 3)")
     h = interp.half_width
-    base = np.floor(pos).astype(np.int64)
+    # Wrapped on the voxel grid too: np.mod(-1e-20, 512.0) == 512.0.
+    base = np.floor(pos).astype(np.int64) % spec.grid_side
     lo = base - h + 1  # first grid point used, per axis
     hi = base + h  # last grid point used, per axis
 
@@ -143,10 +147,7 @@ def stencil_overshoot_keys(
     """Per-position halo-overshoot key (base-3 encoded per-axis offset).
 
     Key 13 encodes (0, 0, 0): the stencil fits inside the primary
-    atom's halo.  Computing the keys for a whole query's position array
-    in one vectorized pass — instead of once per sub-query — is the
-    executor's main hot-path saving; sub-queries then index into the
-    cached result (:meth:`repro.workload.query.SubQuery.neighbor_atoms`).
+    atom's halo.
     """
     pos = np.mod(np.asarray(positions, dtype=np.float64), spec.grid_side)
     h = interp.half_width
@@ -158,6 +159,38 @@ def stencil_overshoot_keys(
     return keys
 
 
+def group_overshoot_keys(
+    spec: DatasetSpec,
+    positions: np.ndarray,
+    order: np.ndarray,
+    bounds: list[int],
+    interp: InterpolationSpec,
+) -> list[tuple[int, ...]]:
+    """Each atom group's sorted distinct overshoot keys, 13 excluded.
+
+    ``order`` and ``bounds`` are :meth:`AtomMapper.sort_by_atom`'s
+    grouping of ``positions``.  The keys are computed in one vectorized
+    pass over the whole query; only overshooting positions are then
+    assigned to their group (a ``searchsorted`` on the group starts).
+    Groups none of whose stencils leave the halo share the empty tuple.
+    """
+    n_groups = len(bounds) - 1
+    out: list[tuple[int, ...]] = [()] * n_groups
+    if interp.half_width <= spec.halo:
+        return out
+    keys = stencil_overshoot_keys(spec, positions, interp)[order]
+    hit = np.flatnonzero(keys != 13)
+    if not len(hit):
+        return out
+    seg = np.searchsorted(bounds[:-1], hit, side="right") - 1
+    # One code per distinct (group, key): keys are < 27, so 5 bits.  A
+    # set, not np.unique, which imports numpy.ma (~0.5 MiB) on first use.
+    codes = sorted(set((seg * 32 + keys[hit]).tolist()))
+    for group, group_codes in groupby(codes, key=lambda c: c >> 5):
+        out[group] = tuple(c & 31 for c in group_codes)
+    return out
+
+
 # Memo of within-timestep neighbor Morton codes: they are a pure
 # function of (grid resolution, primary atom position, overshoot key
 # set), so the wrap-around arithmetic runs once per distinct
@@ -167,44 +200,32 @@ def stencil_overshoot_keys(
 _NEIGHBOR_MEMO: dict[tuple[int, int, tuple[int, ...]], tuple[int, ...]] = {}
 _NEIGHBOR_MEMO_MAX = 1 << 20
 
-# Full within-timestep Morton tables per grid resolution: code ->
-# (x, y, z) and [x][y][z] -> code.  A memo miss then resolves with
-# pure-Python integer lookups instead of vectorized Morton operations
-# on tiny arrays (whose NumPy dispatch dominated the miss cost).
-_MORTON_TABLES: dict[int, tuple[list[tuple[int, int, int]], list[list[list[int]]]]] = {}
-
-
-def _morton_tables(
-    n_axis: int,
-) -> tuple[list[tuple[int, int, int]], list[list[list[int]]]]:
-    tables = _MORTON_TABLES.get(n_axis)
-    if tables is None:
-        xs, ys, zs = morton_decode(np.arange(n_axis**3, dtype=np.uint64))
-        decode = list(zip(xs.tolist(), ys.tolist(), zs.tolist()))
-        axis = np.arange(n_axis, dtype=np.int64)
-        gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-        encode = morton_encode_unchecked(gx, gy, gz).astype(np.int64).tolist()
-        tables = _MORTON_TABLES[n_axis] = (decode, encode)
-    return tables
+@lru_cache(maxsize=None)
+def _morton_tables(n_axis: int) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Within-timestep Morton tables of one grid resolution as Python
+    lists: code -> (x, y, z), and :func:`morton_table`.  A memo miss
+    then resolves with integer lookups instead of vectorized Morton
+    operations on tiny arrays (whose NumPy dispatch dominated the miss
+    cost)."""
+    xs, ys, zs = morton_decode(np.arange(n_axis**3, dtype=np.uint64))
+    return list(zip(xs.tolist(), ys.tolist(), zs.tolist())), morton_table(n_axis).tolist()
 
 
 def neighbor_atoms_from_keys(
-    spec: DatasetSpec, keys: np.ndarray, primary_atom_id: int
+    spec: DatasetSpec, keys: tuple[int, ...], primary_atom_id: int
 ) -> list[int]:
-    """Neighbor atom ids for one sub-query's precomputed overshoot keys.
+    """Neighbor atom ids for one sub-query's overshoot keys.
 
-    ``keys`` is the sub-query's slice of :func:`stencil_overshoot_keys`
-    output.  Returns sorted packed atom ids (primary excluded).
+    ``keys`` is one entry of :func:`group_overshoot_keys`: sorted,
+    distinct, 13 excluded.  Returns sorted packed atom ids (primary
+    excluded).
     """
-    distinct = set(keys.tolist())
-    distinct.discard(13)
-    if not distinct:
+    if not keys:
         return []
-    key_tuple = tuple(sorted(distinct))
     timestep = primary_atom_id // spec.atoms_per_timestep
     primary_morton = primary_atom_id % spec.atoms_per_timestep
     n_axis = spec.atoms_per_axis
-    memo_key = (n_axis, primary_morton, key_tuple)
+    memo_key = (n_axis, primary_morton, keys)
     codes = _NEIGHBOR_MEMO.get(memo_key)
     if codes is None:
         decode, encode = _morton_tables(n_axis)
@@ -212,8 +233,11 @@ def neighbor_atoms_from_keys(
         codes = tuple(
             sorted(
                 {
-                    encode[(px + dx) % n_axis][(py + dy) % n_axis][(pz + dz) % n_axis]
-                    for key in key_tuple
+                    encode[
+                        (((px + dx) % n_axis) * n_axis + (py + dy) % n_axis) * n_axis
+                        + (pz + dz) % n_axis
+                    ]
+                    for key in keys
                     for dx, dy, dz in _SUBCOMBO_TABLE[key]
                 }
             )
@@ -222,23 +246,3 @@ def neighbor_atoms_from_keys(
             _NEIGHBOR_MEMO[memo_key] = codes
     base = timestep * spec.atoms_per_timestep
     return [base + c for c in codes]
-
-
-def subquery_neighbor_atoms(
-    spec: DatasetSpec,
-    positions: np.ndarray,
-    primary_atom_id: int,
-    interp: InterpolationSpec,
-) -> list[int]:
-    """Neighbor atom ids a sub-query's stencils read beyond its primary.
-
-    Fast path of :func:`stencil_atoms` for the executor: every position
-    of a sub-query lies in one known primary atom, so only the per-axis
-    halo overshoot matters.  Returns packed atom ids (primary excluded),
-    typically empty — only positions within ``half_width - halo`` voxels
-    of an atom face expand.
-    """
-    if interp.half_width <= spec.halo:
-        return []
-    keys = stencil_overshoot_keys(spec, positions, interp)
-    return neighbor_atoms_from_keys(spec, keys, primary_atom_id)

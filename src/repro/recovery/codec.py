@@ -30,15 +30,16 @@ same container, payload ``{"trace": trace, "trees": [...]}``), and a
 snapshot pickled with :class:`InputRefs` stores the input's own
 :class:`Trace`, :class:`Job`, :class:`Query` and :class:`BPlusTree`
 objects as references (kind + id or index) resolved against the loaded
-input by :meth:`_StateUnpickler.find_class`.  Only the queries' derived
-caches (``atom_set``, ``_stencil_keys``) travel by value, applied
-through a ``state_setter``.  An object that merely shares an id with an
+input by :meth:`_StateUnpickler.find_class`.  Only each query's derived
+cache (``atom_set``) travels by value, applied through a
+``state_setter``.  An object that merely shares an id with an
 input object is pickled by value.
 
 **Compact records.**  :class:`SubQuery` pickles as ``(query, atom_id,
-dtype, index bytes)`` and a ``deque`` (the LRU-K access histories) as
-``(items, maxlen)``, instead of through the generic dataclass, ndarray
-and deque reducers — the engine holds thousands of each.
+dtype, index bytes, neighbor keys)`` and a ``deque`` (the LRU-K access
+histories) as ``(items, maxlen)``, instead of through the generic
+dataclass, ndarray and deque reducers — the engine holds thousands of
+each.
 :class:`~repro.engine.events.Event` is a ``NamedTuple`` and already
 pickles as its positional fields.
 
@@ -82,7 +83,9 @@ __all__ = [
 #: Bump whenever the snapshot state layout changes incompatibly.
 #: 2: workload queues hold packed struct-of-arrays rows.
 #: 3: the trace lives in ``input.ckpt``; snapshots refer to it.
-SNAPSHOT_FORMAT_VERSION = 3
+#: 4: sub-queries carry their stencil overshoot keys; a query's only
+#:    derived cache is ``atom_set``.
+SNAPSHOT_FORMAT_VERSION = 4
 
 SNAPSHOT_MAGIC = b"JAWSCKPT"
 
@@ -95,14 +98,16 @@ _PROTOCOL = pickle.HIGHEST_PROTOCOL
 # ----------------------------------------------------------------------
 # Reducers
 # ----------------------------------------------------------------------
-def _subquery(query: Query, atom_id: int, dtype: np.dtype, raw: bytes) -> SubQuery:
-    return SubQuery(query, atom_id, np.frombuffer(raw, dtype=dtype))
+def _subquery(
+    query: Query, atom_id: int, dtype: np.dtype, raw: bytes, keys: tuple[int, ...]
+) -> SubQuery:
+    return SubQuery(query, atom_id, np.frombuffer(raw, dtype=dtype), keys)
 
 
 def _reduce_subquery(sq: SubQuery) -> tuple:
     # The dtype object, not its name: one shared instance, pickled once.
     idx = sq.position_indices
-    return _subquery, (sq.query, sq.atom_id, idx.dtype, idx.tobytes())
+    return _subquery, (sq.query, sq.atom_id, idx.dtype, idx.tobytes(), sq.neighbor_keys)
 
 
 def _reduce_deque(d: deque) -> tuple:
@@ -126,13 +131,14 @@ def _input_ref(kind: str, key: Optional[int]) -> Any:
     raise RecoveryError("snapshot refers to a checkpoint input that was not loaded")
 
 
-def _set_query_caches(query: Query, caches: tuple) -> None:
-    query.atom_set, query._stencil_keys = caches
+def _set_query_cache(query: Query, cache: tuple[Optional[frozenset[int]]]) -> None:
+    # A 1-tuple, never None: pickle skips the setter for a None state.
+    (query.atom_set,) = cache
 
 
 def _set_trace_caches(trace: Trace, caches: list) -> None:
-    for query, cached in zip(trace.queries(), caches, strict=True):
-        _set_query_caches(query, cached)
+    for query, atom_set in zip(trace.queries(), caches, strict=True):
+        query.atom_set = atom_set
 
 
 class InputRefs:
@@ -141,9 +147,9 @@ class InputRefs:
     is bulk-built by :meth:`BPlusTree.build_clustered` and then only
     read).
 
-    The trace reference carries the derived caches of *every* query, so
+    The trace reference carries the derived cache of *every* query, so
     a query reached only through the trace (finished, or not yet
-    arrived) keeps them; a query reference carries its own as well.
+    arrived) keeps it; a query reference carries its own as well.
     """
 
     def __init__(self, trace: Trace, trees: Sequence[BPlusTree] = ()) -> None:
@@ -178,7 +184,7 @@ class InputRefs:
     def _reduce_trace(self, trace: Trace) -> Any:
         if trace is not self.trace:
             return trace.__reduce_ex__(_PROTOCOL)
-        caches = [(q.atom_set, q._stencil_keys) for q in trace.queries()]
+        caches = [q.atom_set for q in trace.queries()]
         return _input_ref, ("trace", None), caches, None, None, _set_trace_caches
 
     def _reduce_job(self, job: Job) -> Any:
@@ -189,8 +195,7 @@ class InputRefs:
     def _reduce_query(self, q: Query) -> Any:
         if self.queries.get(q.query_id) is not q:
             return q.__reduce_ex__(_PROTOCOL)
-        caches = (q.atom_set, q._stencil_keys)
-        return _input_ref, ("query", q.query_id), caches, None, None, _set_query_caches
+        return _input_ref, ("query", q.query_id), (q.atom_set,), None, None, _set_query_cache
 
     def _reduce_tree(self, tree: BPlusTree) -> Any:
         index = self._tree_index.get(id(tree))

@@ -218,9 +218,10 @@ class _TraceBuilder:
                     positions=positions.copy(),
                 )
             )
-            positions = advect_positions(
-                self.field, positions, t=timestep * self.spec.dt, dt=self.spec.dt
-            )
+            if i + 1 < length:  # the last query's successor is never read
+                positions = advect_positions(
+                    self.field, positions, t=timestep * self.spec.dt, dt=self.spec.dt
+                )
         think = self.rng.exponential(p.think_time_mean)
         return Job(job_id, JobKind.ORDERED, user_id, submit_time, think, queries)
 

@@ -17,11 +17,7 @@ import numpy as np
 
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
-from repro.grid.interpolation import (
-    InterpolationSpec,
-    neighbor_atoms_from_keys,
-    stencil_overshoot_keys,
-)
+from repro.grid.interpolation import InterpolationSpec, group_overshoot_keys
 
 __all__ = ["Query", "SubQuery", "preprocess_query"]
 
@@ -66,13 +62,6 @@ class Query:
     timestep: int
     positions: np.ndarray
     atom_set: Optional[frozenset[int]] = field(default=None, repr=False)
-    # Stencil-overshoot keys for all positions, computed vectorized on
-    # first sub-query stencil evaluation and shared by every sub-query
-    # of the query: (cache key, per-position key array, or None when no
-    # position of the query overshoots its atom's halo).
-    _stencil_keys: Optional[tuple[tuple[int, int, int, int], Optional[np.ndarray]]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.op not in OPERATIONS:
@@ -98,62 +87,48 @@ class Query:
         return self.atom_set
 
 
-@dataclass
+@dataclass(slots=True)
 class SubQuery:
     """The positions of one query falling within one atom.
 
     ``position_indices`` index into the owning query's ``positions``
-    array; the engine uses them to evaluate the interpolation stencil
-    and count neighbor-atom reads.
+    array.  ``neighbor_keys`` are the distinct halo-overshoot keys of
+    those positions' interpolation stencils (see
+    :func:`repro.grid.interpolation.group_overshoot_keys`), resolved to
+    neighbor atoms by the executor; empty for most sub-queries.
     """
 
     query: Query
     atom_id: int
     position_indices: np.ndarray
+    neighbor_keys: tuple[int, ...] = ()
 
     @property
     def n_positions(self) -> int:
         return len(self.position_indices)
 
-    def neighbor_atoms(self, spec: DatasetSpec, interp: InterpolationSpec) -> list[int]:
-        """Stencil-neighbor atom ids only (primary excluded, hot path).
 
-        The per-position overshoot keys are computed vectorized over
-        the *whole query* once and cached on it; each sub-query then
-        slices its own positions' keys — one numpy pass per query
-        instead of one per sub-query.  A query none of whose positions
-        overshoots caches ``None`` instead, so its sub-queries skip the
-        slice entirely (most sub-queries of a typical workload).
-        """
-        if self.query.op != "interp":
-            return []
-        if interp.half_width <= spec.halo:
-            return []
-        cache_key = (interp.order, spec.halo, spec.atom_side, spec.grid_side)
-        cached = self.query._stencil_keys
-        if cached is None or cached[0] != cache_key:
-            keys: Optional[np.ndarray] = stencil_overshoot_keys(
-                spec, self.query.positions, interp
-            )
-            if not bool((keys != 13).any()):
-                keys = None
-            self.query._stencil_keys = (cache_key, keys)
-        else:
-            keys = cached[1]
-        if keys is None:
-            return []
-        return neighbor_atoms_from_keys(spec, keys[self.position_indices], self.atom_id)
-
-
-def preprocess_query(query: Query, mapper: AtomMapper) -> list[SubQuery]:
+def preprocess_query(
+    query: Query, mapper: AtomMapper, interp: InterpolationSpec
+) -> list[SubQuery]:
     """Split a query into per-atom sub-queries in Morton order.
 
     Implements the pre-processing stage of Figure 1: each sub-query is
     the set of the query's positions that fall within one atom;
     sub-queries are independent; their union reconstructs the query.
-    Also fills the query's cached ``atom_set``.
+    An ``interp`` query's sub-queries also carry the overshoot keys of
+    their stencils under ``interp`` (the engine's kernel).  Fills the
+    query's cached ``atom_set``.
     """
-    groups = mapper.group_by_atom(query.positions, query.timestep)
-    subqueries = [SubQuery(query, atom_id, idx) for atom_id, idx in groups]
-    query.atom_set = frozenset(sq.atom_id for sq in subqueries)
+    order, bounds, atoms = mapper.sort_by_atom(query.positions, query.timestep)
+    keys: list[tuple[int, ...]]
+    if query.op == "interp":
+        keys = group_overshoot_keys(mapper.spec, query.positions, order, bounds, interp)
+    else:
+        keys = [()] * len(atoms)
+    subqueries = [
+        SubQuery(query, atom_id, order[s:e], k)
+        for atom_id, s, e, k in zip(atoms, bounds, bounds[1:], keys)
+    ]
+    query.atom_set = frozenset(atoms)
     return subqueries

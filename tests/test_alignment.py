@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.alignment import SharingIndex, align_jobs, alignment_score, overlap_matrix
+from repro.core.alignment import (
+    SharingIndex,
+    align_jobs,
+    alignment_score,
+    atom_span,
+    overlap_matrix,
+)
 
 
 def fs(*atoms):
@@ -158,9 +164,41 @@ def reference_align(a, b):
 JOB = st.lists(st.frozensets(st.integers(0, 40), max_size=4), min_size=1, max_size=31)
 
 
+# Jobs whose queries each sit mostly in one "time step" of 512 atoms,
+# some straddling two, so spans overlap, nest and repeat.
+STEP_QUERY = st.tuples(
+    st.integers(0, 5), st.frozensets(st.integers(0, 520), max_size=5)
+).map(lambda t: frozenset(t[0] * 512 + a for a in t[1]))
+STEP_JOB = st.lists(STEP_QUERY, min_size=1, max_size=20)
+
+
 class TestSharingIndex:
-    def test_index_masks(self):
-        assert SharingIndex([fs(1, 2), fs(2), fs()]).masks == {1: 0b1, 2: 0b11}
+    def test_index_spans(self):
+        """Non-empty queries sorted by (min, max), with their rows and
+        the widest span; the empty set is left out."""
+        index = SharingIndex([fs(5, 9), fs(2), fs(), fs(2, 3)])
+        assert index.lows == [2, 2, 5]
+        assert index.highs == [2, 3, 9]
+        assert index.rows == [1, 3, 0]
+        assert index.width == 4
+        assert atom_span(fs(7, 3, 5)) == (3, 7)
+        assert atom_span(fs()) == (0, -1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(STEP_JOB, STEP_JOB)
+    def test_range_filter_matches_brute_force(self, a, b):
+        """Empty sets, queries across time steps and queries of one job
+        sharing atoms: the span-filtered matrix is the brute-force one,
+        with spans given (as the gating graph does) or computed."""
+        expected = reference_overlap(a, b)
+        for s in (
+            SharingIndex(a, [atom_span(x) for x in a]).overlap(b, [atom_span(y) for y in b]),
+            SharingIndex(a).overlap(b),
+        ):
+            if s is None:
+                assert not expected.any()
+            else:
+                assert s.dtype == bool and np.array_equal(s, expected)
 
     def test_no_sharing_gives_none(self):
         assert SharingIndex([fs(1), fs()]).overlap([fs(2), fs()]) is None

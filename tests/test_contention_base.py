@@ -8,8 +8,11 @@ from repro.config import CostModel, SchedulerConfig
 from repro.core.liferaft import LifeRaftScheduler
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
+from repro.grid.interpolation import InterpolationSpec
 from repro.storage.buffer import BufferCache
 from repro.workload.query import Query, preprocess_query
+
+INTERP = InterpolationSpec()
 
 SPEC = DatasetSpec.small(n_timesteps=4, atoms_per_axis=4)
 MAPPER = AtomMapper(SPEC)
@@ -18,7 +21,7 @@ COST = CostModel(t_b=0.04, t_m=2e-5)
 
 def arrival(scheduler, qid, center, n=20, timestep=0, t=0.0):
     q = Query(qid, qid, 0, 0, "velocity", timestep, np.array([center] * n, dtype=float))
-    subs = preprocess_query(q, MAPPER)
+    subs = preprocess_query(q, MAPPER, INTERP)
     scheduler.on_query_arrival(q, subs, t)
     return q, subs
 
@@ -105,7 +108,7 @@ class TestURCUtilityExport:
             10, 10, 0, 0, "velocity", 2,
             np.array([[bx * 64 + 32.0, by * 64 + 32.0, bz * 64 + 32.0]] * 900),
         )
-        s.on_query_arrival(qb, preprocess_query(qb, MAPPER), 2.0)
+        s.on_query_arrival(qb, preprocess_query(qb, MAPPER, INTERP), 2.0)
         cache.access(SPEC.atom_id(3, 7), 3.0)  # forces eviction
         assert b in cache  # survived thanks to its new big queue
 

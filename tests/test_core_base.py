@@ -5,14 +5,17 @@ import numpy as np
 from repro.core.base import Batch, RunObservation, Scheduler
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
+from repro.grid.interpolation import InterpolationSpec
 from repro.workload.query import Query, preprocess_query
+
+INTERP = InterpolationSpec()
 
 SPEC = DatasetSpec.small(n_timesteps=2, atoms_per_axis=4)
 
 
 def make_batch():
     q = Query(0, 0, 0, 0, "velocity", 0, np.random.default_rng(0).uniform(0, 256, (50, 3)))
-    subs = preprocess_query(q, AtomMapper(SPEC))
+    subs = preprocess_query(q, AtomMapper(SPEC), INTERP)
     return Batch(atoms=[(sq.atom_id, [sq]) for sq in subs]), subs
 
 

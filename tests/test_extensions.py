@@ -9,9 +9,12 @@ from repro.core.prefetch import PrefetchingJAWSScheduler, TrajectoryPredictor
 from repro.core.qos import QoSJAWSScheduler
 from repro.engine.runner import run_trace
 from repro.grid.dataset import DatasetSpec
+from repro.grid.interpolation import InterpolationSpec
 from repro.workload.encapsulated import encapsulate_trace
 from repro.workload.generator import WorkloadParams, generate_trace
 from repro.workload.query import Query
+
+INTERP = InterpolationSpec()
 
 SPEC = DatasetSpec.small(n_timesteps=8, atoms_per_axis=4)
 COST = CostModel(t_b=0.02, t_m=1e-5)
@@ -63,8 +66,8 @@ class TestQoSScheduler:
         from repro.workload.query import preprocess_query
 
         mapper = AtomMapper(SPEC)
-        s.on_query_arrival(small, preprocess_query(small, mapper), 0.0)
-        s.on_query_arrival(big, preprocess_query(big, mapper), 0.0)
+        s.on_query_arrival(small, preprocess_query(small, mapper, INTERP), 0.0)
+        s.on_query_arrival(big, preprocess_query(big, mapper, INTERP), 0.0)
         assert s._deadline[0] < s._deadline[1]
 
     def test_tight_slack_reduces_tardiness(self):
@@ -91,8 +94,8 @@ class TestQoSScheduler:
         mapper = AtomMapper(SPEC)
         urgent = Query(0, 0, 0, 0, "velocity", 0, np.full((3, 3), 32.0))
         hot = Query(1, 1, 0, 0, "velocity", 1, np.full((900, 3), 100.0))
-        s.on_query_arrival(hot, preprocess_query(hot, mapper), 0.0)
-        s.on_query_arrival(urgent, preprocess_query(urgent, mapper), 0.0)
+        s.on_query_arrival(hot, preprocess_query(hot, mapper, INTERP), 0.0)
+        s.on_query_arrival(urgent, preprocess_query(urgent, mapper, INTERP), 0.0)
         batch = s.next_batch(50.0)
         owners = {sq.query.query_id for _, subs in batch.atoms for sq in subs}
         assert 0 in owners  # the near-deadline query won over the hot atom

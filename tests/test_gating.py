@@ -37,6 +37,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PrecedenceGraph().add_job(0, [0, 1], [fs(1)])
 
+    def test_vertices_keep_atom_spans(self):
+        g = PrecedenceGraph()
+        g.add_job(1, [10, 11, 12], [fs(9, 4), fs(), fs(7)])
+        assert g.job_spans(1) == [(4, 9), (0, -1), (7, 7)]
+        g.mark_done(10)
+        assert g.job_spans(1) == [(0, -1), (7, 7)]
+
     def test_initial_state_wait(self):
         g = two_sharing_jobs()
         assert g.state(0) is QueryState.WAIT

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.grid.atoms import AtomMapper
+from repro.grid.atoms import AtomMapper, morton_table
 from repro.grid.dataset import DatasetSpec
+from repro.morton.codec import morton_encode
 
 
 class TestDatasetSpec:
@@ -85,6 +86,43 @@ class TestAtomMapper:
         a0 = self.mapper.atom_ids(pos, 0)[0]
         a1 = self.mapper.atom_ids(pos, 1)[0]
         assert a1 - a0 == self.spec.atoms_per_timestep
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("coord", [-1e-20, 256.0])
+    def test_wrap_to_grid_side_is_atom_zero(self, axis, coord):
+        """``np.mod(-1e-20, side) == side`` in floating point; such a
+        position lies in atom coordinate 0, never ``atoms_per_axis``."""
+        assert self.spec.grid_side == 256
+        pos = np.full((1, 3), 100.0)
+        pos[0, axis] = coord
+        expected = [1, 1, 1]
+        expected[axis] = 0
+        np.testing.assert_array_equal(self.mapper.atom_coords(pos), [expected])
+        last = self.spec.n_timesteps - 1
+        atom = int(self.mapper.atom_ids(pos, last)[0])
+        assert self.spec.atom_timestep(atom) == last and atom < self.spec.n_atoms
+
+    def test_table_codes_match_morton_encode(self):
+        """Table lookups equal the bit-spreading encode on random
+        positions and on every face and corner of the atom grid."""
+        rng = np.random.default_rng(5)
+        side, n = self.spec.atom_side, self.spec.atoms_per_axis
+        grid = np.arange(n + 1) * side
+        edges = np.array(np.meshgrid(grid, grid, grid, indexing="ij")).reshape(3, -1).T
+        pos = np.concatenate(
+            [
+                rng.uniform(-300, 600, (2000, 3)),
+                edges,
+                edges - 1e-9,
+                np.clip(edges - 1e-9, 0, None),
+            ]
+        ).astype(np.float64)
+        coords = self.mapper.atom_coords(pos)
+        expected = morton_encode(coords[:, 0], coords[:, 1], coords[:, 2]).astype(np.int64)
+        np.testing.assert_array_equal(self.mapper.morton_of(pos), expected)
+        axis = np.arange(n)
+        x, y, z = (c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij"))
+        np.testing.assert_array_equal(morton_table(n)[(x * n + y) * n + z], morton_encode(x, y, z))
 
     def test_group_by_atom_partitions_everything(self):
         rng = np.random.default_rng(1)

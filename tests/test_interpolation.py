@@ -1,5 +1,7 @@
 """Tests for interpolation stencils and neighbor-atom resolution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,10 @@ from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
 from repro.grid.interpolation import (
     InterpolationSpec,
+    neighbor_atoms_from_keys,
     stencil_atoms,
-    subquery_neighbor_atoms,
 )
+from repro.workload.query import Query, preprocess_query
 
 SPEC = DatasetSpec.small(n_timesteps=4, atoms_per_axis=8)
 MAPPER = AtomMapper(SPEC)
@@ -67,6 +70,21 @@ class TestStencilAtoms:
         xs = sorted(c[0] for c in coords)
         assert xs == [0, 7]
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("coord", [-1e-20, float(SPEC.grid_side)])
+    def test_wrap_to_grid_side_is_coordinate_zero(self, axis, coord):
+        """``np.mod(-1e-20, side) == side``: the stencil of such a position
+        is the stencil at 0 on that axis, in the same time step."""
+        interp = InterpolationSpec(order=12)
+        pos = np.full((1, 3), 100.0)
+        zero = pos.copy()
+        pos[0, axis] = coord
+        zero[0, axis] = 0.0
+        last = SPEC.n_timesteps - 1
+        atoms = stencil_atoms(SPEC, pos, last, interp)
+        np.testing.assert_array_equal(atoms, stencil_atoms(SPEC, zero, last, interp))
+        assert atoms.max() < SPEC.n_atoms
+
     def test_timestep_offset(self):
         pos = np.array([[32.0, 32.0, 32.0]])
         a0 = stencil_atoms(SPEC, pos, 0, InterpolationSpec(order=8))
@@ -80,6 +98,25 @@ def divmod_coords(morton: int):
     return morton_decode_scalar(morton)
 
 
+def preprocessed(spec, pos, ts, interp, op="interp"):
+    """``(sub-query, neighbor atom ids)`` the way the engine sees them:
+    keys from pre-processing, resolved as the executor does."""
+    subs = preprocess_query(Query(0, 0, 0, 0, op, ts, pos), AtomMapper(spec), interp)
+    return [(sq, neighbor_atoms_from_keys(spec, sq.neighbor_keys, sq.atom_id)) for sq in subs]
+
+
+def face_heavy_positions(rng, spec, n):
+    """Uniform positions, half of them snapped to within a few voxels of
+    an atom face, plus coordinates that wrap to exactly ``grid_side``."""
+    pos = rng.uniform(0, spec.grid_side, (n, 3))
+    snap = rng.random((n, 3)) < 0.5
+    faces = rng.integers(0, spec.atoms_per_axis + 1, (n, 3)) * spec.atom_side
+    pos[snap] = (faces + rng.uniform(-8, 8, (n, 3)))[snap]
+    edge = rng.random((n, 3)) < 0.05
+    pos[edge] = rng.choice([-1e-20, float(spec.grid_side)], (n, 3))[edge]
+    return pos
+
+
 class TestFastPathEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 10, 12, 16]))
@@ -89,14 +126,38 @@ class TestFastPathEquivalence:
         pos = rng.uniform(0, SPEC.grid_side, (n, 3))
         interp = InterpolationSpec(order=order)
         ts = int(rng.integers(SPEC.n_timesteps))
-        for atom_id, idx in MAPPER.group_by_atom(pos, ts):
-            fast = set(subquery_neighbor_atoms(SPEC, pos[idx], atom_id, interp))
-            slow = set(int(a) for a in stencil_atoms(SPEC, pos[idx], ts, interp))
-            assert fast == slow - {atom_id}
+        for sq, fast in preprocessed(SPEC, pos, ts, interp):
+            slow = set(int(a) for a in stencil_atoms(SPEC, pos[sq.position_indices], ts, interp))
+            assert set(fast) == slow - {sq.atom_id}
 
     def test_no_neighbors_when_kernel_fits_halo(self):
         rng = np.random.default_rng(1)
         pos = rng.uniform(0, SPEC.grid_side, (100, 3))
-        ts = 0
-        for atom_id, idx in MAPPER.group_by_atom(pos, ts):
-            assert subquery_neighbor_atoms(SPEC, pos[idx], atom_id, InterpolationSpec(order=8)) == []
+        for sq, fast in preprocessed(SPEC, pos, 0, InterpolationSpec(order=8)):
+            assert sq.neighbor_keys == () and fast == []
+
+
+class TestPreprocessedNeighbors:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.sampled_from([8, 10, 12]), st.sampled_from([0, 4])
+    )
+    def test_equal_stencil_atoms_minus_primary(self, seed, order, halo):
+        spec = dataclasses.replace(SPEC, halo=halo)
+        rng = np.random.default_rng(seed)
+        pos = face_heavy_positions(rng, spec, int(rng.integers(1, 200)))
+        interp = InterpolationSpec(order=order)
+        ts = int(rng.integers(spec.n_timesteps))
+        for sq, fast in preprocessed(spec, pos, ts, interp):
+            slow = stencil_atoms(spec, pos[sq.position_indices], ts, interp).tolist()
+            assert fast == sorted(set(slow) - {sq.atom_id})
+            keys = sq.neighbor_keys
+            assert list(keys) == sorted(set(keys)) and 13 not in keys
+
+    def test_only_interp_queries_carry_keys(self):
+        rng = np.random.default_rng(4)
+        pos = face_heavy_positions(rng, SPEC, 300)
+        interp = InterpolationSpec(order=12)
+        assert any(sq.neighbor_keys for sq, _ in preprocessed(SPEC, pos, 0, interp))
+        for op in ("velocity", "stats"):
+            assert all(sq.neighbor_keys == () for sq, _ in preprocessed(SPEC, pos, 0, interp, op))

@@ -34,6 +34,7 @@ from repro.engine.runner import make_scheduler, run_trace
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError, CoordinatorCrash, QueryRejected
 from repro.grid.dataset import DatasetSpec
+from repro.grid.interpolation import InterpolationSpec
 from repro.overload import (
     AdmissionController,
     BrownoutController,
@@ -53,6 +54,8 @@ from repro.workload.generator import (
 from repro.workload.job import Job, JobKind
 
 from tests.test_determinism import assert_identical
+
+INTERP = InterpolationSpec()
 
 SPEC = DatasetSpec.small(n_timesteps=8, atoms_per_axis=4)
 
@@ -467,7 +470,7 @@ class TestQoSCancelAccounting:
         from repro.workload.query import Query, preprocess_query
 
         query = Query(qid, qid, 0, 0, "velocity", 0, np.full((n_positions, 3), 32.0))
-        subs = preprocess_query(query, AtomMapper(SPEC))
+        subs = preprocess_query(query, AtomMapper(SPEC), INTERP)
         scheduler.on_query_arrival(query, subs, now)
         return query
 

@@ -8,7 +8,10 @@ from repro.core.metrics import workload_throughput
 from repro.core.queues import WorkloadQueues
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
+from repro.grid.interpolation import InterpolationSpec
 from repro.workload.query import Query, preprocess_query
+
+INTERP = InterpolationSpec()
 
 SPEC = DatasetSpec.small(n_timesteps=4, atoms_per_axis=4)
 MAPPER = AtomMapper(SPEC)
@@ -25,7 +28,7 @@ def make_subqueries(n_positions=50, timestep=0, seed=0, qid=0):
         timestep=timestep,
         positions=rng.uniform(0, SPEC.grid_side, (n_positions, 3)),
     )
-    return preprocess_query(q, MAPPER)
+    return preprocess_query(q, MAPPER, INTERP)
 
 
 def one_atom_clones(n_atoms, qid=0):

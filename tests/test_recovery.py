@@ -12,6 +12,7 @@ mechanism and every refusal path.
 """
 
 import dataclasses
+import io
 import json
 import pickle
 import struct
@@ -241,6 +242,19 @@ def test_version_mismatch_raises(tmp_path):
         Simulator.restore(ckpt_dir)
 
 
+def test_v3_snapshot_refused(tmp_path):
+    """Format 3 sub-queries lack their neighbor keys: never resumed."""
+    assert SNAPSHOT_FORMAT_VERSION == 4
+    trace = small_trace()
+    ckpt_dir = crash_and_leave_artifacts(tmp_path, trace, "jaws2", crash_at=30)
+    latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
+    blob = bytearray(latest.read_bytes())
+    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 3)
+    latest.write_bytes(bytes(blob))
+    with pytest.raises(RecoveryError, match="file has v3, this build reads v4"):
+        Simulator.restore(ckpt_dir)
+
+
 def test_codec_rejects_bad_magic_truncation_and_crc():
     blob = encode_snapshot({"event_index": 0}, {"event_index": 0})
     with pytest.raises(RecoveryError, match="not a JAWS snapshot"):
@@ -450,37 +464,51 @@ def test_restored_trace_objects_are_the_inputs(tmp_path):
     assert_identical(build_sim(trace, "jaws2").run(), sim.run())
 
 
+def _subquery_records(state):
+    """``(query id, atom id, position indices, neighbor keys)`` of every
+    sub-query reachable from an engine-state mapping, sorted."""
+    found = {}
+
+    class Collector(pickle.Pickler):
+        def persistent_id(self, obj):
+            if isinstance(obj, SubQuery):
+                found[id(obj)] = obj
+                return id(obj)
+            return None
+
+    Collector(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+    return sorted(
+        (sq.query.query_id, sq.atom_id, tuple(sq.position_indices.tolist()), sq.neighbor_keys)
+        for sq in found.values()
+    )
+
+
 def test_restored_derived_caches_equal_pre_crash(tmp_path, monkeypatch):
-    """Each query's atom_set and stencil keys come back as they were when
-    the snapshot was taken, finished and unarrived queries included."""
+    """Each query's atom_set, and each live sub-query's stencil neighbor
+    keys, come back as they were when the snapshot was taken; atom sets
+    of finished and unarrived queries included."""
     taken = {}
     encode = checkpoint_module.encode_snapshot
 
     def recording_encode(meta, state, refs=None):
         if "trace" in state and "event_index" in meta:
-            taken[meta["event_index"]] = {
-                q.query_id: (q.atom_set, q._stencil_keys) for q in state["trace"].queries()
-            }
+            taken[meta["event_index"]] = (
+                {q.query_id: q.atom_set for q in state["trace"].queries()},
+                _subquery_records(state),
+            )
         return encode(meta, state, refs)
 
     monkeypatch.setattr(checkpoint_module, "encode_snapshot", recording_encode)
     trace = small_trace()
-    ckpt_dir = crash_and_leave_artifacts(tmp_path, trace, "jaws2", crash_at=150)
+    # The snapshot at event 80 holds sub-queries with neighbor keys.
+    ckpt_dir = crash_and_leave_artifacts(tmp_path, trace, "jaws2", crash_at=90)
     sim = Simulator.restore(ckpt_dir)
-    expected = taken[sim.event_index]
-    assert any(atoms is not None for atoms, _ in expected.values())
-    assert any(keys is not None for _, keys in expected.values())
+    atom_sets, records = taken[sim.event_index]
+    assert any(atoms is not None for atoms in atom_sets.values())
+    assert any(keys for *_, keys in records)
     for q in sim.trace.queries():
-        atoms, keys = expected[q.query_id]
-        assert q.atom_set == atoms
-        if keys is None:
-            assert q._stencil_keys is None
-        else:
-            assert q._stencil_keys[0] == keys[0]
-            if keys[1] is None:
-                assert q._stencil_keys[1] is None
-            else:
-                assert np.array_equal(q._stencil_keys[1], keys[1])
+        assert q.atom_set == atom_sets[q.query_id]
+    assert _subquery_records(checkpoint_module._capture_state(sim)) == records
 
 
 def test_disk_trees_go_by_reference_and_stay_unmodified(tmp_path):

@@ -10,8 +10,11 @@ from repro.core.liferaft import LifeRaftScheduler
 from repro.core.noshare import NoShareScheduler
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
+from repro.grid.interpolation import InterpolationSpec
 from repro.workload.job import Job, JobKind
 from repro.workload.query import Query, preprocess_query
+
+INTERP = InterpolationSpec()
 
 SPEC = DatasetSpec.small(n_timesteps=4, atoms_per_axis=4)
 MAPPER = AtomMapper(SPEC)
@@ -28,7 +31,7 @@ def make_query(qid, positions, timestep=0, job_id=None, seq=0, op="velocity"):
         timestep=timestep,
         positions=np.asarray(positions, dtype=float),
     )
-    return q, preprocess_query(q, MAPPER)
+    return q, preprocess_query(q, MAPPER, INTERP)
 
 
 def atom_center(ax, ay, az):
@@ -273,13 +276,13 @@ class TestJAWSGating:
         s.on_job_submitted(j2, 0.0)
         # First query of job 1 arrives: held awaiting partner.
         q = j1.queries[0]
-        s.on_query_arrival(q, preprocess_query(q, MAPPER), 0.0)
+        s.on_query_arrival(q, preprocess_query(q, MAPPER, INTERP), 0.0)
         assert s.next_batch(0.0) is None
         assert s.has_pending()
         assert s.held_count == 1
         # Partner arrives: both release; one batch carries both.
         p = j2.queries[0]
-        s.on_query_arrival(p, preprocess_query(p, MAPPER), 0.0)
+        s.on_query_arrival(p, preprocess_query(p, MAPPER, INTERP), 0.0)
         batch = s.next_batch(0.0)
         assert batch is not None
         owners = {sq.query.query_id for _, subs in batch.atoms for sq in subs}
@@ -293,7 +296,7 @@ class TestJAWSGating:
         s.on_job_submitted(j1, 0.0)
         s.on_job_submitted(j2, 0.0)
         q = j1.queries[0]
-        s.on_query_arrival(q, preprocess_query(q, MAPPER), 0.0)
+        s.on_query_arrival(q, preprocess_query(q, MAPPER, INTERP), 0.0)
         assert s.next_batch(0.0) is None
         assert s.force_release(0.0)
         assert s.forced_releases >= 1
@@ -308,7 +311,7 @@ class TestJAWSGating:
         s.on_job_submitted(j1, 0.0)
         s.on_job_submitted(j2, 0.0)
         q = j1.queries[0]
-        s.on_query_arrival(q, preprocess_query(q, MAPPER), 0.0)
+        s.on_query_arrival(q, preprocess_query(q, MAPPER, INTERP), 0.0)
         assert s.next_batch(0.0) is None
         # An unrelated query completes; the held query exceeds max lag.
         other, other_subs = make_query(99, [atom_center(3, 3, 3)])

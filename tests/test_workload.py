@@ -5,6 +5,7 @@ import pytest
 
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
+from repro.grid.interpolation import InterpolationSpec
 from repro.workload.generator import WorkloadParams, _timestep_popularity, generate_trace
 from repro.workload.job import Job, JobKind
 from repro.workload.query import Query, preprocess_query
@@ -15,6 +16,8 @@ from repro.workload.stats import (
     workload_summary,
 )
 from repro.workload.trace import Trace
+
+INTERP = InterpolationSpec()
 
 SPEC = DatasetSpec.small(n_timesteps=16, atoms_per_axis=4)
 
@@ -43,7 +46,7 @@ class TestPreprocess:
     def test_subqueries_partition_positions(self):
         rng = np.random.default_rng(0)
         q = Query(0, 0, 0, 0, "velocity", 1, rng.uniform(0, SPEC.grid_side, (200, 3)))
-        subs = preprocess_query(q, AtomMapper(SPEC))
+        subs = preprocess_query(q, AtomMapper(SPEC), INTERP)
         assert sum(sq.n_positions for sq in subs) == 200
         assert q.atom_set == frozenset(sq.atom_id for sq in subs)
         ids = [sq.atom_id for sq in subs]
