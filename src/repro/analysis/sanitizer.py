@@ -18,7 +18,7 @@ Checked invariants (DESIGN.md §7 lists them with their rationale):
     For every arrived, incomplete query, the engine's outstanding
     counter equals the number of its sub-queries physically present in
     the system (workload queues + gating holds + in-flight batches +
-    parked REROUTE events): arrived = pending + in-flight + completed
+    parked REROUTE buckets): arrived = pending + in-flight + completed
     + cancelled, per query.
 ``shed_conservation``
     Every admitted query lands in exactly one bucket at all times:
@@ -189,9 +189,9 @@ class SimulationSanitizer:
         """Count, per query id, every sub-query physically present in
         the system, split into two counters: *queued* (node workload
         queues and gating holds — pruned by ``cancel_query``) and
-        *zombie-capable* (in-flight batches and parked REROUTE events —
-        work a cancellation cannot reach; the engine discards it when
-        the batch completes or the REROUTE fires)."""
+        *zombie-capable* (in-flight batches and every pair of a parked
+        REROUTE bucket — work a cancellation cannot reach; the engine
+        discards it when the batch completes or the REROUTE fires)."""
         queued: Counter = Counter()
         zombie: Counter = Counter()
         sim = self._sim
@@ -204,8 +204,8 @@ class SimulationSanitizer:
                         zombie[sq.query.query_id] += 1
         for event in sim._heap:
             if event.kind is EventKind.REROUTE:
-                sq, _arrival = event.payload
-                zombie[sq.query.query_id] += 1
+                for sq, _arrival in event.payload:
+                    zombie[sq.query.query_id] += 1
         return queued, zombie
 
     def _check_conservation(self) -> None:

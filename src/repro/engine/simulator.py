@@ -48,6 +48,7 @@ crash+resume — stay bit-identical for the same seed.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from pathlib import Path
@@ -300,6 +301,8 @@ class Simulator:
         # Deferral parks work until the next recovery anywhere in the
         # cluster: a shard domain's work may wait on a peer's node.
         self._recovery_times = sorted(up_t for _, _, up_t in crashes)
+        # The open parked bucket: (recovery index, its REROUTE event).
+        self._parked: Optional[tuple[int, Event]] = None
 
         # Crash-consistent checkpointing (DESIGN.md §8).  The manager is
         # deliberately NOT part of snapshot state (_capture_state skips
@@ -368,12 +371,6 @@ class Simulator:
                 return idx, False
         return None, lost_everywhere
 
-    def _next_recovery_after(self, now: float) -> Optional[float]:
-        for t in self._recovery_times:
-            if t > now:
-                return t
-        return None
-
     def _reroute(self, sq: SubQuery, arrival: float, now: float, from_node: Optional[int]) -> None:
         """Find a new home for a sub-query whose node failed it (crash,
         lost atom, or exhausted retries)."""
@@ -401,15 +398,27 @@ class Simulator:
 
     def _defer(self, sq: SubQuery, arrival: float, now: float) -> None:
         """Every owner of the atom is down: park the sub-query until
-        the next scheduled recovery."""
-        next_up = self._next_recovery_after(now)
-        if next_up is None:
+        the next scheduled recovery.
+
+        Parked pairs share one ``REROUTE`` event, a *bucket*, while no
+        other event has been numbered since the bucket's own: the pairs
+        then hold exactly the run of consecutive sequence numbers that
+        one event per pair would have had, so the dispatch order does
+        not change (DESIGN.md §6)."""
+        index = bisect.bisect_right(self._recovery_times, now)
+        if index == len(self._recovery_times):
             raise SimulationError(
                 "no node can serve a sub-query and no recovery is scheduled",
                 **{**self._diagnostics(), "clock": now},
             )
         self._deferred += 1
-        self._push(next_up, EventKind.REROUTE, (sq, arrival))
+        parked = self._parked
+        if parked is not None and parked[0] == index and parked[1].seq == self._seq - 1:
+            parked[1].payload.append((sq, arrival))
+            return
+        ev = self._event(self._recovery_times[index], EventKind.REROUTE, [(sq, arrival)])
+        heapq.heappush(self._heap, ev)
+        self._parked = (index, ev)
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -439,8 +448,7 @@ class Simulator:
         elif kind is EventKind.NODE_UP:
             self._on_node_up(ev.payload, ev.time)
         elif kind is EventKind.REROUTE:
-            sq, arrival = ev.payload
-            self._reroute(sq, arrival, ev.time, from_node=None)
+            self._on_reroute(ev)
         elif kind is EventKind.QUERY_DEADLINE:
             self._on_query_deadline(ev.payload, ev.time)
         elif kind is EventKind.SHARD_MSG:
@@ -630,6 +638,14 @@ class Simulator:
         node = self.nodes[node_idx]
         node.up = True
         node.disk.reset_locality()
+
+    def _on_reroute(self, ev: Event) -> None:
+        """A recovery released a parked bucket: re-route its pairs in
+        the order they were parked."""
+        if self._parked is not None and self._parked[1].seq == ev.seq:
+            self._parked = None  # fired; its pairs must not outlive it
+        for sq, arrival in ev.payload:
+            self._reroute(sq, arrival, ev.time, from_node=None)
 
     def _on_query_deadline(self, query_id: int, now: float) -> None:
         if query_id in self._remaining:

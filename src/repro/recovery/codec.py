@@ -85,7 +85,9 @@ __all__ = [
 #: 3: the trace lives in ``input.ckpt``; snapshots refer to it.
 #: 4: sub-queries carry their stencil overshoot keys; a query's only
 #:    derived cache is ``atom_set``.
-SNAPSHOT_FORMAT_VERSION = 4
+#: 5: a ``REROUTE`` event carries a list of parked ``(sub-query,
+#:    arrival)`` pairs; the engine holds its open bucket in ``_parked``.
+SNAPSHOT_FORMAT_VERSION = 5
 
 SNAPSHOT_MAGIC = b"JAWSCKPT"
 

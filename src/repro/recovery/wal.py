@@ -32,7 +32,7 @@ from typing import IO, List, Optional
 from repro.engine.events import Event, EventKind
 from repro.errors import RecoveryError
 from repro.workload.job import Job
-from repro.workload.query import Query, SubQuery
+from repro.workload.query import Query
 
 __all__ = ["WalRecord", "WalWriter", "event_fingerprint", "format_record", "read_wal"]
 
@@ -77,9 +77,10 @@ def event_fingerprint(ev: Event) -> str:
     elif ev.kind in (EventKind.NODE_DOWN, EventKind.NODE_UP):
         parts = ("node", int(payload))
     elif ev.kind is EventKind.REROUTE:
-        sq, arrival = payload
-        assert isinstance(sq, SubQuery)
-        parts = ("reroute", sq.query.query_id, sq.atom_id, float(arrival).hex())
+        # A parked bucket: every (sub-query, arrival) pair, in order.
+        parts = ("reroute", *(
+            (sq.query.query_id, sq.atom_id, float(arrival).hex()) for sq, arrival in payload
+        ))
     elif ev.kind is EventKind.QUERY_DEADLINE:
         parts = ("deadline", int(payload))
     elif ev.kind is EventKind.OVERLOAD_TICK:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.config import CacheConfig, CostModel, EngineConfig, FaultConfig
+from repro.engine.events import EventKind
 from repro.engine.runner import make_scheduler, run_trace
 from repro.engine.simulator import Simulator
 from repro.grid.dataset import DatasetSpec
@@ -14,6 +15,8 @@ from repro.workload.generator import WorkloadParams, generate_trace
 from repro.workload.job import Job, JobKind
 from repro.workload.query import Query
 from repro.workload.trace import Trace
+
+from tests.test_determinism import assert_identical
 
 SPEC = DatasetSpec.small(n_timesteps=6, atoms_per_axis=4)
 
@@ -238,3 +241,102 @@ class TestHeapBypass:
             assert sim.event_index + len(sim._heap) == sim._seq
             runs[cls] = (sim.dispatched, result.response_times.tolist())
         assert runs[_Recording] == runs[_AlwaysPush]
+
+
+class _Parking(Simulator):
+    """Logs every ``_reroute`` call and every dispatched event, a
+    REROUTE bucket expanded to one entry per pair.  An entry is numbered
+    as the event would have been had every parked pair been numbered as
+    its own event."""
+
+    def __init__(self, *args, **kwargs):
+        self.number, self.joined, self.dispatched, self.reroutes = {}, 0, [], []
+        self.buckets = []
+        super().__init__(*args, **kwargs)
+
+    def _event(self, time_, kind, payload):
+        ev = super()._event(time_, kind, payload)
+        self.number[ev.seq] = ev.seq + self.joined
+        return ev
+
+    def _defer(self, sq, arrival, now):
+        seq = self._seq
+        super()._defer(sq, arrival, now)
+        if self._seq == seq:
+            self.joined += 1  # the pair joined the open bucket
+
+    def _dispatch(self, ev):
+        width = 1
+        if ev.kind is EventKind.REROUTE:
+            width = len(ev.payload)
+            self.buckets.append(ev.time)
+        first = self.number[ev.seq]
+        self.dispatched.extend((ev.time, ev.kind, first + k) for k in range(width))
+        super()._dispatch(ev)
+
+    def _reroute(self, sq, arrival, now, from_node):
+        self.reroutes.append((sq.query.query_id, sq.atom_id, arrival, now))
+        super()._reroute(sq, arrival, now, from_node)
+
+
+class _PerPairParking(_Parking):
+    """Reference engine: one single-pair bucket per parked sub-query."""
+
+    def _defer(self, sq, arrival, now):
+        self._parked = None
+        super()._defer(sq, arrival, now)
+
+
+def _outage_trace():
+    """Two batched jobs submitted at t=40 while node 0 is down (30-60 s).
+    Their queries' 20 s deadlines fall on the recovery instant, so the
+    first query's deadline event is numbered between the two queries'
+    deferrals and the first bucket must close."""
+    corners = np.array([[8.0, 8.0, 8.0], [72.0, 8.0, 8.0], [8.0, 136.0, 200.0]])
+    jobs = [
+        Job(j, JobKind.BATCHED, j, 40.0, 1.0, [
+            Query(query_id=j, job_id=j, seq=0, user_id=j, op="velocity",
+                  timestep=j, positions=corners + 16.0 * j),
+        ])
+        for j in range(2)
+    ]
+    return Trace(SPEC, jobs)
+
+
+class TestParkedBuckets:
+    """Parked sub-queries that share a REROUTE event are dispatched
+    exactly as one event per sub-query would be: same ``_reroute``
+    calls, same counters, same result, and every pair holds the number
+    its own event would have had."""
+
+    @pytest.mark.parametrize(
+        "name, n_nodes, crashes, deadline, source",
+        [
+            ("jaws2", 1, ((0, 30.0, 60.0),), None, "generated"),
+            ("liferaft2", 1, ((0, 30.0, 60.0),), None, "generated"),
+            ("noshare", 1, ((0, 30.0, 60.0),), None, "generated"),
+            ("jaws2", 3, ((0, 20.0, 60.0), (1, 40.0, 80.0), (2, 50.0, 70.0)), None, "generated"),
+            ("jaws2", 1, ((0, 30.0, 60.0),), 20.0, "outage"),
+        ],
+        ids=["jaws2", "liferaft2", "noshare", "three-nodes", "bucket-closes"],
+    )
+    def test_coalesced_equals_per_subquery(self, name, n_nodes, crashes, deadline, source):
+        trace = _outage_trace() if source == "outage" else small_trace(seed=4)
+        faults = FaultConfig(seed=5, transient_fault_rate=0.05, node_crashes=crashes,
+                             query_deadline=deadline)
+        cfg = dataclasses.replace(engine(), faults=faults, sanitize=True)
+        sims = {}
+        for cls in (_Parking, _PerPairParking):
+            scheds = [make_scheduler(name, trace, cfg) for _ in range(n_nodes)]
+            sim = cls(trace, scheds, cfg, node_of=lambda a, n=n_nodes: a % n)
+            sims[cls] = (sim, sim.run())
+        (sim, result), (ref, ref_result) = sims[_Parking], sims[_PerPairParking]
+        assert sim.reroutes == ref.reroutes
+        assert sim.dispatched == ref.dispatched
+        assert sim._deferred == ref._deferred > 0
+        assert_identical(result, ref_result)
+        assert sim.joined > 0 and sim.event_index == ref.event_index - sim.joined
+        assert sim._parked is None  # a fired bucket is let go
+        if n_nodes > 1 or deadline is not None:
+            # Some recovery releases more than one bucket: one closed.
+            assert len(sim.buckets) > len(set(sim.buckets))

@@ -27,10 +27,11 @@ import repro.recovery.checkpoint as checkpoint_module
 from repro.cluster.cluster import run_cluster
 from repro.config import CheckpointConfig, FaultConfig
 from repro.core.base import Batch
+from repro.engine.events import Event, EventKind
 from repro.engine.runner import make_scheduler
 from repro.engine.simulator import Simulator
 from repro.errors import CoordinatorCrash, RecoveryError, SimulationError
-from repro.recovery.checkpoint import INPUT_NAME
+from repro.recovery.checkpoint import INPUT_NAME, CheckpointManager
 from repro.recovery.codec import (
     SNAPSHOT_FORMAT_VERSION,
     SNAPSHOT_MAGIC,
@@ -40,7 +41,7 @@ from repro.recovery.codec import (
     load_state,
     read_container,
 )
-from repro.recovery.wal import WalRecord, format_record, read_wal
+from repro.recovery.wal import WalRecord, event_fingerprint, format_record, read_wal
 from repro.workload.job import Job
 from repro.workload.query import Query, SubQuery
 
@@ -244,14 +245,14 @@ def test_version_mismatch_raises(tmp_path):
 
 def test_v3_snapshot_refused(tmp_path):
     """Format 3 sub-queries lack their neighbor keys: never resumed."""
-    assert SNAPSHOT_FORMAT_VERSION == 4
+    assert SNAPSHOT_FORMAT_VERSION == 5
     trace = small_trace()
     ckpt_dir = crash_and_leave_artifacts(tmp_path, trace, "jaws2", crash_at=30)
     latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
     blob = bytearray(latest.read_bytes())
     struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 3)
     latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v3, this build reads v4"):
+    with pytest.raises(RecoveryError, match="file has v3, this build reads v5"):
         Simulator.restore(ckpt_dir)
 
 
@@ -646,3 +647,127 @@ def test_format_record_matches_json_layout(index, kind, fingerprint, time):
     record = WalRecord(index=index, time_hex=float(time).hex(), kind=kind,
                        fingerprint=fingerprint)
     assert format_record(record) == _json_record_line(record)
+
+
+# ---------------------------------------------------------------------------
+# Format v5: sub-queries parked for one recovery share a REROUTE bucket
+# ---------------------------------------------------------------------------
+OUTAGE = FaultConfig(seed=11, transient_fault_rate=0.05, node_crashes=((0, 30.0, 60.0),))
+
+
+class _BucketLog(Simulator):
+    """Records the index of the event whose handler opened each bucket
+    and ``(index, seq)`` of each bucket that fired."""
+
+    def _defer(self, sq, arrival, now):
+        seq = self._seq
+        super()._defer(sq, arrival, now)
+        if self._seq != seq:
+            self.opened.append(self.event_index)
+
+    def _on_reroute(self, ev):
+        self.fired.append((self.event_index, ev.seq))
+        super()._on_reroute(ev)
+
+
+def outage_sim(trace, cls=Simulator, *, every_events=None, directory=None, crash_at=None):
+    checkpoint = CheckpointConfig()
+    if every_events is not None:
+        checkpoint = CheckpointConfig(directory=str(directory), every_events=every_events)
+    faults = dataclasses.replace(OUTAGE, coordinator_crash_at=crash_at)
+    cfg = engine(faults=faults, checkpoint=checkpoint, sanitize=True)
+    return cls(trace, [make_scheduler("jaws2", trace, cfg)], cfg)
+
+
+@pytest.fixture(scope="module")
+def outage_run():
+    """``(trace, uninterrupted result, index opening the first bucket,
+    index firing it, its seq)`` of a one-node run with a 30-60 s outage."""
+    trace = small_trace()
+    sim = outage_sim(trace, _BucketLog)
+    sim.opened, sim.fired = [], []
+    result = sim.run()
+    fired, seq = sim.fired[0]
+    assert sim.opened[0] + 1 < fired
+    return trace, result, sim.opened[0], fired, seq
+
+
+def _pairs(trace, n=3):
+    query = trace.jobs[0].queries[0]
+    return [
+        (SubQuery(query, atom_id, np.arange(2, dtype=np.int32)), 1.5 * atom_id)
+        for atom_id in range(n)
+    ]
+
+
+def test_reroute_fingerprint_covers_every_pair_in_order():
+    pairs = _pairs(small_trace())
+    bucket = Event(60.0, EventKind.REROUTE, 7, pairs)
+    base = event_fingerprint(bucket)
+    assert event_fingerprint(bucket._replace(payload=list(pairs))) == base
+    swapped = [pairs[1], pairs[0], pairs[2]]
+    moved = [pairs[0], pairs[1], (pairs[2][0], pairs[2][1] + 0.5)]
+    for variant in (swapped, pairs[:-1], pairs[1:], moved):
+        assert event_fingerprint(bucket._replace(payload=variant)) != base
+
+
+@pytest.mark.parametrize("every_events", [1, 5])
+@pytest.mark.parametrize("where", ["opened", "parked", "before-fire", "after-fire"])
+def test_crash_around_a_parked_bucket_resumes_identically(
+    tmp_path, outage_run, where, every_events
+):
+    trace, baseline, opened, fired, seq = outage_run
+    crash_at = {
+        "opened": opened + 1,
+        "parked": (opened + fired) // 2 + 1,
+        "before-fire": fired,
+        "after-fire": fired + 1,
+    }[where]
+    sim = outage_sim(trace, every_events=every_events, directory=tmp_path, crash_at=crash_at)
+    with pytest.raises(CoordinatorCrash):
+        sim.run()
+    if every_events == 1:
+        _meta, state, _manager = CheckpointManager.load_latest(tmp_path)
+        parked = {ev.seq for ev in state["_heap"] if ev.kind is EventKind.REROUTE}
+        assert (seq in parked) == (where != "after-fire")
+        if where == "opened":
+            # The open bucket and its heap event share one pair list.
+            _index, open_bucket = state["_parked"]
+            heap_bucket = next(ev for ev in state["_heap"] if ev.seq == open_bucket.seq)
+            assert open_bucket.payload is heap_bucket.payload
+    assert_identical(baseline, Simulator.restore(tmp_path).run())
+
+
+def test_replayed_bucket_must_match_its_record(tmp_path, outage_run):
+    """The snapshot holds the parked bucket and the WAL logs it firing;
+    a record forged to one pair fewer (valid CRC) is refused on replay."""
+    trace, _baseline, _opened, fired, seq = outage_run
+    sim = outage_sim(trace, every_events=fired, directory=tmp_path, crash_at=fired + 1)
+    with pytest.raises(CoordinatorCrash):
+        sim.run()
+    _meta, state, _manager = CheckpointManager.load_latest(tmp_path)
+    assert state["event_index"] == fired
+    (bucket,) = [ev for ev in state["_heap"] if ev.seq == seq]
+    assert len(bucket.payload) > 1
+    wal = tmp_path / f"wal-{fired:09d}.log"
+    (record,) = read_wal(wal, fired)
+    assert record.kind == EventKind.REROUTE
+    assert record.fingerprint == event_fingerprint(bucket)
+    forged = dataclasses.replace(
+        record, fingerprint=event_fingerprint(bucket._replace(payload=bucket.payload[1:]))
+    )
+    wal.write_text(format_record(forged))
+    resumed = Simulator.restore(tmp_path)
+    with pytest.raises(RecoveryError, match="diverged"):
+        resumed.run()
+
+
+def test_v4_snapshot_refused(tmp_path):
+    """Format 4 REROUTE events carry one bare pair, not a bucket."""
+    ckpt_dir = crash_and_leave_artifacts(tmp_path, small_trace(), "jaws2", crash_at=30)
+    latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
+    blob = bytearray(latest.read_bytes())
+    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 4)
+    latest.write_bytes(bytes(blob))
+    with pytest.raises(RecoveryError, match="file has v4, this build reads v5"):
+        Simulator.restore(ckpt_dir)

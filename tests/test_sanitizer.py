@@ -148,6 +148,23 @@ def test_orphan_subquery_fires():
     assert violation.invariant == "subquery_conservation"
 
 
+def test_dropped_parked_pair_fires():
+    def corrupt(sim):
+        # Lose one live pair out of a bucket parked for the recovery.
+        for event in sim._heap:
+            if event.kind is EventKind.REROUTE:
+                for i, (sq, _arrival) in enumerate(event.payload):
+                    if sq.query.query_id in sim._remaining:
+                        del event.payload[i]
+                        return True
+        return False
+
+    faults = FaultConfig(seed=5, node_crashes=((0, 30.0, 60.0),))
+    violation = run_with_corruption(build_sim(faults=faults), corrupt)
+    assert violation.invariant == "subquery_conservation"
+    assert "mismatches" in str(violation)
+
+
 def test_queue_coherence_violation_fires():
     def corrupt(sim):
         queues = getattr(sim.nodes[0].scheduler, "queues", None)
