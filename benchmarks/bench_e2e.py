@@ -1,46 +1,18 @@
-"""End-to-end per-scheduler benchmarks and hot-path micro-benchmarks.
+"""Hot-path micro-benchmarks: ``WorkloadQueues.remove_query``.
 
-The e2e benches time one full SMALL-scale replay per scheduler — the
-same measurement ``repro bench`` records into ``BENCH_PR5.json`` —
-under pytest-benchmark so regressions show up next to the micro stats.
+The pair demonstrates the inverted per-query index: cancellation cost
+tracks the *cancelled query's* atom count, not the total number of
+active atoms, so the 1k-atom and 16k-atom variants should report the
+same order of magnitude (pre-index, the 16k variant scanned every
+active slot and scaled linearly).
 
-The ``remove_query`` pair demonstrates the inverted per-query index:
-cancellation cost tracks the *cancelled query's* atom count, not the
-total number of active atoms, so the 1k-atom and 16k-atom variants
-should report the same order of magnitude (pre-index, the 16k variant
-scanned every active slot and scaled linearly).
+End-to-end timing lives in one place, ``benchmarks/perf/run.py``.
 """
 
 import numpy as np
-import pytest
-from conftest import run_once
 
 from repro.core.queues import WorkloadQueues
-from repro.engine.runner import SCHEDULER_NAMES, run_trace
-from repro.experiments.bench import run_bench
-from repro.experiments.common import standard_engine, standard_trace
 from repro.workload.query import Query, SubQuery
-
-
-# ---------------------------------------------------------------------------
-# End-to-end: one SMALL replay per scheduler
-# ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def small_setup(scale):
-    return standard_trace(scale), standard_engine()
-
-
-@pytest.mark.parametrize("name", SCHEDULER_NAMES)
-def test_e2e_scheduler(benchmark, small_setup, name):
-    trace, engine = small_setup
-    result = run_once(benchmark, run_trace, trace, name, engine)
-    assert result.n_queries == trace.n_queries
-
-
-def test_e2e_bench_report_quick(benchmark):
-    """The `repro bench --quick` path end to end (all five schedulers)."""
-    report = run_once(benchmark, run_bench, quick=True)
-    assert set(report["schedulers"]) == set(SCHEDULER_NAMES)
 
 
 # ---------------------------------------------------------------------------

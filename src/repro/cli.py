@@ -14,7 +14,6 @@ repro.cli``::
     repro compare --trace trace.npz --jobs 4
     repro overload --trace trace.npz --flash-crowd 10
     repro experiment fig10 --scale small --jobs 4
-    repro bench --quick --out BENCH.json
     repro lint src tests
 """
 
@@ -349,22 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     exp_p.add_argument(
         "--csv", default=None, help="also export the series to a CSV file (fig10/fig11/fig12/table1)"
-    )
-
-    bench_p = sub.add_parser(
-        "bench", help="time the standard runs per scheduler (wall-clock, events/s, RSS)"
-    )
-    bench_p.add_argument(
-        "--quick", action="store_true",
-        help="reduced workload for CI smoke runs (seconds, not minutes)",
-    )
-    bench_p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="merge the report into PATH under its mode key (e.g. BENCH_PR5.json)",
-    )
-    bench_p.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="fail (exit 1) when wall-clock regresses >2x over PATH's same-mode entry",
     )
 
     lint_p = sub.add_parser(
@@ -851,24 +834,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.experiments import bench
-
-    report = bench.run_bench(quick=args.quick)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if args.out:
-        bench.write_report(report, Path(args.out))
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.baseline:
-        failure = bench.check_regression(report, Path(args.baseline))
-        if failure:
-            print(f"benchmark regression: {failure}", file=sys.stderr)
-            return 1
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import lint
 
@@ -969,8 +934,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_compare(args)
     if args.command == "overload":
         return _cmd_overload(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "lint":
         return _cmd_lint(args)
     if args.command == "fuzz":
