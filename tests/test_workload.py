@@ -1,8 +1,11 @@
 """Tests for queries, jobs, the generator and trace serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.experiments.common import ExperimentScale, standard_params, standard_spec
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
 from repro.grid.interpolation import InterpolationSpec
@@ -206,3 +209,34 @@ class TestStats:
         est = estimate_job_durations(trace, exec_time_estimate=1.0)
         for job in trace.jobs:
             assert est[job.job_id] >= job.n_queries * 1.0
+
+
+def _trace_sha(trace: Trace) -> str:
+    """SHA-256 over every generated field of ``trace``, positions as bytes."""
+    h = hashlib.sha256()
+    for job in trace.jobs:
+        h.update(
+            f"{job.job_id}|{job.kind.value}|{job.user_id}|"
+            f"{float(job.submit_time).hex()}|{float(job.think_time).hex()}\n".encode()
+        )
+        for q in job.queries:
+            h.update(f"{q.query_id}|{q.op}|{q.timestep}|{q.positions.shape}\n".encode())
+            h.update(np.ascontiguousarray(q.positions, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+#: SHA-256 of the calibrated SMALL and FULL traces (``standard_spec()``,
+#: ``standard_params(scale, 7)``).  Any change to the generator's RNG
+#: order, the field or the advection shows here.
+CALIBRATED_TRACE_SHA = {
+    ExperimentScale.SMALL: "1f221f5a194c6e927e3f00f19578c947712ae03e9077c0611d01b2e5595135eb",
+    ExperimentScale.FULL: "fa04502de5d9818a007f50aaa1d75155b65ba8fa2d70ab83f1547f06b162ff20",
+}
+
+
+def test_calibrated_trace_golden():
+    got = {
+        scale: _trace_sha(generate_trace(standard_spec(), standard_params(scale, 7)))
+        for scale in CALIBRATED_TRACE_SHA
+    }
+    assert got == CALIBRATED_TRACE_SHA
