@@ -115,9 +115,11 @@ class SyntheticTurbulence:
         pos = np.asarray(positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must have shape (N, 3)")
-        # phase: (N, M) — one matmul, then a single cos and matmul back.
-        phase = pos @ self._k.T + (self._omega * t + self._phi)[None, :]
-        return np.cos(phase) @ self._a
+        # phase: (N, M) — one matmul, then cos in place and matmul back.
+        phase = pos @ self._k.T
+        phase += self._omega * t + self._phi
+        np.cos(phase, out=phase)
+        return phase @ self._a
 
     def rms_velocity(self, n_samples: int = 4096, seed: int = 1) -> float:
         """Monte-Carlo estimate of the field's RMS speed (diagnostics)."""

@@ -8,8 +8,8 @@ adjacent on disk, which is what makes Morton-ordered batch execution
 sequential.
 
 This is a real, self-contained B+-tree (insert, point lookup, ordered
-range scan) rather than a dict — the disk model uses the *leaf
-position* of a key as its physical address to decide whether a read is
+range scan) rather than a dict — the disk model uses the block address
+stored with a key as its physical address to decide whether a read is
 sequential.
 """
 

@@ -18,10 +18,18 @@ characterization of §VI-A:
   gated execution exploits.
 
 All randomness flows from a single seed; traces are deterministic.
+
+Generation runs in two passes.  The draw pass makes every RNG call in
+one serial order; the advect pass then fills in the tracking jobs'
+particle positions, which are pure functions of each job's initial
+cloud, on every CPU the process may run on (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +165,8 @@ class _TraceBuilder:
         self.next_query_id = 0
         self.next_job_id = 0
         self.jobs: list[Job] = []
+        # Tracking jobs' query lists whose positions are still to advect.
+        self.chains: list[list[Query]] = []
 
     # -- helpers ----------------------------------------------------------
     def _new_query_id(self) -> int:
@@ -203,25 +213,23 @@ class _TraceBuilder:
         length = int(np.clip(length, 1, max_len))
 
         job_id = self._new_job_id()
-        positions = self._hotspot_positions(self._n_particles(), hotspot)
-        queries = []
-        for i in range(length):
-            timestep = t0 + i
-            queries.append(
-                Query(
-                    query_id=self._new_query_id(),
-                    job_id=job_id,
-                    seq=i,
-                    user_id=user_id,
-                    op="interp",
-                    timestep=timestep,
-                    positions=positions.copy(),
-                )
+        cloud = self._hotspot_positions(self._n_particles(), hotspot)
+        # Every query starts on the initial cloud; the advect pass
+        # replaces the positions of all but the first.
+        queries = [
+            Query(
+                query_id=self._new_query_id(),
+                job_id=job_id,
+                seq=i,
+                user_id=user_id,
+                op="interp",
+                timestep=t0 + i,
+                positions=cloud,
             )
-            if i + 1 < length:  # the last query's successor is never read
-                positions = advect_positions(
-                    self.field, positions, t=timestep * self.spec.dt, dt=self.spec.dt
-                )
+            for i in range(length)
+        ]
+        if length > 1:
+            self.chains.append(queries)
         think = self.rng.exponential(p.think_time_mean)
         return Job(job_id, JobKind.ORDERED, user_id, submit_time, think, queries)
 
@@ -302,8 +310,72 @@ class _TraceBuilder:
                 self.jobs.append(self.batched_job(user_id, float(submit_time)))
             else:
                 self.jobs.append(self.oneoff_job(user_id, float(submit_time)))
+        _advect_chains(self.field, self.spec.dt, self.chains)
         self.jobs.sort(key=lambda j: j.submit_time)
         return Trace(self.spec, self.jobs)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the advect pass's thread budget."""
+    return len(os.sched_getaffinity(0))
+
+
+def _advect_chain(field: SyntheticTurbulence, dt: float, queries: list[Query]) -> None:
+    """Advect the first query's cloud one stored time step per query.
+
+    Query ``i + 1`` gets the positions query ``i``'s particles reach
+    after one RK2 step from its time step: a pure function of the
+    initial cloud, the time steps and the field.
+    """
+    positions = queries[0].positions
+    for prev, query in zip(queries, queries[1:]):
+        positions = advect_positions(field, positions, t=prev.timestep * dt, dt=dt)
+        query.positions = positions
+
+
+def _advect_chains(field: SyntheticTurbulence, dt: float, chains: list[list[Query]]) -> None:
+    """The advect pass: every chain, on the caller plus one helper per extra CPU.
+
+    Chains are pulled from a shared queue, largest first, so the last
+    one to finish is short.  Each chain writes only its own queries, so
+    the result is the same whichever thread advects it.  NumPy releases
+    the GIL inside ``cos`` and ``matmul``, which is where the time goes.
+    Every helper is joined before this returns; with one CPU or one
+    chain the caller does all the work and no thread starts.
+    """
+    # deque.popleft is atomic, so the threads share the queue lock-free.
+    todo = deque(sorted(chains, key=lambda qs: len(qs) * qs[0].n_positions, reverse=True))
+    errors: list[BaseException] = []
+
+    def drain() -> None:
+        while True:
+            try:
+                queries = todo.popleft()
+            except IndexError:
+                return
+            _advect_chain(field, dt, queries)
+
+    def helper() -> None:
+        try:
+            drain()
+        except BaseException as exc:  # re-raised on the calling thread
+            todo.clear()
+            errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=helper, name=f"advect-{i}")
+        for i in range(1, min(_cpu_count(), len(todo)))
+    ]
+    for thread in helpers:
+        thread.start()
+    try:
+        drain()
+    finally:
+        todo.clear()  # after a failure, helpers stop at their current chain
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def generate_trace(spec: DatasetSpec, params: WorkloadParams) -> Trace:

@@ -1,6 +1,7 @@
 """Tests for queries, jobs, the generator and trace serialization."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from repro.experiments.common import ExperimentScale, standard_params, standard_
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
 from repro.grid.interpolation import InterpolationSpec
+from repro.workload import generator
 from repro.workload.generator import WorkloadParams, _timestep_popularity, generate_trace
 from repro.workload.job import Job, JobKind
 from repro.workload.query import Query, preprocess_query
@@ -240,3 +242,68 @@ def test_calibrated_trace_golden():
         for scale in CALIBRATED_TRACE_SHA
     }
     assert got == CALIBRATED_TRACE_SHA
+
+
+
+class TestAdvectPass:
+    """The advect pass gives the same trace whatever the worker count."""
+
+    #: name -> (params, tracking chains to advect).
+    CASES = {
+        "no-tracking": (WorkloadParams(n_jobs=20, span=300.0, frac_tracking=0.0, seed=2), 0),
+        "one-tracking": (
+            WorkloadParams(
+                n_jobs=1, span=10.0, frac_tracking=1.0, frac_batched=0.0,
+                campaign_prob=0.0, long_job_frac=1.0, seed=5,
+            ),
+            1,
+        ),
+        "campaign": (
+            WorkloadParams(
+                n_jobs=1, span=60.0, frac_tracking=1.0, frac_batched=0.0,
+                campaign_prob=1.0, long_job_frac=1.0, seed=2,
+            ),
+            4,
+        ),
+    }
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Every thread the generator starts, in start order."""
+        started: list[threading.Thread] = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(generator.threading, "Thread", Spy)
+        return started
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_worker_count_identity(self, case, started, monkeypatch):
+        params, n_chains = self.CASES[case]
+        shas = set()
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(generator, "_cpu_count", lambda w=workers: w)
+            before = len(started)
+            trace = generate_trace(SPEC, params)
+            chains = [j for j in trace.jobs if j.client_class == "tracking"]
+            assert len(chains) == n_chains
+            # The caller takes one chain; each extra worker with a chain
+            # left is a helper thread, joined before generate_trace returns.
+            assert len(started) - before == max(0, min(workers, n_chains) - 1)
+            assert not any(t.is_alive() for t in started)
+            shas.add(_trace_sha(trace))
+        assert len(shas) == 1
+
+    def test_advect_error_propagates(self, started, monkeypatch):
+        def fail(field, dt, queries):
+            raise RuntimeError("advect failed")
+
+        monkeypatch.setattr(generator, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(generator, "_advect_chain", fail)
+        with pytest.raises(RuntimeError, match="advect failed"):
+            generate_trace(SPEC, self.CASES["campaign"][0])
+        assert len(started) == 3
+        assert not any(t.is_alive() for t in started)
