@@ -244,7 +244,6 @@ def test_calibrated_trace_golden():
     assert got == CALIBRATED_TRACE_SHA
 
 
-
 class TestAdvectPass:
     """The advect pass gives the same trace whatever the worker count."""
 
