@@ -22,7 +22,7 @@ All randomness flows from a single seed; traces are deterministic.
 Generation runs in two passes.  The draw pass makes every RNG call in
 one serial order; the advect pass then fills in the tracking jobs'
 particle positions, which are pure functions of each job's initial
-cloud, on every CPU the process may run on (DESIGN.md §7).
+cloud, on the calling thread and at most one helper thread (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -315,9 +315,24 @@ class _TraceBuilder:
         return Trace(self.spec, self.jobs)
 
 
+#: Most threads the advect pass uses: the caller plus one helper.  Each
+#: helper adds about 0.3 MiB of peak RSS (its BLAS buffer and malloc
+#: arena), two is the only count that has been measured, and SMALL's
+#: pass is already bound by its longest chain at two.  Raise it only
+#: with RSS and ``setup_s`` measured on a host with more CPUs.
+_MAX_WORKERS = 2
+
+
 def _cpu_count() -> int:
-    """CPUs this process may run on: the advect pass's thread budget."""
-    return len(os.sched_getaffinity(0))
+    """CPUs this process may run on.
+
+    ``os.sched_getaffinity`` exists only on some platforms (not macOS or
+    Windows); elsewhere this falls back to ``os.cpu_count()``.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None:
+        return os.cpu_count() or 1
+    return len(affinity(0))
 
 
 def _advect_chain(field: SyntheticTurbulence, dt: float, queries: list[Query]) -> None:
@@ -334,7 +349,7 @@ def _advect_chain(field: SyntheticTurbulence, dt: float, queries: list[Query]) -
 
 
 def _advect_chains(field: SyntheticTurbulence, dt: float, chains: list[list[Query]]) -> None:
-    """The advect pass: every chain, on the caller plus one helper per extra CPU.
+    """The advect pass: every chain, on the caller plus up to one helper.
 
     Chains are pulled from a shared queue, largest first, so the last
     one to finish is short.  Each chain writes only its own queries, so
@@ -364,7 +379,7 @@ def _advect_chains(field: SyntheticTurbulence, dt: float, chains: list[list[Quer
 
     helpers = [
         threading.Thread(target=helper, name=f"advect-{i}")
-        for i in range(1, min(_cpu_count(), len(todo)))
+        for i in range(1, min(_MAX_WORKERS, len(todo), _cpu_count()))
     ]
     for thread in helpers:
         thread.start()

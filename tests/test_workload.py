@@ -282,6 +282,7 @@ class TestAdvectPass:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_worker_count_identity(self, case, started, monkeypatch):
         params, n_chains = self.CASES[case]
+        monkeypatch.setattr(generator, "_MAX_WORKERS", 4)  # lift the cap
         shas = set()
         for workers in (1, 2, 4):
             monkeypatch.setattr(generator, "_cpu_count", lambda w=workers: w)
@@ -300,9 +301,26 @@ class TestAdvectPass:
         def fail(field, dt, queries):
             raise RuntimeError("advect failed")
 
+        monkeypatch.setattr(generator, "_MAX_WORKERS", 4)
         monkeypatch.setattr(generator, "_cpu_count", lambda: 4)
         monkeypatch.setattr(generator, "_advect_chain", fail)
         with pytest.raises(RuntimeError, match="advect failed"):
             generate_trace(SPEC, self.CASES["campaign"][0])
         assert len(started) == 3
         assert not any(t.is_alive() for t in started)
+
+    def test_helpers_capped(self, started, monkeypatch):
+        monkeypatch.setattr(generator, "_cpu_count", lambda: 16)
+        generate_trace(SPEC, self.CASES["campaign"][0])
+        assert len(started) == generator._MAX_WORKERS - 1 == 1
+        assert not any(t.is_alive() for t in started)
+
+    def test_without_sched_getaffinity(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity.
+        monkeypatch.delattr(generator.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(generator.os, "cpu_count", lambda: 2)
+        assert generator._cpu_count() == 2
+        monkeypatch.setattr(generator.os, "cpu_count", lambda: None)
+        assert generator._cpu_count() == 1
+        trace = generate_trace(standard_spec(), standard_params(ExperimentScale.SMALL, 7))
+        assert _trace_sha(trace) == CALIBRATED_TRACE_SHA[ExperimentScale.SMALL]
