@@ -35,7 +35,7 @@ def _loaded_queues(n_background_atoms):
             timestep=0,
             positions=np.zeros((1, 3)),
         )
-        queues.add(SubQuery(q, atom_id=atom, position_indices=np.array([0])), now=0.0)
+        queues.add(SubQuery(q, atom_id=atom, n_positions=1), now=0.0)
     return queues
 
 
@@ -54,7 +54,7 @@ def _remove_query_bench(benchmark, n_background_atoms):
     def setup():
         for i in range(TARGET_ATOMS):
             queues.add(
-                SubQuery(target, atom_id=i, position_indices=np.array([i])), now=1.0
+                SubQuery(target, atom_id=i, n_positions=1), now=1.0
             )
         return (), {}
 

@@ -129,16 +129,13 @@ def _add_overload_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _overload_config(args: argparse.Namespace) -> OverloadConfig:
-    try:
-        return OverloadConfig(
-            enabled=True,
-            max_queue_depth=args.max_queue_depth,
-            client_rate=args.client_rate,
-            client_burst=args.client_burst,
-            shed_policy=args.shed_policy,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"invalid overload configuration: {exc}") from None
+    return OverloadConfig(
+        enabled=True,
+        max_queue_depth=args.max_queue_depth,
+        client_rate=args.client_rate,
+        client_burst=args.client_burst,
+        shed_policy=args.shed_policy,
+    )
 
 
 def _fault_config(args: argparse.Namespace) -> Optional[FaultConfig]:
@@ -151,18 +148,15 @@ def _fault_config(args: argparse.Namespace) -> Optional[FaultConfig]:
             crashes.append((int(parts[0]), float(parts[1]), float(parts[2])))
         except ValueError:
             raise SystemExit(f"--crash expects NODE:DOWN:UP, got {spec!r}") from None
-    try:
-        faults = FaultConfig(
-            seed=args.fault_seed,
-            transient_fault_rate=args.disk_fault_rate,
-            permanent_loss_rate=args.loss_rate,
-            query_deadline=args.deadline,
-            replication=args.replication,
-            node_crashes=tuple(crashes),
-            coordinator_crash_at=args.crash_at_event,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"invalid fault configuration: {exc}") from None
+    faults = FaultConfig(
+        seed=args.fault_seed,
+        transient_fault_rate=args.disk_fault_rate,
+        permanent_loss_rate=args.loss_rate,
+        query_deadline=args.deadline,
+        replication=args.replication,
+        node_crashes=tuple(crashes),
+        coordinator_crash_at=args.crash_at_event,
+    )
     if args.replication > max(args.nodes, 1):
         raise SystemExit(
             f"--replication {args.replication} needs at least that many nodes "
@@ -194,16 +188,13 @@ def _shard_config(args: argparse.Namespace) -> Optional[ShardConfig]:
     barrier_every = None
     if checkpoint_dir is not None:
         barrier_every = getattr(args, "checkpoint_every_events", None) or 500
-    try:
-        return ShardConfig(
-            n_shards=n_shards,
-            crashes=tuple(crashes),
-            checkpoint_dir=checkpoint_dir,
-            barrier_every_events=barrier_every,
-            halt_after_barrier=halt,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"invalid shard configuration: {exc}") from None
+    return ShardConfig(
+        n_shards=n_shards,
+        crashes=tuple(crashes),
+        checkpoint_dir=checkpoint_dir,
+        barrier_every_events=barrier_every,
+        halt_after_barrier=halt,
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -479,14 +470,11 @@ def _run_engine(args: argparse.Namespace) -> EngineConfig:
         every_events = args.checkpoint_every_events
         if every_events is None and args.checkpoint_every_seconds is None:
             every_events = 500  # a directory alone implies a sane default policy
-        try:
-            checkpoint = CheckpointConfig(
-                directory=args.checkpoint_dir,
-                every_events=every_events,
-                every_seconds=args.checkpoint_every_seconds,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"invalid checkpoint configuration: {exc}") from None
+        checkpoint = CheckpointConfig(
+            directory=args.checkpoint_dir,
+            every_events=every_events,
+            every_seconds=args.checkpoint_every_seconds,
+        )
         engine = dataclasses.replace(engine, checkpoint=checkpoint)
     return engine
 

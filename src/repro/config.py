@@ -62,11 +62,11 @@ class CostModel:
 
     def __post_init__(self) -> None:
         if self.t_b <= 0 or self.t_m <= 0:
-            raise ValueError("t_b and t_m must be positive")
+            raise ConfigurationError("t_b and t_m must be positive")
         if not 0.0 < self.seq_discount <= 1.0:
-            raise ValueError("seq_discount must be in (0, 1]")
+            raise ConfigurationError("seq_discount must be in (0, 1]")
         if self.t_overhead < 0:
-            raise ValueError("t_overhead must be non-negative")
+            raise ConfigurationError("t_overhead must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,11 @@ class CacheConfig:
 
     def __post_init__(self) -> None:
         if self.capacity_atoms < 1:
-            raise ValueError("capacity_atoms must be >= 1")
+            raise ConfigurationError("capacity_atoms must be >= 1")
         if not 0.0 < self.protected_fraction < 1.0:
-            raise ValueError("protected_fraction must be in (0, 1)")
+            raise ConfigurationError("protected_fraction must be in (0, 1)")
         if self.lruk_k < 1:
-            raise ValueError("lruk_k must be >= 1")
+            raise ConfigurationError("lruk_k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class MetricConfig:
 
     def __post_init__(self) -> None:
         if self.age_units <= 0:
-            raise ValueError("age_units must be positive")
+            raise ConfigurationError("age_units must be positive")
 
 
 @dataclass(frozen=True)
@@ -166,13 +166,13 @@ class SchedulerConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
+            raise ConfigurationError("alpha must be in [0, 1]")
         if self.run_length < 1:
-            raise ValueError("run_length must be >= 1")
+            raise ConfigurationError("run_length must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigurationError("batch_size must be >= 1")
         if self.gating_max_lag is not None and self.gating_max_lag < 1:
-            raise ValueError("gating_max_lag must be >= 1 or None")
+            raise ConfigurationError("gating_max_lag must be >= 1 or None")
 
     def with_(self, **kwargs: Any) -> "SchedulerConfig":
         """Return a copy with the given fields replaced."""
@@ -274,32 +274,32 @@ class FaultConfig:
         for name in ("transient_fault_rate", "permanent_loss_rate", "slow_read_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+                raise ConfigurationError(f"{name} must be in [0, 1]")
         if self.slow_read_factor < 1.0 or self.degraded_factor < 1.0:
-            raise ValueError("slow_read_factor and degraded_factor must be >= 1")
+            raise ConfigurationError("slow_read_factor and degraded_factor must be >= 1")
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise ConfigurationError("max_retries must be >= 0")
         if self.backoff_base < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff_base must be >= 0 and backoff_factor >= 1")
+            raise ConfigurationError("backoff_base must be >= 0 and backoff_factor >= 1")
         if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError("backoff_jitter must be in [0, 1]")
+            raise ConfigurationError("backoff_jitter must be in [0, 1]")
         if self.retry_budget_per_node is not None and self.retry_budget_per_node < 0:
-            raise ValueError("retry_budget_per_node must be >= 0 or None")
+            raise ConfigurationError("retry_budget_per_node must be >= 0 or None")
         if self.circuit_breaker_threshold < 1:
-            raise ValueError("circuit_breaker_threshold must be >= 1")
+            raise ConfigurationError("circuit_breaker_threshold must be >= 1")
         if self.query_deadline is not None and self.query_deadline <= 0:
-            raise ValueError("query_deadline must be positive or None")
+            raise ConfigurationError("query_deadline must be positive or None")
         if self.replication < 1:
-            raise ValueError("replication must be >= 1")
+            raise ConfigurationError("replication must be >= 1")
         if self.coordinator_crash_at is not None and self.coordinator_crash_at < 0:
-            raise ValueError("coordinator_crash_at must be >= 0 or None")
+            raise ConfigurationError("coordinator_crash_at must be >= 0 or None")
         if self.coordinator_crash_window is not None:
             window = tuple(self.coordinator_crash_window)
             if len(window) != 2:
-                raise ValueError("coordinator_crash_window must be (lo, hi)")
+                raise ConfigurationError("coordinator_crash_window must be (lo, hi)")
             lo, hi = window
             if int(lo) != lo or int(hi) != hi or not 0 <= lo < hi:
-                raise ValueError(
+                raise ConfigurationError(
                     "coordinator_crash_window must satisfy 0 <= lo < hi (integers)"
                 )
             object.__setattr__(self, "coordinator_crash_window", (int(lo), int(hi)))
@@ -307,12 +307,12 @@ class FaultConfig:
         crashes = tuple(tuple(c) for c in self.node_crashes)
         for crash in crashes:
             if len(crash) != 3:
-                raise ValueError("node_crashes entries must be (node, down_time, up_time)")
+                raise ConfigurationError("node_crashes entries must be (node, down_time, up_time)")
             node, down, up = crash
             if int(node) < 0 or int(node) != node:
-                raise ValueError("crash node index must be a non-negative integer")
+                raise ConfigurationError("crash node index must be a non-negative integer")
             if not 0 <= down < up:
-                raise ValueError("crash times must satisfy 0 <= down_time < up_time")
+                raise ConfigurationError("crash times must satisfy 0 <= down_time < up_time")
         object.__setattr__(self, "node_crashes", crashes)
 
     @property
@@ -371,13 +371,13 @@ class CheckpointConfig:
 
     def __post_init__(self) -> None:
         if self.every_events is not None and self.every_events < 1:
-            raise ValueError("every_events must be >= 1 or None")
+            raise ConfigurationError("every_events must be >= 1 or None")
         if self.every_seconds is not None and self.every_seconds <= 0:
-            raise ValueError("every_seconds must be positive or None")
+            raise ConfigurationError("every_seconds must be positive or None")
         if self.keep < 1:
-            raise ValueError("keep must be >= 1")
+            raise ConfigurationError("keep must be >= 1")
         if self.directory is not None and self.every_events is None and self.every_seconds is None:
-            raise ValueError(
+            raise ConfigurationError(
                 "checkpointing needs a policy: set every_events and/or every_seconds"
             )
 
@@ -729,11 +729,11 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         if self.interpolation_order < 2 or self.interpolation_order % 2:
-            raise ValueError("interpolation_order must be an even integer >= 2")
+            raise ConfigurationError("interpolation_order must be an even integer >= 2")
         if self.run_length < 1:
-            raise ValueError("run_length must be >= 1")
+            raise ConfigurationError("run_length must be >= 1")
         if self.max_sim_time <= 0:
-            raise ValueError("max_sim_time must be positive")
+            raise ConfigurationError("max_sim_time must be positive")
 
     def with_(self, **kwargs: Any) -> "EngineConfig":
         """Return a copy with the given fields replaced."""

@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from repro.workload.job import Job
+from repro.workload.job import Job, JobAtomSets
 from repro.workload.query import Query, SubQuery
 
 __all__ = ["Batch", "RunObservation", "Scheduler"]
@@ -74,8 +74,10 @@ class Scheduler(ABC):
     #: human-readable name used in experiment tables
     name: str = "scheduler"
 
-    def on_job_submitted(self, job: Job, now: float) -> None:
-        """A job is entering the system (before its queries arrive)."""
+    def on_job_submitted(self, job: Job, now: float, atom_sets: JobAtomSets) -> None:
+        """A job is entering the system (before its queries arrive).
+        ``atom_sets()`` gives ``A(q)`` of each of its queries, computed
+        once for every node that asks."""
 
     @abstractmethod
     def on_query_arrival(self, query: Query, subqueries: list[SubQuery], now: float) -> None:

@@ -33,7 +33,7 @@ from repro.core.contention import ContentionSchedulerBase
 from repro.core.merge import GatingManager
 from repro.core.two_level import select_two_level
 from repro.grid.dataset import DatasetSpec
-from repro.workload.job import Job
+from repro.workload.job import Job, JobAtomSets
 from repro.workload.query import Query, SubQuery
 
 __all__ = ["JAWSScheduler"]
@@ -71,12 +71,11 @@ class JAWSScheduler(ContentionSchedulerBase):
     # ------------------------------------------------------------------
     # Job awareness
     # ------------------------------------------------------------------
-    def on_job_submitted(self, job: Job, now: float) -> None:
+    def on_job_submitted(self, job: Job, now: float, atom_sets: JobAtomSets) -> None:
         if self._gating is None or not job.is_ordered or job.n_queries < 2:
             return
         t0 = time.perf_counter_ns()  # jawslint: disable=D001
-        atom_sets = [q.atoms(self.spec) for q in job.queries]
-        self._gating.add_job(job.job_id, [q.query_id for q in job.queries], atom_sets)
+        self._gating.add_job(job.job_id, [q.query_id for q in job.queries], atom_sets())
         self.gating_overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
 
     def on_query_arrival(self, query: Query, subqueries: list[SubQuery], now: float) -> None:

@@ -245,7 +245,7 @@ class WorkloadQueues:
             self._next_seq += n - n0
             self._n = n
         r = np.array(rows, dtype=np.intp)
-        positions = np.array([len(sq.position_indices) for sq in subqueries], dtype=np.int64)
+        positions = np.array([sq.n_positions for sq in subqueries], dtype=np.int64)
         # add.at accumulates repeated rows the way sequential add would.
         np.add.at(self._counts, r, positions)
         oldest = self._oldest[r]

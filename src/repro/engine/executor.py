@@ -156,7 +156,7 @@ class BatchExecutor:
                         stats.neighbor_reads += 1
                         if not access(required, now):
                             duration += read(required)
-                n_positions = len(sq.position_indices)
+                n_positions = sq.n_positions
                 duration += t_m * n_positions
                 stats.positions += n_positions
         stats.batches += 1

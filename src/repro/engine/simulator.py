@@ -78,7 +78,7 @@ from repro.grid.interpolation import InterpolationSpec
 from repro.overload import OverloadManager, PendingWork, estimate_service
 from repro.storage.buffer import BufferCache
 from repro.storage.disk import DiskModel
-from repro.workload.job import Job
+from repro.workload.job import Job, JobAtomSets
 from repro.workload.query import Query, SubQuery, preprocess_query
 from repro.workload.trace import Trace
 
@@ -474,13 +474,16 @@ class Simulator:
             if self.overload.admit_job(job, self._global_depth(), now) is not None:
                 return
         self._job_left[job.job_id] = job.n_queries
-        for node in self.nodes:
-            node.scheduler.on_job_submitted(job, now)
+        self._announce_job(job, JobAtomSets(job, self.spec), now)
         if job.is_ordered:
             self._push(now, EventKind.QUERY_ARRIVAL, job.queries[0])
         else:
             for q in job.queries:
                 self._push(now, EventKind.QUERY_ARRIVAL, q)
+
+    def _announce_job(self, job: Job, atom_sets: JobAtomSets, now: float) -> None:
+        for node in self.nodes:
+            node.scheduler.on_job_submitted(job, now, atom_sets)
 
     def _on_query_arrival(self, query: Query, now: float) -> None:
         qid = query.query_id

@@ -92,18 +92,3 @@ class AtomMapper:
         starts = np.flatnonzero(np.diff(sorted_ids)) + 1
         bounds = [0, *starts.tolist(), len(ids)]
         return order, bounds, sorted_ids[bounds[:-1]].tolist()
-
-    def group_by_atom(
-        self, positions: np.ndarray, timestep: int
-    ) -> list[tuple[int, np.ndarray]]:
-        """Group positions into per-atom sub-query fragments.
-
-        Returns ``[(atom_id, position_indices), ...]`` sorted by Morton
-        code (equivalently atom id, since all share one time step), as
-        the pre-processor requires: points are "sorted and evaluated in
-        Morton order so that each atom is read only once" (§III-A).
-        ``position_indices`` index into the input array; each is a slice
-        view of one stable argsort.
-        """
-        order, bounds, atoms = self.sort_by_atom(positions, timestep)
-        return [(a, order[s:e]) for a, s, e in zip(atoms, bounds, bounds[1:])]

@@ -30,15 +30,14 @@ same container, payload ``{"trace": trace, "trees": [...]}``), and a
 snapshot pickled with :class:`InputRefs` stores the input's own
 :class:`Trace`, :class:`Job`, :class:`Query` and :class:`BPlusTree`
 objects as references (kind + id or index) resolved against the loaded
-input by :meth:`_StateUnpickler.find_class`.  Only each query's derived
-cache (``atom_set``) travels by value, applied through a
-``state_setter``.  An object that merely shares an id with an
-input object is pickled by value.
+input by :meth:`_StateUnpickler.find_class`.  A reference is all there
+is: a query stores nothing derived from it.  An object that merely
+shares an id with an input object is pickled by value.
 
-**Compact records.**  :class:`SubQuery` pickles as ``(query, atom_id,
-dtype, index bytes, neighbor keys)`` and a ``deque`` (the LRU-K access
-histories) as ``(items, maxlen)``, instead of through the generic
-dataclass, ndarray and deque reducers — the engine holds thousands of
+**Compact records.**  :class:`SubQuery` pickles as its four fields
+``(query, atom_id, n_positions, neighbor_keys)`` and a ``deque`` (the
+LRU-K access histories) as ``(items, maxlen)``, instead of through the
+generic dataclass and deque reducers — the engine holds thousands of
 each.
 :class:`~repro.engine.events.Event` is a ``NamedTuple`` and already
 pickles as its positional fields.
@@ -61,8 +60,6 @@ import struct
 import zlib
 from collections import deque
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import RecoveryError
 from repro.storage.btree import BPlusTree
@@ -87,7 +84,9 @@ __all__ = [
 #:    derived cache is ``atom_set``.
 #: 5: a ``REROUTE`` event carries a list of parked ``(sub-query,
 #:    arrival)`` pairs; the engine holds its open bucket in ``_parked``.
-SNAPSHOT_FORMAT_VERSION = 5
+#: 6: a sub-query carries its position count, not an index array; a
+#:    query (and the trace) is a pure reference, with no derived cache.
+SNAPSHOT_FORMAT_VERSION = 6
 
 SNAPSHOT_MAGIC = b"JAWSCKPT"
 
@@ -100,16 +99,8 @@ _PROTOCOL = pickle.HIGHEST_PROTOCOL
 # ----------------------------------------------------------------------
 # Reducers
 # ----------------------------------------------------------------------
-def _subquery(
-    query: Query, atom_id: int, dtype: np.dtype, raw: bytes, keys: tuple[int, ...]
-) -> SubQuery:
-    return SubQuery(query, atom_id, np.frombuffer(raw, dtype=dtype), keys)
-
-
 def _reduce_subquery(sq: SubQuery) -> tuple:
-    # The dtype object, not its name: one shared instance, pickled once.
-    idx = sq.position_indices
-    return _subquery, (sq.query, sq.atom_id, idx.dtype, idx.tobytes(), sq.neighbor_keys)
+    return SubQuery, (sq.query, sq.atom_id, sq.n_positions, sq.neighbor_keys)
 
 
 def _reduce_deque(d: deque) -> tuple:
@@ -133,25 +124,11 @@ def _input_ref(kind: str, key: Optional[int]) -> Any:
     raise RecoveryError("snapshot refers to a checkpoint input that was not loaded")
 
 
-def _set_query_cache(query: Query, cache: tuple[Optional[frozenset[int]]]) -> None:
-    # A 1-tuple, never None: pickle skips the setter for a None state.
-    (query.atom_set,) = cache
-
-
-def _set_trace_caches(trace: Trace, caches: list) -> None:
-    for query, atom_set in zip(trace.queries(), caches, strict=True):
-        query.atom_set = atom_set
-
-
 class InputRefs:
     """The checkpoint input, whose objects snapshots refer to: the trace
     and the nodes' disk B+-trees, none of which a run modifies (a tree
     is bulk-built by :meth:`BPlusTree.build_clustered` and then only
     read).
-
-    The trace reference carries the derived cache of *every* query, so
-    a query reached only through the trace (finished, or not yet
-    arrived) keeps it; a query reference carries its own as well.
     """
 
     def __init__(self, trace: Trace, trees: Sequence[BPlusTree] = ()) -> None:
@@ -186,8 +163,7 @@ class InputRefs:
     def _reduce_trace(self, trace: Trace) -> Any:
         if trace is not self.trace:
             return trace.__reduce_ex__(_PROTOCOL)
-        caches = [q.atom_set for q in trace.queries()]
-        return _input_ref, ("trace", None), caches, None, None, _set_trace_caches
+        return _input_ref, ("trace", None)
 
     def _reduce_job(self, job: Job) -> Any:
         if self.jobs.get(job.job_id) is not job:
@@ -197,7 +173,7 @@ class InputRefs:
     def _reduce_query(self, q: Query) -> Any:
         if self.queries.get(q.query_id) is not q:
             return q.__reduce_ex__(_PROTOCOL)
-        return _input_ref, ("query", q.query_id), (q.atom_set,), None, None, _set_query_cache
+        return _input_ref, ("query", q.query_id)
 
     def _reduce_tree(self, tree: BPlusTree) -> Any:
         index = self._tree_index.get(id(tree))

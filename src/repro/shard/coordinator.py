@@ -37,7 +37,7 @@ from repro.engine.simulator import Simulator
 from repro.errors import ShardProtocolError
 from repro.shard.messages import ShardMessage
 from repro.shard.topology import ShardTopology
-from repro.workload.job import Job
+from repro.workload.job import Job, JobAtomSets
 from repro.workload.query import Query, SubQuery
 from repro.workload.trace import Trace
 
@@ -54,7 +54,7 @@ class _NullScheduler:
 
     name = "remote"
 
-    def on_job_submitted(self, job: Job, now: float) -> None:
+    def on_job_submitted(self, job: Job, now: float, atom_sets: JobAtomSets) -> None:
         pass
 
     def on_query_arrival(self, query: Query, subqueries: Sequence[SubQuery], now: float) -> None:
@@ -341,12 +341,13 @@ class ShardSimulator(Simulator):
         self._window_log.append((self.event_index, ev))
         super()._dispatch(ev)
 
-    def _on_job_submit(self, job: Job, now: float) -> None:
-        super()._on_job_submit(job, now)
-        # Remote gating graphs hear the admission one message hop later;
-        # the job notice outruns none of its arrivals (same send instant,
-        # lower sequence number, FIFO per sender-pair).
-        self._broadcast("job", (job,), now)
+    def _announce_job(self, job: Job, atom_sets: JobAtomSets, now: float) -> None:
+        super()._announce_job(job, atom_sets, now)
+        # Remote gating graphs hear the admission one message hop later,
+        # with the job's atom sets; the job notice outruns none of its
+        # arrivals (same send instant, lower sequence number, FIFO per
+        # sender-pair).
+        self._broadcast("job", (job, atom_sets), now)
 
     def _deliver_arrival(
         self, query: Query, by_node: Dict[int, List[SubQuery]], now: float
@@ -441,9 +442,9 @@ class ShardSimulator(Simulator):
         assert isinstance(msg, ShardMessage)
         kind = msg.kind
         if kind == "job":
-            (job,) = msg.payload
+            job, atom_sets = msg.payload
             for idx in self._local_idx:
-                self.nodes[idx].scheduler.on_job_submitted(job, now)
+                self.nodes[idx].scheduler.on_job_submitted(job, now, atom_sets)
         elif kind == "arrival":
             query, routed = msg.payload
             self._foreign[query.query_id] = msg.src_domain

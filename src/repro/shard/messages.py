@@ -7,7 +7,8 @@ conservative-window guarantee of the superstep loop rests on that
 latency being strictly positive.  Seven kinds:
 
 ``job``
-    Home shard announces a job admission; every remote scheduler's
+    Home shard announces a job admission, with the job's atom sets
+    (computed at most once per submission); every remote scheduler's
     gating graph hears ``on_job_submitted`` one hop later.
 ``arrival``
     Home shard broadcasts a query arrival, carrying the sub-queries it
@@ -83,7 +84,7 @@ class ShardMessage:
         identity, so WAL fingerprints survive process boundaries."""
         payload = self.payload
         if self.kind == "job":
-            (job,) = payload
+            job, _ = payload
             return (job.job_id,)
         if self.kind == "arrival":
             query, by_node = payload

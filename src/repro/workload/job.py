@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Optional
 
+from repro.grid.dataset import DatasetSpec
 from repro.workload.query import Query
 
-__all__ = ["JobKind", "Job"]
+__all__ = ["JobKind", "Job", "JobAtomSets"]
 
 
 class JobKind(enum.Enum):
@@ -105,3 +107,28 @@ class Job:
         steps = [q.timestep for q in self.queries]
         if any(b < a for a, b in zip(steps, steps[1:])):
             raise ValueError(f"ordered job {self.job_id} has non-monotonic time steps: {steps}")
+
+
+class JobAtomSets:
+    """``A(q)`` of each of one submitted job's queries, computed on the
+    first call and then served from the memo.
+
+    The engine makes one per job submission and hands it to every
+    node's scheduler (a sharded run sends it along with the job notice),
+    so a cluster computes a job's sets at most once and every gating
+    graph holds the same frozensets.  It is dropped once the submission
+    is handled; a gating graph keeps each set only while its vertex is
+    live.
+    """
+
+    __slots__ = ("job", "spec", "_sets")
+
+    def __init__(self, job: Job, spec: DatasetSpec) -> None:
+        self.job = job
+        self.spec = spec
+        self._sets: Optional[list[frozenset[int]]] = None
+
+    def __call__(self) -> list[frozenset[int]]:
+        if self._sets is None:
+            self._sets = [q.atoms(self.spec) for q in self.job.queries]
+        return self._sets

@@ -10,8 +10,7 @@ emitted in Morton order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +47,9 @@ class Query:
         Stored time step the positions are evaluated against.
     positions:
         ``(N, 3)`` float array in voxel units.
-    atom_set:
-        Packed primary-atom ids touched by the positions; filled by
-        :func:`preprocess_query` and used by job alignment
-        (``A(q)`` in §IV-B).
+
+    A query is immutable during a run: nothing derived from it is
+    stored on it (see :meth:`atoms`).
     """
 
     query_id: int
@@ -61,7 +59,6 @@ class Query:
     op: str
     timestep: int
     positions: np.ndarray
-    atom_set: Optional[frozenset[int]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.op not in OPERATIONS:
@@ -77,35 +74,33 @@ class Query:
         return len(self.positions)
 
     def atoms(self, spec: DatasetSpec) -> frozenset[int]:
-        """Primary atom set ``A(q)``, computing and caching on demand."""
-        if self.atom_set is None:
-            mapper = AtomMapper(spec)
-            # Unique first: boxing every position's atom id and keeping
-            # a few of them scatters long-lived ints across the heap.
-            ids = np.unique(mapper.atom_ids(self.positions, self.timestep))
-            self.atom_set = frozenset(ids.tolist())
-        return self.atom_set
+        """Primary atom set ``A(q)`` (§IV-B), computed on every call.
+
+        The engine computes a job's sets for alignment once per
+        submission (:class:`~repro.workload.job.JobAtomSets`).
+        """
+        # Unique first: boxing every position's atom id and keeping a
+        # few of them scatters long-lived ints across the heap.
+        ids = np.unique(AtomMapper(spec).atom_ids(self.positions, self.timestep))
+        return frozenset(ids.tolist())
 
 
 @dataclass(slots=True)
 class SubQuery:
     """The positions of one query falling within one atom.
 
-    ``position_indices`` index into the owning query's ``positions``
-    array.  ``neighbor_keys`` are the distinct halo-overshoot keys of
-    those positions' interpolation stencils (see
-    :func:`repro.grid.interpolation.group_overshoot_keys`), resolved to
-    neighbor atoms by the executor; empty for most sub-queries.
+    ``n_positions`` counts them: the scheduler's Eq. 1 and the cost
+    model's ``T_m`` term need only the count.  ``neighbor_keys`` are the
+    distinct halo-overshoot keys of those positions' interpolation
+    stencils (see :func:`repro.grid.interpolation.group_overshoot_keys`),
+    resolved to neighbor atoms by the executor; empty for most
+    sub-queries.
     """
 
     query: Query
     atom_id: int
-    position_indices: np.ndarray
+    n_positions: int
     neighbor_keys: tuple[int, ...] = ()
-
-    @property
-    def n_positions(self) -> int:
-        return len(self.position_indices)
 
 
 def preprocess_query(
@@ -117,8 +112,8 @@ def preprocess_query(
     the set of the query's positions that fall within one atom;
     sub-queries are independent; their union reconstructs the query.
     An ``interp`` query's sub-queries also carry the overshoot keys of
-    their stencils under ``interp`` (the engine's kernel).  Fills the
-    query's cached ``atom_set``.
+    their stencils under ``interp`` (the engine's kernel).  The query is
+    left as it was.
     """
     order, bounds, atoms = mapper.sort_by_atom(query.positions, query.timestep)
     keys: list[tuple[int, ...]]
@@ -126,9 +121,7 @@ def preprocess_query(
         keys = group_overshoot_keys(mapper.spec, query.positions, order, bounds, interp)
     else:
         keys = [()] * len(atoms)
-    subqueries = [
-        SubQuery(query, atom_id, order[s:e], k)
+    return [
+        SubQuery(query, atom_id, e - s, k)
         for atom_id, s, e, k in zip(atoms, bounds, bounds[1:], keys)
     ]
-    query.atom_set = frozenset(atoms)
-    return subqueries

@@ -94,6 +94,11 @@ class TestRunCommands:
         assert main(argv) == 2
         assert "names node" in capsys.readouterr().err
 
+    def test_bad_fault_rate_is_a_configuration_error(self, trace_file, capsys):
+        argv = ["run", "--trace", str(trace_file), "--disk-fault-rate", "1.5"]
+        assert main(argv) == 2
+        assert "transient_fault_rate must be in [0, 1]" in capsys.readouterr().err
+
     def test_unknown_scheduler_rejected(self, trace_file):
         with pytest.raises(SystemExit):
             main(["run", "--trace", str(trace_file), "--scheduler", "belady"])

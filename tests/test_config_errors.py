@@ -1,0 +1,68 @@
+"""Every configuration value a user can get wrong is rejected with a
+typed :class:`~repro.errors.ConfigurationError`.
+
+``ConfigurationError`` subclasses ``ValueError``, so ``pytest.raises``
+alone cannot tell a typed rejection from a bare one; these tests check
+the exact type.
+"""
+
+import pytest
+
+from repro.config import (
+    CacheConfig,
+    CheckpointConfig,
+    CostModel,
+    EngineConfig,
+    FaultConfig,
+    MetricConfig,
+    SchedulerConfig,
+)
+from repro.errors import ConfigurationError
+
+#: One case per validation check of these dataclasses (``ShardConfig``
+#: and ``OverloadConfig`` are checked in their own test modules).
+CASES = [
+    (CostModel, {"t_b": 0.0}),
+    (CostModel, {"seq_discount": 0.0}),
+    (CostModel, {"t_overhead": -1.0}),
+    (CacheConfig, {"capacity_atoms": 0}),
+    (CacheConfig, {"protected_fraction": 1.0}),
+    (CacheConfig, {"lruk_k": 0}),
+    (MetricConfig, {"age_units": 0.0}),
+    (SchedulerConfig, {"alpha": 1.5}),
+    (SchedulerConfig, {"run_length": 0}),
+    (SchedulerConfig, {"batch_size": 0}),
+    (SchedulerConfig, {"gating_max_lag": 0}),
+    (FaultConfig, {"transient_fault_rate": 2.0}),
+    (FaultConfig, {"slow_read_factor": 0.5}),
+    (FaultConfig, {"max_retries": -1}),
+    (FaultConfig, {"backoff_factor": 0.5}),
+    (FaultConfig, {"backoff_jitter": 2.0}),
+    (FaultConfig, {"retry_budget_per_node": -1}),
+    (FaultConfig, {"circuit_breaker_threshold": 0}),
+    (FaultConfig, {"query_deadline": 0.0}),
+    (FaultConfig, {"replication": 0}),
+    (FaultConfig, {"coordinator_crash_at": -1}),
+    (FaultConfig, {"coordinator_crash_window": (1, 2, 3)}),
+    (FaultConfig, {"coordinator_crash_window": (5, 2)}),
+    (FaultConfig, {"node_crashes": ((1, 2.0),)}),
+    (FaultConfig, {"node_crashes": ((-1, 0.0, 1.0),)}),
+    (FaultConfig, {"node_crashes": ((0, 5.0, 1.0),)}),
+    (CheckpointConfig, {"every_events": 0}),
+    (CheckpointConfig, {"every_seconds": 0.0}),
+    (CheckpointConfig, {"keep": 0}),
+    (CheckpointConfig, {"directory": "ckpt"}),
+    (EngineConfig, {"interpolation_order": 3}),
+    (EngineConfig, {"run_length": 0}),
+    (EngineConfig, {"max_sim_time": 0.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs", CASES, ids=[f"{c.__name__}-{'-'.join(k)}-{i}" for i, (c, k) in enumerate(CASES)]
+)
+def test_bad_value_is_a_configuration_error(cls, kwargs):
+    with pytest.raises(ValueError) as exc:
+        cls(**kwargs)
+    assert type(exc.value) is ConfigurationError
+

@@ -48,7 +48,7 @@ class TestSchedulerDefaults:
         s = self.Minimal()
         s.on_query_complete(None, 0.0)
         s.on_run_boundary(RunObservation(0, 1.0, 1.0))
-        s.on_job_submitted(None, 0.0)
+        s.on_job_submitted(None, 0.0, None)
         assert s.force_release(0.0) is False
         assert s.cache_utility_fn() is None
         assert s.current_alpha is None

@@ -124,32 +124,36 @@ class TestAtomMapper:
         x, y, z = (c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij"))
         np.testing.assert_array_equal(morton_table(n)[(x * n + y) * n + z], morton_encode(x, y, z))
 
-    def test_group_by_atom_partitions_everything(self):
+    def _groups(self, pos, timestep):
+        order, bounds, atoms = self.mapper.sort_by_atom(pos, timestep)
+        return [(a, order[s:e]) for a, s, e in zip(atoms, bounds, bounds[1:])]
+
+    def test_sort_by_atom_partitions_everything(self):
         rng = np.random.default_rng(1)
         pos = rng.uniform(0, self.spec.grid_side, (500, 3))
-        groups = self.mapper.group_by_atom(pos, 2)
+        groups = self._groups(pos, 2)
         all_idx = np.concatenate([idx for _, idx in groups])
         assert sorted(all_idx) == list(range(500))
 
-    def test_group_by_atom_morton_sorted(self):
+    def test_sort_by_atom_morton_sorted(self):
         rng = np.random.default_rng(2)
         pos = rng.uniform(0, self.spec.grid_side, (200, 3))
-        groups = self.mapper.group_by_atom(pos, 0)
+        groups = self._groups(pos, 0)
         atom_ids = [a for a, _ in groups]
         assert atom_ids == sorted(atom_ids)
 
     def test_group_members_map_back_to_their_atom(self):
         rng = np.random.default_rng(3)
         pos = rng.uniform(0, self.spec.grid_side, (300, 3))
-        for atom_id, idx in self.mapper.group_by_atom(pos, 1):
+        for atom_id, idx in self._groups(pos, 1):
             ids = self.mapper.atom_ids(pos[idx], 1)
             assert (ids == atom_id).all()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
-    def test_group_by_atom_total_positions(self, seed):
+    def test_sort_by_atom_total_positions(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 100))
         pos = rng.uniform(-100, self.spec.grid_side + 100, (n, 3))
-        groups = self.mapper.group_by_atom(pos, 0)
+        groups = self._groups(pos, 0)
         assert sum(len(idx) for _, idx in groups) == n

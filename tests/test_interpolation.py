@@ -105,6 +105,16 @@ def preprocessed(spec, pos, ts, interp, op="interp"):
     return [(sq, neighbor_atoms_from_keys(spec, sq.neighbor_keys, sq.atom_id)) for sq in subs]
 
 
+def atom_members(spec, pos, ts, sq):
+    """Indices of ``sq``'s positions, recomputed the way pre-processing
+    groups them (a sub-query carries only their count)."""
+    order, bounds, atoms = AtomMapper(spec).sort_by_atom(pos, ts)
+    i = atoms.index(sq.atom_id)
+    idx = order[bounds[i] : bounds[i + 1]]
+    assert len(idx) == sq.n_positions
+    return idx
+
+
 def face_heavy_positions(rng, spec, n):
     """Uniform positions, half of them snapped to within a few voxels of
     an atom face, plus coordinates that wrap to exactly ``grid_side``."""
@@ -127,7 +137,8 @@ class TestFastPathEquivalence:
         interp = InterpolationSpec(order=order)
         ts = int(rng.integers(SPEC.n_timesteps))
         for sq, fast in preprocessed(SPEC, pos, ts, interp):
-            slow = set(int(a) for a in stencil_atoms(SPEC, pos[sq.position_indices], ts, interp))
+            idx = atom_members(SPEC, pos, ts, sq)
+            slow = set(int(a) for a in stencil_atoms(SPEC, pos[idx], ts, interp))
             assert set(fast) == slow - {sq.atom_id}
 
     def test_no_neighbors_when_kernel_fits_halo(self):
@@ -149,7 +160,7 @@ class TestPreprocessedNeighbors:
         interp = InterpolationSpec(order=order)
         ts = int(rng.integers(spec.n_timesteps))
         for sq, fast in preprocessed(spec, pos, ts, interp):
-            slow = stencil_atoms(spec, pos[sq.position_indices], ts, interp).tolist()
+            slow = stencil_atoms(spec, pos[atom_members(spec, pos, ts, sq)], ts, interp).tolist()
             assert fast == sorted(set(slow) - {sq.atom_id})
             keys = sq.neighbor_keys
             assert list(keys) == sorted(set(keys)) and 13 not in keys

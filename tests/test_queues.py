@@ -35,7 +35,7 @@ def one_atom_clones(n_atoms, qid=0):
     """One sub-query per atom id ``0..n_atoms-1``, all of one query."""
     sq = make_subqueries(5, qid=qid)[0]
     return [
-        type(sq)(query=sq.query, atom_id=atom, position_indices=sq.position_indices)
+        type(sq)(query=sq.query, atom_id=atom, n_positions=sq.n_positions)
         for atom in range(n_atoms)
     ]
 

@@ -245,14 +245,14 @@ def test_version_mismatch_raises(tmp_path):
 
 def test_v3_snapshot_refused(tmp_path):
     """Format 3 sub-queries lack their neighbor keys: never resumed."""
-    assert SNAPSHOT_FORMAT_VERSION == 5
+    assert SNAPSHOT_FORMAT_VERSION == 6
     trace = small_trace()
     ckpt_dir = crash_and_leave_artifacts(tmp_path, trace, "jaws2", crash_at=30)
     latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
     blob = bytearray(latest.read_bytes())
     struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 3)
     latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v3, this build reads v5"):
+    with pytest.raises(RecoveryError, match="file has v3, this build reads v6"):
         Simulator.restore(ckpt_dir)
 
 
@@ -466,7 +466,7 @@ def test_restored_trace_objects_are_the_inputs(tmp_path):
 
 
 def _subquery_records(state):
-    """``(query id, atom id, position indices, neighbor keys)`` of every
+    """``(query id, atom id, position count, neighbor keys)`` of every
     sub-query reachable from an engine-state mapping, sorted."""
     found = {}
 
@@ -479,24 +479,20 @@ def _subquery_records(state):
 
     Collector(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(state)
     return sorted(
-        (sq.query.query_id, sq.atom_id, tuple(sq.position_indices.tolist()), sq.neighbor_keys)
+        (sq.query.query_id, sq.atom_id, sq.n_positions, sq.neighbor_keys)
         for sq in found.values()
     )
 
 
 def test_restored_derived_caches_equal_pre_crash(tmp_path, monkeypatch):
-    """Each query's atom_set, and each live sub-query's stencil neighbor
-    keys, come back as they were when the snapshot was taken; atom sets
-    of finished and unarrived queries included."""
+    """Each live sub-query's position count and stencil neighbor keys
+    come back as they were when the snapshot was taken."""
     taken = {}
     encode = checkpoint_module.encode_snapshot
 
     def recording_encode(meta, state, refs=None):
         if "trace" in state and "event_index" in meta:
-            taken[meta["event_index"]] = (
-                {q.query_id: q.atom_set for q in state["trace"].queries()},
-                _subquery_records(state),
-            )
+            taken[meta["event_index"]] = _subquery_records(state)
         return encode(meta, state, refs)
 
     monkeypatch.setattr(checkpoint_module, "encode_snapshot", recording_encode)
@@ -504,11 +500,8 @@ def test_restored_derived_caches_equal_pre_crash(tmp_path, monkeypatch):
     # The snapshot at event 80 holds sub-queries with neighbor keys.
     ckpt_dir = crash_and_leave_artifacts(tmp_path, trace, "jaws2", crash_at=90)
     sim = Simulator.restore(ckpt_dir)
-    atom_sets, records = taken[sim.event_index]
-    assert any(atoms is not None for atoms in atom_sets.values())
+    records = taken[sim.event_index]
     assert any(keys for *_, keys in records)
-    for q in sim.trace.queries():
-        assert q.atom_set == atom_sets[q.query_id]
     assert _subquery_records(checkpoint_module._capture_state(sim)) == records
 
 
@@ -769,5 +762,17 @@ def test_v4_snapshot_refused(tmp_path):
     blob = bytearray(latest.read_bytes())
     struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 4)
     latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v4, this build reads v5"):
+    with pytest.raises(RecoveryError, match="file has v4, this build reads v6"):
+        Simulator.restore(ckpt_dir)
+
+
+def test_v5_snapshot_refused(tmp_path):
+    """Format 5 sub-queries carry index bytes and its queries an atom-set
+    cache: never resumed."""
+    ckpt_dir = crash_and_leave_artifacts(tmp_path, small_trace(), "jaws2", crash_at=30)
+    latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
+    blob = bytearray(latest.read_bytes())
+    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 5)
+    latest.write_bytes(bytes(blob))
+    with pytest.raises(RecoveryError, match="file has v5, this build reads v6"):
         Simulator.restore(ckpt_dir)

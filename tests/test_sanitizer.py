@@ -238,7 +238,7 @@ def test_foreign_failed_subquery_fires():
     some_query = trace.jobs[0].queries[0]
     from repro.workload.query import SubQuery
 
-    foreign = SubQuery(query=some_query, atom_id=0, position_indices=np.arange(1))
+    foreign = SubQuery(query=some_query, atom_id=0, n_positions=1)
     sim = started_sim()
     with pytest.raises(InvariantViolation) as exc_info:
         sim.sanitizer.check_batch(

@@ -11,7 +11,7 @@ from repro.core.noshare import NoShareScheduler
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
 from repro.grid.interpolation import InterpolationSpec
-from repro.workload.job import Job, JobKind
+from repro.workload.job import Job, JobAtomSets, JobKind
 from repro.workload.query import Query, preprocess_query
 
 INTERP = InterpolationSpec()
@@ -272,8 +272,8 @@ class TestJAWSGating:
         centers = [atom_center(0, 0, 0), atom_center(1, 0, 0)]
         j1 = self.ordered_job(0, 0, centers, [0, 1])
         j2 = self.ordered_job(1, 10, centers, [0, 1], user=1)
-        s.on_job_submitted(j1, 0.0)
-        s.on_job_submitted(j2, 0.0)
+        s.on_job_submitted(j1, 0.0, JobAtomSets(j1, SPEC))
+        s.on_job_submitted(j2, 0.0, JobAtomSets(j2, SPEC))
         # First query of job 1 arrives: held awaiting partner.
         q = j1.queries[0]
         s.on_query_arrival(q, preprocess_query(q, MAPPER, INTERP), 0.0)
@@ -293,8 +293,8 @@ class TestJAWSGating:
         centers = [atom_center(0, 0, 0), atom_center(1, 0, 0)]
         j1 = self.ordered_job(0, 0, centers, [0, 1])
         j2 = self.ordered_job(1, 10, centers, [0, 1], user=1)
-        s.on_job_submitted(j1, 0.0)
-        s.on_job_submitted(j2, 0.0)
+        s.on_job_submitted(j1, 0.0, JobAtomSets(j1, SPEC))
+        s.on_job_submitted(j2, 0.0, JobAtomSets(j2, SPEC))
         q = j1.queries[0]
         s.on_query_arrival(q, preprocess_query(q, MAPPER, INTERP), 0.0)
         assert s.next_batch(0.0) is None
@@ -308,8 +308,8 @@ class TestJAWSGating:
         centers = [atom_center(0, 0, 0), atom_center(1, 0, 0)]
         j1 = self.ordered_job(0, 0, centers, [0, 1])
         j2 = self.ordered_job(1, 10, centers, [0, 1], user=1)
-        s.on_job_submitted(j1, 0.0)
-        s.on_job_submitted(j2, 0.0)
+        s.on_job_submitted(j1, 0.0, JobAtomSets(j1, SPEC))
+        s.on_job_submitted(j2, 0.0, JobAtomSets(j2, SPEC))
         q = j1.queries[0]
         s.on_query_arrival(q, preprocess_query(q, MAPPER, INTERP), 0.0)
         assert s.next_batch(0.0) is None

@@ -40,11 +40,14 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             Query(0, 0, 0, 0, "velocity", 0, np.zeros((0, 3)))
 
-    def test_atoms_cached(self):
+    def test_atoms_leave_the_query_unchanged(self):
         q = Query(0, 0, 0, 0, "velocity", 2, np.full((5, 3), 33.0))
+        before = vars(q).copy()
         atoms = q.atoms(SPEC)
-        assert q.atom_set is atoms
         assert len(atoms) == 1
+        assert q.atoms(SPEC) == atoms and q.atoms(SPEC) is not atoms
+        assert vars(q).keys() == before.keys()
+        assert all(vars(q)[k] is v for k, v in before.items())
 
 
 class TestPreprocess:
@@ -53,7 +56,8 @@ class TestPreprocess:
         q = Query(0, 0, 0, 0, "velocity", 1, rng.uniform(0, SPEC.grid_side, (200, 3)))
         subs = preprocess_query(q, AtomMapper(SPEC), INTERP)
         assert sum(sq.n_positions for sq in subs) == 200
-        assert q.atom_set == frozenset(sq.atom_id for sq in subs)
+        assert all(isinstance(sq.n_positions, int) and sq.n_positions > 0 for sq in subs)
+        assert q.atoms(SPEC) == frozenset(sq.atom_id for sq in subs)
         ids = [sq.atom_id for sq in subs]
         assert ids == sorted(ids)  # Morton order
 
