@@ -8,11 +8,18 @@ from repro.config import CacheConfig, CostModel, EngineConfig, SchedulerConfig
 from repro.core.prefetch import PrefetchingJAWSScheduler, TrajectoryPredictor
 from repro.core.qos import QoSJAWSScheduler
 from repro.engine.runner import run_trace
+from repro.experiments.common import (
+    ExperimentScale,
+    standard_engine,
+    standard_scheduler_config,
+    standard_trace,
+)
 from repro.grid.dataset import DatasetSpec
 from repro.grid.interpolation import InterpolationSpec
 from repro.workload.encapsulated import encapsulate_trace
 from repro.workload.generator import WorkloadParams, generate_trace
 from repro.workload.query import Query
+from repro.workload.trace import Trace
 
 INTERP = InterpolationSpec()
 
@@ -167,6 +174,18 @@ class TestPrefetchingScheduler:
     def test_validation(self):
         with pytest.raises(ValueError):
             PrefetchingJAWSScheduler(SPEC, COST, cfg(), max_prefetch_atoms=0)
+
+    def test_prediction_score_pinned_on_small_slice(self):
+        """The accuracy score counts the atoms each completed query
+        touched and how many the previous prediction held; pinned on the
+        first 30 jobs of the SMALL calibrated trace."""
+        full = standard_trace(ExperimentScale.SMALL)
+        trace = Trace(full.spec, full.jobs[:30])
+        eng = standard_engine()
+        s = PrefetchingJAWSScheduler(trace.spec, eng.cost, standard_scheduler_config())
+        result = run_trace(trace, s, eng)
+        assert result.n_queries == trace.n_queries
+        assert (s.predicted_hits, s.predicted_total) == (15256, 15777)
 
 
 class TestEncapsulation:
