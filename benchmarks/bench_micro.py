@@ -14,7 +14,7 @@ from repro.grid.dataset import DatasetSpec
 from repro.grid.interpolation import InterpolationSpec, neighbor_atoms_from_keys
 from repro.morton.codec import morton_decode, morton_encode
 from repro.storage.btree import BPlusTree
-from repro.workload.query import Query, preprocess_query
+from repro.workload.query import AtomSet, Query, preprocess_query
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +67,8 @@ def test_workload_metric_1000_atoms(benchmark):
 
 def test_alignment_30x30(benchmark):
     rng = np.random.default_rng(3)
-    a = [frozenset(rng.integers(0, 40, 3).tolist()) for _ in range(30)]
-    b = [frozenset(rng.integers(0, 40, 3).tolist()) for _ in range(30)]
+    a = [AtomSet.of(rng.integers(0, 40, 3)) for _ in range(30)]
+    b = [AtomSet.of(rng.integers(0, 40, 3)) for _ in range(30)]
     benchmark(align_jobs, a, b)
 
 
@@ -80,7 +80,7 @@ def test_offline_merge_20_jobs(benchmark):
         qid = 0
         for j in range(20):
             length = 8
-            atoms = [frozenset(rng.integers(0, 30, 2).tolist()) for _ in range(length)]
+            atoms = [AtomSet.of(rng.integers(0, 30, 2)) for _ in range(length)]
             g.add_job(j, list(range(qid, qid + length)), atoms)
             qid += length
         return build_gating_offline(g)

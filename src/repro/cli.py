@@ -147,7 +147,7 @@ def _fault_config(args: argparse.Namespace) -> Optional[FaultConfig]:
                 raise ValueError
             crashes.append((int(parts[0]), float(parts[1]), float(parts[2])))
         except ValueError:
-            raise SystemExit(f"--crash expects NODE:DOWN:UP, got {spec!r}") from None
+            raise ConfigurationError(f"--crash expects NODE:DOWN:UP, got {spec!r}") from None
     faults = FaultConfig(
         seed=args.fault_seed,
         transient_fault_rate=args.disk_fault_rate,
@@ -158,7 +158,7 @@ def _fault_config(args: argparse.Namespace) -> Optional[FaultConfig]:
         coordinator_crash_at=args.crash_at_event,
     )
     if args.replication > max(args.nodes, 1):
-        raise SystemExit(
+        raise ConfigurationError(
             f"--replication {args.replication} needs at least that many nodes "
             f"(got --nodes {args.nodes})"
         )
@@ -181,13 +181,15 @@ def _shard_config(args: argparse.Namespace) -> Optional[ShardConfig]:
                 raise ValueError
             crashes.append((int(head), float(tail)))
         except ValueError:
-            raise SystemExit(
+            raise ConfigurationError(
                 f"--shard-crash-at expects SHARD:TIME, got {spec!r}"
             ) from None
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     barrier_every = None
     if checkpoint_dir is not None:
-        barrier_every = getattr(args, "checkpoint_every_events", None) or 500
+        barrier_every = getattr(args, "checkpoint_every_events", None)
+        if barrier_every is None:
+            barrier_every = 500
     return ShardConfig(
         n_shards=n_shards,
         crashes=tuple(crashes),
@@ -466,17 +468,21 @@ def _run_engine(args: argparse.Namespace) -> EngineConfig:
         engine = dataclasses.replace(
             engine, cache=dataclasses.replace(engine.cache, policy=args.cache)
         )
-    if getattr(args, "checkpoint_dir", None):
-        every_events = args.checkpoint_every_events
-        if every_events is None and args.checkpoint_every_seconds is None:
-            every_events = 500  # a directory alone implies a sane default policy
-        checkpoint = CheckpointConfig(
-            directory=args.checkpoint_dir,
-            every_events=every_events,
-            every_seconds=args.checkpoint_every_seconds,
-        )
-        engine = dataclasses.replace(engine, checkpoint=checkpoint)
-    return engine
+    directory = getattr(args, "checkpoint_dir", None)
+    every_events = args.checkpoint_every_events
+    every_seconds = args.checkpoint_every_seconds
+    if not directory:
+        if every_events is not None or every_seconds is not None:
+            raise ConfigurationError(
+                "--checkpoint-every-events and --checkpoint-every-seconds need --checkpoint-dir"
+            )
+        return engine
+    if every_events is None and every_seconds is None:
+        every_events = 500  # a directory alone implies a sane default policy
+    checkpoint = CheckpointConfig(
+        directory=directory, every_events=every_events, every_seconds=every_seconds
+    )
+    return dataclasses.replace(engine, checkpoint=checkpoint)
 
 
 def _run_one(
@@ -554,7 +560,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         engine = dataclasses.replace(engine, overload=_overload_config(args))
     shards = _shard_config(args)
     if shards is not None and args.shards > args.nodes:
-        raise SystemExit(
+        raise ConfigurationError(
             f"--shards {args.shards} needs at least that many nodes "
             f"(got --nodes {args.nodes})"
         )
@@ -565,7 +571,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     schedulers = args.scheduler or ["jaws2"]
     if len(schedulers) > 1:
         if args.nodes > 1 or faults is not None or shards is not None:
-            raise SystemExit(
+            raise ConfigurationError(
                 "multiple --scheduler values fan out via the single-node "
                 "runner; drop --nodes/--shards/fault flags or run them "
                 "one at a time"
@@ -638,7 +644,7 @@ def _cmd_overload(args: argparse.Namespace) -> int:
             ),
         )
     except ValueError as exc:
-        raise SystemExit(f"invalid flash-crowd parameters: {exc}") from None
+        raise ConfigurationError(f"invalid flash-crowd parameters: {exc}") from None
     engine = standard_engine()
     protected_engine = dataclasses.replace(engine, overload=_overload_config(args))
     print(

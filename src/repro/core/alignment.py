@@ -4,7 +4,8 @@ JAWS identifies the maximal data sharing between a *pair* of ordered
 jobs with a global sequence alignment: queries are the "characters",
 the match score ``s(j, l)`` is 1 when ``A(q_{i,j}) ∩ A(q_{k,l}) ≠ ∅``
 (the queries touch at least one common atom) and 0 otherwise, and gaps
-are free.  Every matched pair in the optimal alignment becomes a
+are free.  Atom sets are :class:`~repro.workload.query.AtomSet`
+bitmaps.  Every matched pair in the optimal alignment becomes a
 *gating edge* candidate: the scheduler should co-schedule the two
 queries so the shared atoms are read once.
 
@@ -18,8 +19,9 @@ overlap matrix comes from a *sharing index* of one job
 (:class:`SharingIndex`): its queries sorted by the lowest atom each
 touches.  Every query of the partner job bisects the index for the
 queries whose atom range ``[min, max]`` meets its own, and only those
-run a C-level ``isdisjoint``.  A query's atoms lie in one time step
-and an ordered job's queries in distinct ones, so in practice at most
+run the bitmap sharing test (:meth:`AtomSet.shares`: one shift and one
+AND).  A query's atoms lie in one time step and an ordered job's
+queries in distinct ones, so in practice at most
 one candidate survives the range test; a partner that shares no atom
 costs two bisections per query and no DP at all.  The DP itself is
 ``n`` vectorized rows: the row recurrence is a prefix max (see
@@ -33,13 +35,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["SharingIndex", "atom_span", "overlap_matrix", "align_jobs", "alignment_score"]
+from repro.workload.query import AtomSet
 
-
-def atom_span(atoms: frozenset[int]) -> tuple[int, int]:
-    """``(min, max)`` of an atom set; the empty range ``(0, -1)`` for
-    the empty set, which shares nothing."""
-    return (min(atoms), max(atoms)) if atoms else (0, -1)
+__all__ = ["SharingIndex", "overlap_matrix", "align_jobs", "alignment_score"]
 
 
 class SharingIndex:
@@ -50,19 +48,19 @@ class SharingIndex:
     job.  A set ``a`` can share an atom with ``b`` only if
     ``min(b) - width <= min(a) <= max(b)`` and ``max(a) >= min(b)``,
     where ``width`` is the widest ``max - min`` in the index; the first
-    condition is two bisections, and ``isdisjoint`` runs only on the
-    pairs meeting both.  Exact for any atom sets.
+    condition is two bisections, and :meth:`AtomSet.shares` runs only on
+    the pairs meeting both.  Exact for any atom sets.
     """
 
     __slots__ = ("n", "width", "lows", "highs", "rows", "sets")
 
     def __init__(
         self,
-        atom_sets: Sequence[frozenset[int]],
+        atom_sets: Sequence[AtomSet],
         spans: Optional[Sequence[tuple[int, int]]] = None,
     ) -> None:
         if spans is None:
-            spans = [atom_span(a) for a in atom_sets]
+            spans = [a.span for a in atom_sets]
         entries = sorted((lo, hi, j) for j, (lo, hi) in enumerate(spans) if lo <= hi)
         self.n = len(atom_sets)
         self.width = max((hi - lo for lo, hi, _ in entries), default=0)
@@ -73,21 +71,21 @@ class SharingIndex:
 
     def overlap(
         self,
-        atoms_b: Sequence[frozenset[int]],
+        atoms_b: Sequence[AtomSet],
         spans_b: Optional[Sequence[tuple[int, int]]] = None,
     ) -> Optional[np.ndarray]:
         """``S[j, l]`` of the indexed job against ``atoms_b`` (with
         their spans, computed when not given), or ``None`` when no pair
         shares an atom."""
         if spans_b is None:
-            spans_b = [atom_span(b) for b in atoms_b]
+            spans_b = [b.span for b in atoms_b]
         lows, highs, rows, sets = self.lows, self.highs, self.rows, self.sets
         width = self.width
         hit_rows: list[int] = []
         hit_cols: list[int] = []
         for l, (lo, hi) in enumerate(spans_b):
             for k in range(bisect_left(lows, lo - width), bisect_right(lows, hi)):
-                if highs[k] >= lo and not sets[k].isdisjoint(atoms_b[l]):
+                if highs[k] >= lo and sets[k].shares(atoms_b[l]):
                     hit_rows.append(rows[k])
                     hit_cols.append(l)
         if not hit_rows:
@@ -97,17 +95,15 @@ class SharingIndex:
         return s
 
 
-def overlap_matrix(
-    atoms_a: Sequence[frozenset[int]], atoms_b: Sequence[frozenset[int]]
-) -> np.ndarray:
+def overlap_matrix(atoms_a: Sequence[AtomSet], atoms_b: Sequence[AtomSet]) -> np.ndarray:
     """Boolean matrix ``S[j, l]`` = queries j (of A) and l (of B) share data."""
     s = SharingIndex(atoms_a).overlap(atoms_b)
     return s if s is not None else np.zeros((len(atoms_a), len(atoms_b)), dtype=bool)
 
 
 def align_jobs(
-    atoms_a: Sequence[frozenset[int]],
-    atoms_b: Sequence[frozenset[int]],
+    atoms_a: Sequence[AtomSet],
+    atoms_b: Sequence[AtomSet],
     overlap: Optional[np.ndarray] = None,
 ) -> list[tuple[int, int]]:
     """Optimal monotone matching of data-sharing queries between two jobs.
@@ -168,8 +164,6 @@ def align_jobs(
     return pairs
 
 
-def alignment_score(
-    atoms_a: Sequence[frozenset[int]], atoms_b: Sequence[frozenset[int]]
-) -> int:
+def alignment_score(atoms_a: Sequence[AtomSet], atoms_b: Sequence[AtomSet]) -> int:
     """Number of gating edges the optimal alignment yields."""
     return len(align_jobs(atoms_a, atoms_b))

@@ -76,8 +76,9 @@ class Scheduler(ABC):
 
     def on_job_submitted(self, job: Job, now: float, atom_sets: JobAtomSets) -> None:
         """A job is entering the system (before its queries arrive).
-        ``atom_sets()`` gives ``A(q)`` of each of its queries, computed
-        once for every node that asks."""
+        ``atom_sets()`` gives ``A(q)`` of each of its queries as an
+        :class:`~repro.workload.query.AtomSet`, computed once for every
+        node that asks."""
 
     @abstractmethod
     def on_query_arrival(self, query: Query, subqueries: list[SubQuery], now: float) -> None:

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.alignment import atom_span
 from repro.core.states import QueryState
+from repro.workload.query import AtomSet
 
 __all__ = ["PrecedenceGraph"]
 
@@ -51,8 +51,8 @@ __all__ = ["PrecedenceGraph"]
 class _Vertex:
     job_id: int
     seq: int
-    atoms: frozenset[int]
-    span: tuple[int, int]  # (min, max) of atoms, for the sharing index
+    atoms: AtomSet
+    span: tuple[int, int]  # atoms.span, for the sharing index
     group: int
     state: QueryState = QueryState.WAIT
 
@@ -72,7 +72,7 @@ class PrecedenceGraph:
     # Construction
     # ------------------------------------------------------------------
     def add_job(
-        self, job_id: int, query_ids: list[int], atom_sets: list[frozenset[int]]
+        self, job_id: int, query_ids: list[int], atom_sets: list[AtomSet]
     ) -> None:
         """Register a job's query chain (all vertices start WAIT, each
         in its own singleton group)."""
@@ -86,7 +86,7 @@ class PrecedenceGraph:
             gid = self._next_group
             self._next_group += 1
             self._v[qid] = _Vertex(
-                job_id=job_id, seq=seq, atoms=atoms, span=atom_span(atoms), group=gid
+                job_id=job_id, seq=seq, atoms=atoms, span=atoms.span, group=gid
             )
             self._groups[gid] = {qid}
         self._job_queries[job_id] = list(query_ids)
@@ -100,17 +100,14 @@ class PrecedenceGraph:
     def queries_of(self, job_id: int) -> list[int]:
         return list(self._job_queries.get(job_id, []))
 
-    def atoms_of(self, qid: int) -> frozenset[int]:
-        return self._v[qid].atoms
-
-    def job_atoms(self, job_id: int) -> list[frozenset[int]]:
+    def job_atoms(self, job_id: int) -> list[AtomSet]:
         """Atom sets of the job's live queries, in sequence order."""
         v = self._v
         return [v[qid].atoms for qid in self._job_queries.get(job_id, ())]
 
     def job_spans(self, job_id: int) -> list[tuple[int, int]]:
         """``(min, max)`` atom spans of the job's live queries, in
-        sequence order (see :func:`repro.core.alignment.atom_span`)."""
+        sequence order (see :attr:`AtomSet.span`)."""
         v = self._v
         return [v[qid].span for qid in self._job_queries.get(job_id, ())]
 

@@ -37,6 +37,7 @@ from typing import Sequence
 from repro.core.alignment import SharingIndex, align_jobs
 from repro.core.gating import PrecedenceGraph
 from repro.core.states import QueryState
+from repro.workload.query import AtomSet
 
 __all__ = ["admit_alignment", "build_gating_offline", "GatingManager"]
 
@@ -138,7 +139,7 @@ class GatingManager:
         return query_id in self._tracked
 
     def add_job(
-        self, job_id: int, query_ids: list[int], atom_sets: list[frozenset[int]]
+        self, job_id: int, query_ids: list[int], atom_sets: list[AtomSet]
     ) -> int:
         """Register an ordered job and align it against every active job.
 

@@ -151,8 +151,8 @@ class PrefetchingJAWSScheduler(JAWSScheduler):
         predicted = self._predicted.pop(query.job_id, None)
         if predicted is not None:
             actual = query.atoms(self.spec)
-            self.predicted_total += len(actual)
-            self.predicted_hits += len(predicted & actual)
+            self.predicted_total += actual.n_atoms
+            self.predicted_hits += len(predicted.intersection(actual.ids()))
         self.predictor.observe(query)
         atoms = self.predictor.predict_atoms(query.job_id)
         if atoms:

@@ -39,8 +39,9 @@ shares an id with an input object is pickled by value.
 LRU-K access histories) as ``(items, maxlen)``, instead of through the
 generic dataclass and deque reducers — the engine holds thousands of
 each.
-:class:`~repro.engine.events.Event` is a ``NamedTuple`` and already
-pickles as its positional fields.
+:class:`~repro.engine.events.Event` and a gating vertex's
+:class:`~repro.workload.query.AtomSet` are ``NamedTuple`` classes and
+already pickle as their positional fields.
 
 Every decode failure — wrong magic, version mismatch, truncated file,
 checksum mismatch, unpicklable payload, unresolvable reference — raises
@@ -86,7 +87,9 @@ __all__ = [
 #:    arrival)`` pairs; the engine holds its open bucket in ``_parked``.
 #: 6: a sub-query carries its position count, not an index array; a
 #:    query (and the trace) is a pure reference, with no derived cache.
-SNAPSHOT_FORMAT_VERSION = 6
+#: 7: a gating vertex holds its atom set as an ``AtomSet`` bitmap
+#:    ``(lo, bits)``, not a frozenset.
+SNAPSHOT_FORMAT_VERSION = 7
 
 SNAPSHOT_MAGIC = b"JAWSCKPT"
 

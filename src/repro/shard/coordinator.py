@@ -344,7 +344,7 @@ class ShardSimulator(Simulator):
     def _announce_job(self, job: Job, atom_sets: JobAtomSets, now: float) -> None:
         super()._announce_job(job, atom_sets, now)
         # Remote gating graphs hear the admission one message hop later,
-        # with the job's atom sets; the job notice outruns none of its
+        # with the job's AtomSet bitmaps; the job notice outruns none of its
         # arrivals (same send instant, lower sequence number, FIFO per
         # sender-pair).
         self._broadcast("job", (job, atom_sets), now)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.grid.dataset import DatasetSpec
-from repro.workload.query import Query
+from repro.workload.query import AtomSet, Query
 
 __all__ = ["JobKind", "Job", "JobAtomSets"]
 
@@ -116,9 +116,9 @@ class JobAtomSets:
     The engine makes one per job submission and hands it to every
     node's scheduler (a sharded run sends it along with the job notice),
     so a cluster computes a job's sets at most once and every gating
-    graph holds the same frozensets.  It is dropped once the submission
-    is handled; a gating graph keeps each set only while its vertex is
-    live.
+    graph holds the same :class:`~repro.workload.query.AtomSet`
+    objects.  It is dropped once the submission is handled; a gating
+    graph keeps each set only while its vertex is live.
     """
 
     __slots__ = ("job", "spec", "_sets")
@@ -126,9 +126,9 @@ class JobAtomSets:
     def __init__(self, job: Job, spec: DatasetSpec) -> None:
         self.job = job
         self.spec = spec
-        self._sets: Optional[list[frozenset[int]]] = None
+        self._sets: Optional[list[AtomSet]] = None
 
-    def __call__(self) -> list[frozenset[int]]:
+    def __call__(self) -> list[AtomSet]:
         if self._sets is None:
             self._sets = [q.atoms(self.spec) for q in self.job.queries]
         return self._sets

@@ -1,16 +1,18 @@
 """Queries, sub-queries, and the query pre-processor.
 
 A Turbulence query is "a list of positions on which to perform
-computation" at one time step (paper §III-B).  The pre-processor
-identifies the atom containing each position and emits one *sub-query*
-per touched atom; sub-queries can execute in any order and the query's
-result is the combination of its sub-queries' results.  Sub-queries are
-emitted in Morton order.
+computation" at one time step (paper §III-B).  Its primary atom set
+``A(q)`` is an :class:`AtomSet`, a bitmap offset by its lowest atom.
+The pre-processor identifies the atom containing each position and
+emits one *sub-query* per touched atom; sub-queries can execute in any
+order and the query's result is the combination of its sub-queries'
+results.  Sub-queries are emitted in Morton order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -18,12 +20,64 @@ from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
 from repro.grid.interpolation import InterpolationSpec, group_overshoot_keys
 
-__all__ = ["Query", "SubQuery", "preprocess_query"]
+__all__ = ["AtomSet", "Query", "SubQuery", "preprocess_query"]
 
 #: Operations a query can perform, mirroring the paper's workload
 #: classes: velocity/pressure lookup, Lagrangian interpolation (particle
 #: tracking), and statistics over a region.
 OPERATIONS = ("velocity", "interp", "stats")
+
+
+class AtomSet(NamedTuple):
+    """A set of atom ids as a bitmap offset by its lowest id: bit ``i``
+    of ``bits`` is set when atom ``lo + i`` is in the set.
+
+    A query's atoms lie in one time step, so the bitmap of ``A(q)`` is
+    at most ``atoms_per_timestep`` bits wide.  The empty set is
+    ``(0, 0)``.  An ``AtomSet`` is the pair, not a container of ids:
+    ``len``, iteration and ``in`` see ``(lo, bits)``; :meth:`ids`,
+    :attr:`n_atoms`, :attr:`span` and :meth:`shares` read the set.
+    """
+
+    lo: int
+    bits: int
+
+    @classmethod
+    def of(cls, ids: Iterable[int]) -> AtomSet:
+        """The set of ``ids``: any iterable of ints, or an integer array,
+        whose values are never boxed."""
+        a = np.unique(ids if isinstance(ids, np.ndarray) else np.fromiter(ids, np.int64))
+        if not len(a):
+            return cls(0, 0)
+        lo = int(a[0])
+        flags = np.zeros(int(a[-1]) - lo + 1, dtype=np.uint8)
+        flags[a - lo] = 1
+        return cls(lo, int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little"))
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """``(min, max)`` of the ids; the empty range ``(0, -1)`` for the
+        empty set, which shares nothing."""
+        return self.lo, self.lo + self.bits.bit_length() - 1
+
+    @property
+    def n_atoms(self) -> int:
+        """Number of ids (a popcount; ``int.bit_count`` needs 3.10)."""
+        return bin(self.bits).count("1")
+
+    def shares(self, other: AtomSet) -> bool:
+        """Do the two sets have an atom in common?  The bitmap with the
+        lower ``lo`` shifts right onto the other's offset; then one AND."""
+        d = other.lo - self.lo
+        if d >= 0:
+            return (self.bits >> d) & other.bits != 0
+        return (other.bits >> -d) & self.bits != 0
+
+    def ids(self) -> list[int]:
+        """The atom ids, ascending."""
+        raw = self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little")
+        flags = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return (np.flatnonzero(flags) + self.lo).tolist()
 
 
 @dataclass
@@ -73,16 +127,13 @@ class Query:
     def n_positions(self) -> int:
         return len(self.positions)
 
-    def atoms(self, spec: DatasetSpec) -> frozenset[int]:
+    def atoms(self, spec: DatasetSpec) -> AtomSet:
         """Primary atom set ``A(q)`` (§IV-B), computed on every call.
 
         The engine computes a job's sets for alignment once per
         submission (:class:`~repro.workload.job.JobAtomSets`).
         """
-        # Unique first: boxing every position's atom id and keeping a
-        # few of them scatters long-lived ints across the heap.
-        ids = np.unique(AtomMapper(spec).atom_ids(self.positions, self.timestep))
-        return frozenset(ids.tolist())
+        return AtomSet.of(AtomMapper(spec).atom_ids(self.positions, self.timestep))
 
 
 @dataclass(slots=True)

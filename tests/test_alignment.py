@@ -4,20 +4,25 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.alignment import (
     SharingIndex,
     align_jobs,
     alignment_score,
-    atom_span,
     overlap_matrix,
 )
+from repro.workload.query import AtomSet
 
 
 def fs(*atoms):
-    return frozenset(atoms)
+    return AtomSet.of(atoms)
+
+
+def sets(job):
+    """The ``AtomSet`` of each of a job's frozensets (the reference)."""
+    return [AtomSet.of(a) for a in job]
 
 
 class TestOverlapMatrix:
@@ -103,7 +108,7 @@ class TestOptimality:
         st.lists(ATOM_SET, min_size=1, max_size=5),
     )
     def test_matches_brute_force(self, a, b):
-        assert alignment_score(a, b) == brute_force_best(a, b)
+        assert alignment_score(sets(a), sets(b)) == brute_force_best(a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -111,13 +116,13 @@ class TestOptimality:
         st.lists(ATOM_SET, min_size=1, max_size=6),
     )
     def test_symmetry(self, a, b):
-        assert alignment_score(a, b) == alignment_score(b, a)
+        assert alignment_score(sets(a), sets(b)) == alignment_score(sets(b), sets(a))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(ATOM_SET, min_size=1, max_size=6))
     def test_self_alignment_counts_nonempty(self, a):
         expected = sum(1 for s in a if s)
-        assert alignment_score(a, a) == expected
+        assert alignment_score(sets(a), sets(a)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -125,7 +130,7 @@ class TestOptimality:
         st.lists(ATOM_SET, min_size=1, max_size=6),
     )
     def test_every_pair_shares_data(self, a, b):
-        for i, j in align_jobs(a, b):
+        for i, j in align_jobs(sets(a), sets(b)):
             assert not a[i].isdisjoint(b[j])
 
 
@@ -181,8 +186,8 @@ class TestSharingIndex:
         assert index.highs == [2, 3, 9]
         assert index.rows == [1, 3, 0]
         assert index.width == 4
-        assert atom_span(fs(7, 3, 5)) == (3, 7)
-        assert atom_span(fs()) == (0, -1)
+        assert fs(7, 3, 5).span == (3, 7)
+        assert fs().span == (0, -1)
 
     @settings(max_examples=150, deadline=None)
     @given(STEP_JOB, STEP_JOB)
@@ -191,8 +196,9 @@ class TestSharingIndex:
         sharing atoms: the span-filtered matrix is the brute-force one,
         with spans given (as the gating graph does) or computed."""
         expected = reference_overlap(a, b)
+        a, b = sets(a), sets(b)
         for s in (
-            SharingIndex(a, [atom_span(x) for x in a]).overlap(b, [atom_span(y) for y in b]),
+            SharingIndex(a, [x.span for x in a]).overlap(b, [y.span for y in b]),
             SharingIndex(a).overlap(b),
         ):
             if s is None:
@@ -210,8 +216,8 @@ class TestSharingIndex:
     @given(JOB, JOB)
     def test_matches_pairwise_isdisjoint(self, a, b):
         expected = reference_overlap(a, b)
-        assert np.array_equal(overlap_matrix(a, b), expected)
-        s = SharingIndex(a).overlap(b)
+        assert np.array_equal(overlap_matrix(sets(a), sets(b)), expected)
+        s = SharingIndex(sets(a)).overlap(sets(b))
         if s is None:
             assert not expected.any()
         else:
@@ -228,17 +234,58 @@ class TestSharingIndex:
         """Masks past one byte and one machine word keep their bits."""
         a = a * 3  # 66-93 queries; every atom recurs past bit 63
         b = [x for i, x in enumerate(a) if i not in drop]
-        assert np.array_equal(overlap_matrix(a, b), reference_overlap(a, b))
+        assert np.array_equal(overlap_matrix(sets(a), sets(b)), reference_overlap(a, b))
 
 
 class TestPrefixMaxDP:
     @settings(max_examples=80, deadline=None)
     @given(JOB, JOB)
     def test_matches_reference_dp_with_traceback(self, a, b):
-        assert align_jobs(a, b) == reference_align(a, b)
+        assert align_jobs(sets(a), sets(b)) == reference_align(a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(JOB, JOB)
     def test_precomputed_overlap_gives_same_pairs(self, a, b):
         s = reference_overlap(a, b)
-        assert align_jobs(a, b, s) == align_jobs(a, b)
+        assert align_jobs(sets(a), sets(b), s) == align_jobs(sets(a), sets(b))
+
+
+def near(base):
+    """Atom sets whose ids lie in ``[base, base + 4096)``: one atom,
+    sparse sets up to 4,096 bits wide (empty included) or dense runs."""
+    offsets = st.one_of(
+        st.integers(0, 4095).map(lambda o: frozenset({o})),
+        st.frozensets(st.integers(0, 4095), max_size=40),
+        st.frozensets(st.integers(0, 70), min_size=1, max_size=70),
+    )
+    return offsets.map(lambda offs: frozenset(base + o for o in offs))
+
+
+@st.composite
+def set_pairs(draw):
+    """Two reference sets whose bases differ by either sign, some far
+    enough apart that their spans are disjoint."""
+    base = draw(st.integers(-(1 << 20), 1 << 20))
+    shift = draw(st.integers(-4500, 4500))
+    return draw(near(base)), draw(near(base + shift))
+
+
+class TestAtomSet:
+    @settings(max_examples=400, deadline=None)
+    @given(set_pairs())
+    @example((frozenset({10, 20}), frozenset({15, 20})))  # b above a, sharing
+    @example((frozenset({15, 20}), frozenset({10, 20})))  # b below a, sharing
+    @example((frozenset({10, 12}), frozenset({11, 13})))  # interleaved
+    @example((frozenset({10, 4105}), frozenset({4105})))  # 4,096 bits wide
+    @example((frozenset({10}), frozenset({5000})))  # disjoint spans
+    @example((frozenset({7}), frozenset({7})))  # one atom each
+    @example((frozenset(), frozenset({0})))
+    def test_matches_frozenset_reference(self, pair):
+        a, b = pair
+        x, y = AtomSet.of(a), AtomSet.of(b)
+        assert x.shares(y) == y.shares(x) == (not a.isdisjoint(b))
+        for ref, got in ((a, x), (b, y)):
+            assert got.span == ((min(ref), max(ref)) if ref else (0, -1))
+            assert got.ids() == sorted(ref)
+            assert got.n_atoms == len(ref)
+            assert AtomSet.of(np.array(sorted(ref), dtype=np.int64)) == got

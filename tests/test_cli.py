@@ -1,8 +1,11 @@
 """Tests for the command-line interface (in-process, no subprocess)."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _shard_config, main
+from repro.errors import ConfigurationError
 from repro.workload.trace import Trace
 
 
@@ -98,6 +101,59 @@ class TestRunCommands:
         argv = ["run", "--trace", str(trace_file), "--disk-fault-rate", "1.5"]
         assert main(argv) == 2
         assert "transient_fault_rate must be in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--crash", "1:2"], "--crash expects NODE:DOWN:UP, got '1:2'"),
+            (
+                ["run", "--nodes", "2", "--replication", "3"],
+                "--replication 3 needs at least that many nodes (got --nodes 2)",
+            ),
+            (
+                ["run", "--nodes", "2", "--shards", "2", "--shard-crash-at", "1"],
+                "--shard-crash-at expects SHARD:TIME, got '1'",
+            ),
+            (
+                ["run", "--nodes", "2", "--shards", "3"],
+                "--shards 3 needs at least that many nodes (got --nodes 2)",
+            ),
+            (
+                ["run", "--nodes", "2", "--scheduler", "noshare", "--scheduler", "jaws2"],
+                "multiple --scheduler values fan out via the single-node runner",
+            ),
+            (["overload", "--flash-crowd", "1"], "invalid flash-crowd parameters: factor must be > 1"),
+            (
+                ["run", "--checkpoint-every-events", "0"],
+                "--checkpoint-every-events and --checkpoint-every-seconds need --checkpoint-dir",
+            ),
+            (
+                ["run", "--checkpoint-every-seconds", "5"],
+                "--checkpoint-every-events and --checkpoint-every-seconds need --checkpoint-dir",
+            ),
+        ],
+        ids=[
+            "crash", "replication", "shard-crash-at", "shards-over-nodes",
+            "multi-scheduler", "flash-crowd", "every-events-without-dir",
+            "every-seconds-without-dir",
+        ],
+    )
+    def test_bad_user_value_is_a_configuration_error(self, trace_file, capsys, argv, message):
+        argv = [argv[0], "--trace", str(trace_file), *argv[1:]]
+        assert main(argv) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
+    def test_zero_barrier_cadence_is_not_the_default(self, tmp_path):
+        """``--checkpoint-every-events 0`` on a sharded run is rejected,
+        not read as "unset" and replaced by the 500-event default."""
+        args = argparse.Namespace(
+            shards=2, shard_crash_at=None, halt_after_barrier=None,
+            checkpoint_dir=str(tmp_path), checkpoint_every_events=0,
+        )
+        with pytest.raises(ConfigurationError, match="barrier_every_events must be >= 1"):
+            _shard_config(args)
+        args.checkpoint_every_events = None
+        assert _shard_config(args).barrier_every_events == 500
 
     def test_unknown_scheduler_rejected(self, trace_file):
         with pytest.raises(SystemExit):

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from repro.core.gating import PrecedenceGraph
 from repro.core.states import QueryState
+from repro.workload.query import AtomSet
 
 
 def fs(*atoms):
-    return frozenset(atoms)
+    return AtomSet.of(atoms)
 
 
 def two_sharing_jobs():
@@ -195,7 +196,7 @@ def job_set(draw):
     for j in range(n_jobs):
         length = draw(st.integers(1, 4))
         atoms = [
-            draw(st.frozensets(st.integers(0, 4), min_size=0, max_size=2))
+            AtomSet.of(draw(st.frozensets(st.integers(0, 4), min_size=0, max_size=2)))
             for _ in range(length)
         ]
         jobs.append(atoms)

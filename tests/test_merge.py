@@ -9,10 +9,11 @@ from repro.core.alignment import align_jobs
 from repro.core.gating import PrecedenceGraph
 from repro.core.merge import GatingManager, admit_alignment, build_gating_offline
 from repro.core.states import QueryState
+from repro.workload.query import AtomSet
 
 
 def fs(*atoms):
-    return frozenset(atoms)
+    return AtomSet.of(atoms)
 
 
 class TestOfflineMerge:
@@ -134,7 +135,7 @@ def random_jobs(draw):
     for _ in range(n_jobs):
         length = draw(st.integers(2, 5))
         atoms = [
-            draw(st.frozensets(st.integers(0, 6), min_size=1, max_size=2))
+            AtomSet.of(draw(st.frozensets(st.integers(0, 6), min_size=1, max_size=2)))
             for _ in range(length)
         ]
         out.append(atoms)
@@ -207,11 +208,11 @@ class TestSharingAlignments:
         live = {}
         for j, (chain, done) in enumerate(partners, start=1):
             ids = [100 * j + i for i in range(len(chain))]
-            g.add_job(j, ids, chain)
+            g.add_job(j, ids, [AtomSet.of(a) for a in chain])
             for i in sorted(done):
                 g.mark_done(ids[i])
             live[j] = [a for i, a in enumerate(chain) if i not in done]
-        g.add_job(0, list(range(len(new))), new)
+        g.add_job(0, list(range(len(new))), [AtomSet.of(a) for a in new])
 
         got = dict(merge._sharing_alignments(g, 0, list(live)))
         for j, atoms in live.items():
@@ -219,7 +220,9 @@ class TestSharingAlignments:
                 [[bool(x) and not x.isdisjoint(y) for y in atoms] for x in new], dtype=bool
             ).reshape(len(new), len(atoms))
             if s.any():
-                assert got[j] == align_jobs(new, atoms, s)
+                assert got[j] == align_jobs(
+                    [AtomSet.of(a) for a in new], [AtomSet.of(a) for a in atoms], s
+                )
             else:
                 assert j not in got
 

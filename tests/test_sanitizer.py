@@ -24,6 +24,7 @@ from repro.engine.simulator import Simulator
 from repro.errors import InvariantViolation
 from repro.grid.dataset import DatasetSpec
 from repro.workload.generator import WorkloadParams, generate_trace
+from repro.workload.query import AtomSet
 
 SPEC = DatasetSpec.small(n_timesteps=6, atoms_per_axis=4)
 
@@ -254,8 +255,8 @@ def test_gating_acyclicity_violation_fires():
     from repro.core.gating import PrecedenceGraph
 
     graph = PrecedenceGraph()
-    graph.add_job(1, [10, 11], [frozenset({0}), frozenset({1})])
-    graph.add_job(2, [20, 21], [frozenset({0}), frozenset({1})])
+    graph.add_job(1, [10, 11], [AtomSet.of([0]), AtomSet.of([1])])
+    graph.add_job(2, [20, 21], [AtomSet.of([0]), AtomSet.of([1])])
     # Cross-merge the cliques by hand: {10, 21} and {11, 20}.  Job 1
     # orders g(10) -> g(11); job 2 orders g(20)=g(11) -> g(21)=g(10):
     # a cycle admit_edge() would have rejected.
@@ -307,8 +308,8 @@ def test_gating_validate_reports_clean_graph():
     from repro.core.gating import PrecedenceGraph
 
     graph = PrecedenceGraph()
-    graph.add_job(1, [10, 11], [frozenset({0}), frozenset({1})])
-    graph.add_job(2, [20, 21], [frozenset({0}), frozenset({1})])
+    graph.add_job(1, [10, 11], [AtomSet.of([0]), AtomSet.of([1])])
+    graph.add_job(2, [20, 21], [AtomSet.of([0]), AtomSet.of([1])])
     assert graph.admit_edge(10, 20)
     assert graph.validate() == []
     assert graph.is_acyclic()

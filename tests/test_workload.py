@@ -13,7 +13,7 @@ from repro.grid.interpolation import InterpolationSpec
 from repro.workload import generator
 from repro.workload.generator import WorkloadParams, _timestep_popularity, generate_trace
 from repro.workload.job import Job, JobKind
-from repro.workload.query import Query, preprocess_query
+from repro.workload.query import AtomSet, Query, preprocess_query
 from repro.workload.stats import (
     estimate_job_durations,
     job_duration_histogram,
@@ -44,7 +44,7 @@ class TestQueryValidation:
         q = Query(0, 0, 0, 0, "velocity", 2, np.full((5, 3), 33.0))
         before = vars(q).copy()
         atoms = q.atoms(SPEC)
-        assert len(atoms) == 1
+        assert atoms.n_atoms == 1
         assert q.atoms(SPEC) == atoms and q.atoms(SPEC) is not atoms
         assert vars(q).keys() == before.keys()
         assert all(vars(q)[k] is v for k, v in before.items())
@@ -57,7 +57,7 @@ class TestPreprocess:
         subs = preprocess_query(q, AtomMapper(SPEC), INTERP)
         assert sum(sq.n_positions for sq in subs) == 200
         assert all(isinstance(sq.n_positions, int) and sq.n_positions > 0 for sq in subs)
-        assert q.atoms(SPEC) == frozenset(sq.atom_id for sq in subs)
+        assert q.atoms(SPEC) == AtomSet.of(sq.atom_id for sq in subs)
         ids = [sq.atom_id for sq in subs]
         assert ids == sorted(ids)  # Morton order
 
