@@ -35,8 +35,7 @@ def build_workload(
     overridden) at the requested saturation."""
     spec = spec or standard_spec()
     params = params or standard_params()
-    trace = generate_trace(spec, params)
-    return trace.rescale(speedup) if speedup != 1.0 else trace
+    return generate_trace(spec, params).rescale(speedup)
 
 
 def run_experiment(

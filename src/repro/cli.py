@@ -438,8 +438,7 @@ def _cmd_trace_generate(args: argparse.Namespace) -> int:
     if overrides:
         params = dataclasses.replace(params, **overrides)
     trace = generate_trace(standard_spec(), params)
-    if args.speedup != 1.0:
-        trace = trace.rescale(args.speedup)
+    trace = trace.rescale(args.speedup)
     trace.save(args.out)
     summary = workload_summary(trace)
     print(f"wrote {args.out}")
@@ -552,8 +551,7 @@ def _supervisor_from_args(args: argparse.Namespace) -> Optional[SupervisorConfig
 
 def _cmd_run(args: argparse.Namespace) -> int:
     trace = Trace.load(args.trace)
-    if args.speedup != 1.0:
-        trace = trace.rescale(args.speedup)
+    trace = trace.rescale(args.speedup)
     faults = _fault_config(args)
     engine = _run_engine(args)
     if args.overload:
@@ -628,8 +626,7 @@ def _cmd_overload(args: argparse.Namespace) -> int:
     from repro.workload.generator import FlashCrowdParams, inject_flash_crowd
 
     base = Trace.load(args.trace)
-    if args.speedup != 1.0:
-        base = base.rescale(args.speedup)
+    base = base.rescale(args.speedup)
     span = max(base.span, 1.0)
     start = args.burst_start if args.burst_start is not None else 0.25 * span
     duration = args.burst_duration if args.burst_duration is not None else 0.10 * span
@@ -738,8 +735,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     trace = Trace.load(args.trace)
-    if args.speedup != 1.0:
-        trace = trace.rescale(args.speedup)
+    trace = trace.rescale(args.speedup)
     engine = standard_engine()
     faults = _fault_config(args)
     degraded = faults is not None

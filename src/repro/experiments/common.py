@@ -12,14 +12,15 @@ EXPERIMENTS.md numbers.
 from __future__ import annotations
 
 import enum
+import functools
 import os
 from typing import Any, List, Optional, Sequence
 from repro.config import CacheConfig, CostModel, EngineConfig, SchedulerConfig
 from repro.engine.results import RunResult
+from repro.errors import ConfigurationError
 from repro.grid.dataset import DatasetSpec
 from repro.parallel import RunSpec, SupervisorConfig, run_many
-from repro.workload.cache import cached_generate_trace
-from repro.workload.generator import WorkloadParams
+from repro.workload.generator import WorkloadParams, generate_trace
 from repro.workload.trace import Trace
 
 __all__ = [
@@ -91,6 +92,16 @@ def standard_scheduler_config(**overrides: Any) -> SchedulerConfig:
     return base.with_(**overrides) if overrides else base
 
 
+@functools.lru_cache(maxsize=4)
+def _calibrated_trace(scale: ExperimentScale, seed: int) -> Trace:
+    """The unscaled calibrated trace, generated once per process.
+
+    Callers share its ``Job``/``Query`` objects; runs never mutate their
+    input (``tests/test_input_immutable.py``), so sharing is safe.
+    """
+    return generate_trace(standard_spec(), standard_params(scale, seed))
+
+
 def standard_trace(
     scale: ExperimentScale = ExperimentScale.FULL,
     speedup: float = STANDARD_SPEEDUP,
@@ -98,13 +109,10 @@ def standard_trace(
 ) -> Trace:
     """The calibrated trace, rescaled to the requested saturation.
 
-    Memoized on disk (content-addressed, bit-identical on reload; see
-    :mod:`repro.workload.cache`) so sweeps that reuse the standard
-    trace generate it once.  Set ``REPRO_TRACE_CACHE=off`` to disable.
+    Sweeps over several speed-ups generate the trace once per
+    ``(scale, seed)`` and rescale it in memory on each call.
     """
-    return cached_generate_trace(
-        standard_spec(), standard_params(scale, seed), speedup=speedup
-    )
+    return _calibrated_trace(scale, seed).rescale(speedup)
 
 
 def sweep_supervisor() -> Optional[SupervisorConfig]:
@@ -125,7 +133,7 @@ def sweep_supervisor() -> Optional[SupervisorConfig]:
     try:
         timeout = float(raw)
     except ValueError:
-        raise ValueError(
+        raise ConfigurationError(
             f"REPRO_TASK_TIMEOUT={raw!r} is not a number of seconds"
         ) from None
     if timeout <= 0:

@@ -98,7 +98,7 @@ class RunSpec:
         (:class:`~repro.config.ShardConfig`).  Part of the content
         digest: the shard count and range assignment change scheduling
         interleavings, so a sharded campaign can never collide with an
-        unsharded one in the journal or the trace cache.
+        unsharded one in the journal.
     """
 
     trace: Trace
@@ -122,7 +122,7 @@ class RunSpec:
         Cluster/sharded specs additionally fold in the explicit shard
         topology digest (shard count + range assignment), so the same
         trace scheduled under a different coordinator layout never
-        aliases in the journal or trace cache.
+        aliases in the journal.
         """
         payload = pickle.dumps(self, protocol=4)
         if self.n_nodes > 1 or self.shards is not None:

@@ -62,8 +62,8 @@ class AtomSet(NamedTuple):
 
     @property
     def n_atoms(self) -> int:
-        """Number of ids (a popcount; ``int.bit_count`` needs 3.10)."""
-        return bin(self.bits).count("1")
+        """Number of ids (a popcount)."""
+        return self.bits.bit_count()
 
     def shares(self, other: AtomSet) -> bool:
         """Do the two sets have an atom in common?  The bitmap with the

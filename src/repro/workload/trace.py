@@ -67,12 +67,13 @@ class Trace:
 
         ``speedup > 1`` saturates the workload (jobs arrive faster);
         ``speedup < 1`` relaxes it.  Think times are untouched — they
-        model user-side computation, not arrival rate.
+        model user-side computation, not arrival rate.  ``speedup == 1``
+        keeps every submit time exactly (``t0 + (t - t0)`` can round).
         """
         if speedup <= 0:
             raise ValueError("speedup must be positive")
-        if not self.jobs:
-            return Trace(self.spec, [])
+        if speedup == 1.0 or not self.jobs:
+            return Trace(self.spec, list(self.jobs))
         t0 = min(j.submit_time for j in self.jobs)
         jobs = [
             replace(j, submit_time=t0 + (j.submit_time - t0) / speedup) for j in self.jobs

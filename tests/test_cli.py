@@ -183,6 +183,12 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
 
+    def test_bad_task_timeout_is_a_configuration_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "abc")
+        assert main(["experiment", "fig10", "--scale", "small"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: REPRO_TASK_TIMEOUT='abc' is not a number of seconds" in err
+
 
 class TestExperimentCsvExport:
     def test_fig12_csv(self, tmp_path, capsys, monkeypatch):

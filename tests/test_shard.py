@@ -40,7 +40,6 @@ from repro.shard import (
     run_sharded,
     shard_fault_seed,
 )
-from repro.workload.cache import trace_cache_key
 from repro.workload.generator import WorkloadParams, generate_trace
 
 SPEC = DatasetSpec.small(n_timesteps=6, atoms_per_axis=4)
@@ -377,7 +376,7 @@ class TestConfigErrors:
 
 
 # ---------------------------------------------------------------------------
-# Spec digests and cache keys
+# Spec digests
 # ---------------------------------------------------------------------------
 class TestDigests:
     def test_runspec_digest_tracks_topology(self):
@@ -387,10 +386,3 @@ class TestDigests:
         sharded = dataclasses.replace(base, n_nodes=4, shards=ShardConfig(n_shards=2))
         digests = {base.digest(), clustered.digest(), sharded.digest()}
         assert len(digests) == 3
-
-    def test_trace_cache_key_tracks_topology(self):
-        params = WorkloadParams(n_jobs=20, span=150.0, seed=0)
-        plain = trace_cache_key(SPEC, params, 1.0)
-        assert trace_cache_key(SPEC, params, 1.0) == plain
-        topo = ShardTopology(n_nodes=4, n_shards=2).digest()
-        assert trace_cache_key(SPEC, params, 1.0, topology=topo) != plain

@@ -6,7 +6,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.experiments.common import ExperimentScale, standard_params, standard_spec
+from repro.engine.runner import run_trace
+from repro.experiments import common
+from repro.experiments.common import (
+    ExperimentScale,
+    standard_params,
+    standard_spec,
+    standard_trace,
+)
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
 from repro.grid.interpolation import InterpolationSpec
@@ -153,6 +160,26 @@ class TestGeneratorCalibration:
             WorkloadParams(burstiness=2.0)
 
 
+def assert_traces_identical(a, b):
+    """Structural bit-identity: floats compared exactly, arrays by bytes."""
+    assert a.spec == b.spec
+    assert a.n_jobs == b.n_jobs
+    assert a.n_queries == b.n_queries
+    for ja, jb in zip(a.jobs, b.jobs):
+        assert (ja.job_id, ja.kind, ja.user_id, ja.client_class) == (
+            jb.job_id, jb.kind, jb.user_id, jb.client_class,
+        )
+        assert ja.submit_time == jb.submit_time
+        assert ja.think_time == jb.think_time
+        assert len(ja.queries) == len(jb.queries)
+        for qa, qb in zip(ja.queries, jb.queries):
+            assert (qa.query_id, qa.job_id, qa.seq, qa.user_id, qa.op, qa.timestep) == (
+                qb.query_id, qb.job_id, qb.seq, qb.user_id, qb.op, qb.timestep,
+            )
+            assert qa.positions.dtype == qb.positions.dtype
+            assert qa.positions.tobytes() == qb.positions.tobytes()
+
+
 class TestTrace:
     def make(self, seed=0):
         return generate_trace(SPEC, WorkloadParams(n_jobs=25, span=300.0, seed=seed))
@@ -176,20 +203,33 @@ class TestTrace:
         assert times == sorted(times)
 
     def test_save_load_roundtrip(self, tmp_path):
-        trace = self.make(seed=3)
+        """A ``--trace`` file reloads bit-identically: floats, ids, bytes."""
+        trace = self.make(seed=3).rescale(3.0)
         path = tmp_path / "trace.npz"
         trace.save(path)
-        loaded = Trace.load(path)
-        assert loaded.spec == trace.spec
-        assert loaded.n_jobs == trace.n_jobs
-        assert loaded.n_queries == trace.n_queries
-        for ja, jb in zip(trace.jobs, loaded.jobs):
-            assert ja.job_id == jb.job_id
-            assert ja.kind == jb.kind
-            assert ja.submit_time == pytest.approx(jb.submit_time)
-            for qa, qb in zip(ja.queries, jb.queries):
-                np.testing.assert_allclose(qa.positions, qb.positions)
-                assert qa.timestep == qb.timestep
+        assert_traces_identical(trace, Trace.load(path))
+
+    def test_loaded_trace_is_bit_identical_to_regeneration(self, tmp_path):
+        """Loading a saved trace and regenerating it from its parameters agree."""
+        spec = DatasetSpec.small(n_timesteps=6, atoms_per_axis=4)
+        params = WorkloadParams(n_jobs=8, span=60.0, seed=5)
+        path = tmp_path / "trace.npz"
+        generate_trace(spec, params).save(path)
+        assert_traces_identical(Trace.load(path), generate_trace(spec, params))
+
+    def test_saved_trace_produces_identical_run(self, tmp_path):
+        trace = generate_trace(
+            DatasetSpec.small(n_timesteps=6, atoms_per_axis=4),
+            WorkloadParams(n_jobs=8, span=60.0, seed=5),
+        )
+        path = tmp_path / "trace.npz"
+        trace.save(path)
+        a = run_trace(trace, "jaws2").to_dict()
+        b = run_trace(Trace.load(path), "jaws2").to_dict()
+        for result in (a, b):  # wall-clock overheads differ run to run
+            del result["gating_overhead_ns"], result["cache_overhead_ns"]
+            del result["cache"]["overhead_ns"]
+        assert a == b
 
     def test_duplicate_job_ids_rejected(self):
         trace = self.make()
@@ -238,6 +278,39 @@ CALIBRATED_TRACE_SHA = {
     ExperimentScale.SMALL: "1f221f5a194c6e927e3f00f19578c947712ae03e9077c0611d01b2e5595135eb",
     ExperimentScale.FULL: "fa04502de5d9818a007f50aaa1d75155b65ba8fa2d70ab83f1547f06b162ff20",
 }
+
+
+def test_speedup_one_keeps_calibrated_submit_times():
+    """``rescale(1.0)`` is a copy with exactly the same submit times."""
+    trace = generate_trace(standard_spec(), standard_params(ExperimentScale.SMALL, 7))
+    times = [j.submit_time for j in trace.jobs]
+    same = trace.rescale(1.0)
+    assert same is not trace and same.jobs is not trace.jobs
+    for t in (same, standard_trace(ExperimentScale.SMALL, speedup=1.0)):
+        assert [j.submit_time for j in t.jobs] == times
+
+
+def test_standard_trace_generates_once_per_scale_and_seed(monkeypatch):
+    calls = []
+
+    def counting(spec, params):
+        calls.append(params.seed)
+        return generate_trace(spec, params)
+
+    monkeypatch.setattr(common, "generate_trace", counting)
+    common._calibrated_trace.cache_clear()
+    try:
+        speedups = (1.0, 2.0, 8.0, 16.0, 2.0)
+        traces = [standard_trace(ExperimentScale.SMALL, speedup=s, seed=4) for s in speedups]
+        assert calls == [4]
+        base = generate_trace(standard_spec(), standard_params(ExperimentScale.SMALL, 4))
+        for s, trace in zip(speedups, traces):
+            expect = [j.submit_time for j in base.rescale(s).jobs]
+            assert [j.submit_time for j in trace.jobs] == expect
+        standard_trace(ExperimentScale.SMALL, speedup=1.0, seed=5)
+        assert calls == [4, 5]
+    finally:
+        common._calibrated_trace.cache_clear()
 
 
 def test_calibrated_trace_golden():
