@@ -43,7 +43,7 @@ def main() -> None:
     trace = Trace(spec, quiet.jobs + fixed)
 
     engine = EngineConfig(run_length=25)
-    cfg = SchedulerConfig(alpha=0.5, adaptive_alpha=True, run_length=25, batch_size=15)
+    cfg = SchedulerConfig(alpha=0.5, adaptive_alpha=True, batch_size=15)
     scheduler = JAWSScheduler(spec, engine.cost, cfg)
     result = run_trace(trace, scheduler, engine)
 

@@ -4,8 +4,8 @@
 Runs one workload four ways and proves the sharded machinery keeps its
 promises:
 
-1. single-coordinator reference (``n_shards=1`` is byte-identical to
-   the cluster engine);
+1. single-coordinator reference (a one-shard plan runs the cluster
+   engine);
 2. two coordinator shards, fault-free;
 3. two shards with shard 1 crashing mid-run — shard 0 adopts its
    Morton ranges at a bumped lease epoch and every query still
@@ -29,7 +29,8 @@ from repro import (
     WorkloadParams,
     generate_trace,
 )
-from repro.config import ShardConfig
+from repro.config import CheckpointConfig, ShardConfig
+from repro.parallel import RunSpec, run_spec
 from repro.shard import resume_cluster, run_sharded
 
 N_NODES = 4
@@ -45,27 +46,28 @@ def build_inputs():
     return trace, engine
 
 
-def describe(tag, out):
-    stats = out.shard_stats
+def describe(tag, n_shards, result):
+    faults = result.faults
     print(
-        f"{tag:<28} shards={out.n_shards} completed={out.result.n_queries} "
-        f"makespan={out.result.makespan:.3f}s crashes={stats['shard_crashes']} "
-        f"epoch_bumps={stats['epoch_bumps']} stale_retries={stats['stale_retries']}"
+        f"{tag:<28} shards={n_shards} completed={result.n_queries} "
+        f"makespan={result.makespan:.3f}s crashes={faults.get('shard_crashes', 0)} "
+        f"epoch_bumps={faults.get('shard_epoch_bumps', 0)} "
+        f"stale_retries={faults.get('shard_stale_retries', 0)}"
     )
 
 
 def main():
     trace, engine = build_inputs()
 
-    single = run_sharded(
-        trace, SCHEDULER, N_NODES, shards=ShardConfig(n_shards=1), engine=engine
+    single = run_spec(
+        RunSpec(trace, SCHEDULER, engine, n_nodes=N_NODES, shards=ShardConfig(n_shards=1))
     )
-    describe("single coordinator", single)
+    describe("single coordinator", 1, single)
 
     sharded = run_sharded(
         trace, SCHEDULER, N_NODES, shards=ShardConfig(n_shards=2), engine=engine
     )
-    describe("2 shards, fault-free", sharded)
+    describe("2 shards, fault-free", 2, sharded.result)
 
     crashed = run_sharded(
         trace,
@@ -74,7 +76,7 @@ def main():
         shards=ShardConfig(n_shards=2, crashes=((1, 40.0),)),
         engine=engine,
     )
-    describe("2 shards, shard 1 dies", crashed)
+    describe("2 shards, shard 1 dies", 2, crashed.result)
     assert crashed.result.n_queries == trace.n_queries, "failover lost queries"
     c = crashed.shard_stats["conservation"]
     assert c["created"] == c["applied"] + c["residual_cancelled"]
@@ -90,14 +92,11 @@ def main():
                 trace,
                 SCHEDULER,
                 N_NODES,
-                shards=ShardConfig(
-                    n_shards=2,
-                    crashes=((1, 40.0),),
-                    checkpoint_dir=ckdir,
-                    barrier_every_events=500,
-                    halt_after_barrier=3,
+                shards=ShardConfig(n_shards=2, crashes=((1, 40.0),), halt_after_barrier=3),
+                # Barriers every 500 cumulative events, under ckdir.
+                engine=engine.with_(
+                    checkpoint=CheckpointConfig(directory=ckdir, every_events=500)
                 ),
-                engine=engine,
             )
             raise SystemExit("expected the halt to fire")
         except CoordinatorCrash:
@@ -105,7 +104,7 @@ def main():
             print(f"halted after barrier 3: {len(manifests)} cluster manifest(s)")
 
         resumed = resume_cluster(ckdir).run()
-        describe("resumed from barrier", resumed)
+        describe("resumed from barrier", 2, resumed.result)
 
     same = (
         resumed.result.n_queries == crashed.result.n_queries

@@ -25,7 +25,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.cluster.cluster import run_cluster
 from repro.config import (
     SHED_POLICIES,
     CheckpointConfig,
@@ -60,7 +59,13 @@ from repro.experiments.common import (
     standard_spec,
 )
 from repro.experiments.report import render_table
-from repro.parallel import RunSpec, SupervisorConfig, run_many, run_many_outcomes
+from repro.parallel import (
+    RunSpec,
+    SupervisorConfig,
+    run_many,
+    run_many_outcomes,
+    run_spec,
+)
 from repro.workload.generator import generate_trace
 from repro.workload.stats import workload_summary
 from repro.workload.trace import Trace
@@ -167,11 +172,10 @@ def _fault_config(args: argparse.Namespace) -> Optional[FaultConfig]:
 
 def _shard_config(args: argparse.Namespace) -> Optional[ShardConfig]:
     """Build the sharded-execution plan from ``--shards`` and friends;
-    ``None`` when the run is a plain single-coordinator one."""
-    n_shards = getattr(args, "shards", 1)
-    crash_specs = getattr(args, "shard_crash_at", None) or []
-    halt = getattr(args, "halt_after_barrier", None)
-    if n_shards <= 1 and not crash_specs and halt is None:
+    ``None`` when the run is a plain single-coordinator one.  Its
+    barriers come from the checkpoint flags (:func:`_run_engine`)."""
+    crash_specs = args.shard_crash_at or []
+    if args.shards <= 1 and not crash_specs and args.halt_after_barrier is None:
         return None
     crashes = []
     for spec in crash_specs:
@@ -184,18 +188,10 @@ def _shard_config(args: argparse.Namespace) -> Optional[ShardConfig]:
             raise ConfigurationError(
                 f"--shard-crash-at expects SHARD:TIME, got {spec!r}"
             ) from None
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    barrier_every = None
-    if checkpoint_dir is not None:
-        barrier_every = getattr(args, "checkpoint_every_events", None)
-        if barrier_every is None:
-            barrier_every = 500
     return ShardConfig(
-        n_shards=n_shards,
+        n_shards=args.shards,
         crashes=tuple(crashes),
-        checkpoint_dir=checkpoint_dir,
-        barrier_every_events=barrier_every,
-        halt_after_barrier=halt,
+        halt_after_barrier=args.halt_after_barrier,
     )
 
 
@@ -297,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--nodes", type=int, default=1, help="cluster size")
     cmp_p.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for parallel evaluation (single-node, fault-free runs)",
+        help="worker processes for parallel evaluation (bit-identical to serial)",
     )
     cmp_p.add_argument(
         "--salvage", action="store_true",
@@ -467,7 +463,7 @@ def _run_engine(args: argparse.Namespace) -> EngineConfig:
         engine = dataclasses.replace(
             engine, cache=dataclasses.replace(engine.cache, policy=args.cache)
         )
-    directory = getattr(args, "checkpoint_dir", None)
+    directory = args.checkpoint_dir
     every_events = args.checkpoint_every_events
     every_seconds = args.checkpoint_every_seconds
     if not directory:
@@ -482,43 +478,6 @@ def _run_engine(args: argparse.Namespace) -> EngineConfig:
         directory=directory, every_events=every_events, every_seconds=every_seconds
     )
     return dataclasses.replace(engine, checkpoint=checkpoint)
-
-
-def _run_one(
-    trace: Trace,
-    name: str,
-    engine: EngineConfig,
-    faults: Optional[FaultConfig],
-    nodes: int,
-    shards: Optional[ShardConfig] = None,
-    jobs: int = 1,
-    supervisor: Optional[SupervisorConfig] = None,
-) -> RunResult:
-    if shards is not None:
-        from repro.shard import run_sharded
-
-        sharded = run_sharded(
-            trace,
-            name,
-            max(nodes, 1),
-            shards=shards,
-            engine=engine,
-            faults=faults,
-            jobs=jobs,
-            supervisor=supervisor,
-        )
-        if shards.sharded:
-            stats = sharded.shard_stats
-            print(
-                f"  shards: {stats['n_shards']} "
-                f"(crashes {stats['shard_crashes']}, "
-                f"epoch bumps {stats['epoch_bumps']}, "
-                f"stale retries {stats['stale_retries']})"
-            )
-        return sharded.result
-    if nodes > 1 or faults is not None:
-        return run_cluster(trace, name, max(nodes, 1), engine=engine, faults=faults).result
-    return run_trace(trace, name, engine)
 
 
 def _print_result(result: RunResult, degraded: bool, protected: bool = False) -> None:
@@ -538,6 +497,21 @@ def _print_result(result: RunResult, degraded: bool, protected: bool = False) ->
             print(
                 f"  {cls}: n={int(pct['n'])} p50={pct['p50']:.3f}s p99={pct['p99']:.3f}s"
             )
+
+
+def _print_run(
+    spec: RunSpec, result: RunResult, degraded: bool, protected: bool = False
+) -> None:
+    """A run's summary, led by the control plane's counters when the
+    run was sharded."""
+    if spec.shards is not None and spec.shards.sharded:
+        print(
+            f"  shards: {spec.shards.n_shards} "
+            f"(crashes {result.faults['shard_crashes']}, "
+            f"epoch bumps {result.faults['shard_epoch_bumps']}, "
+            f"stale retries {result.faults['shard_stale_retries']})"
+        )
+    _print_result(result, degraded, protected)
 
 
 def _supervisor_from_args(args: argparse.Namespace) -> Optional[SupervisorConfig]:
@@ -562,52 +536,39 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"--shards {args.shards} needs at least that many nodes "
             f"(got --nodes {args.nodes})"
         )
-    if shards is not None and shards.sharded:
-        # Sharded runs checkpoint through cluster barriers; the engine's
-        # own checkpoint config must stay off (run_sharded enforces it).
-        engine = dataclasses.replace(engine, checkpoint=CheckpointConfig())
-    schedulers = args.scheduler or ["jaws2"]
-    if len(schedulers) > 1:
-        if args.nodes > 1 or faults is not None or shards is not None:
-            raise ConfigurationError(
-                "multiple --scheduler values fan out via the single-node "
-                "runner; drop --nodes/--shards/fault flags or run them "
-                "one at a time"
-            )
-        specs = [RunSpec(trace, name, engine, label=name) for name in schedulers]
-        supervisor = _supervisor_from_args(args)
+    specs = [
+        RunSpec(trace, name, engine, faults=faults, label=name, n_nodes=args.nodes, shards=shards)
+        for name in args.scheduler or ["jaws2"]
+    ]
+    supervisor = _supervisor_from_args(args)
+    degraded = faults is not None
+    try:
+        if len(specs) == 1:
+            # One run: --jobs fans out its sharded superstep windows.
+            result = run_spec(specs[0], jobs=args.jobs, supervisor=supervisor)
+            _print_run(specs[0], result, degraded, args.overload)
+            return 0
         if args.salvage:
             failed = 0
             outcomes = run_many_outcomes(specs, jobs=args.jobs, supervisor=supervisor)
-            for name, outcome in zip(schedulers, outcomes):
-                print(f"[{name}]")
+            for spec, outcome in zip(specs, outcomes):
+                print(f"[{spec.label}]")
                 if outcome.ok:
-                    _print_result(outcome.value, degraded=False, protected=args.overload)
+                    _print_run(spec, outcome.value, degraded, args.overload)
                 else:
                     assert outcome.failure is not None
                     failed += 1
                     print(f"  FAILED: {outcome.failure.describe()}", file=sys.stderr)
             return 1 if failed else 0
-        for name, result in zip(
-            schedulers, run_many(specs, jobs=args.jobs, supervisor=supervisor)
+        for spec, result in zip(
+            specs, run_many(specs, jobs=args.jobs, supervisor=supervisor)
         ):
-            print(f"[{name}]")
-            _print_result(result, degraded=False, protected=args.overload)
+            print(f"[{spec.label}]")
+            _print_run(spec, result, degraded, args.overload)
         return 0
-    try:
-        result = _run_one(
-            trace,
-            schedulers[0],
-            engine,
-            faults,
-            args.nodes,
-            shards=shards,
-            jobs=args.jobs,
-            supervisor=_supervisor_from_args(args),
-        )
     except CoordinatorCrash as exc:
         print(f"coordinator crashed: {exc}", file=sys.stderr)
-        if getattr(args, "checkpoint_dir", None):
+        if args.checkpoint_dir:
             print(
                 f"recover with: repro resume --dir {args.checkpoint_dir}",
                 file=sys.stderr,
@@ -618,8 +579,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 3
-    _print_result(result, degraded=faults is not None, protected=args.overload)
-    return 0
 
 
 def _cmd_overload(args: argparse.Namespace) -> int:
@@ -739,47 +698,29 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     engine = standard_engine()
     faults = _fault_config(args)
     degraded = faults is not None
-    if degraded or args.nodes > 1:
-        # Cluster/fault runs go through the multi-node runner, which
-        # the process pool does not fan out; run them inline.
-        results = [
-            _run_one(trace, name, engine, faults, args.nodes)
-            for name in args.schedulers
-        ]
-    elif args.salvage:
-        specs = [RunSpec(trace, name, engine, label=name) for name in args.schedulers]
-        outcomes = run_many_outcomes(
-            specs, jobs=args.jobs, supervisor=_supervisor_from_args(args)
-        )
-        results = []
-        salvage_failures = []
-        for outcome in outcomes:
+    specs = [
+        RunSpec(trace, name, engine, faults=faults, label=name, n_nodes=args.nodes)
+        for name in args.schedulers
+    ]
+    supervisor = _supervisor_from_args(args)
+    failed = 0
+    done: list[tuple[str, RunResult]] = []
+    if args.salvage:
+        for spec, outcome in zip(
+            specs, run_many_outcomes(specs, jobs=args.jobs, supervisor=supervisor)
+        ):
             if outcome.ok:
-                results.append(outcome.value)
+                done.append((spec.label, outcome.value))
             else:
                 assert outcome.failure is not None
-                salvage_failures.append(outcome.failure)
-        for failure in salvage_failures:
-            print(f"FAILED: {failure.describe()}", file=sys.stderr)
-        schedulers = [name for name, o in zip(args.schedulers, outcomes) if o.ok]
-        rows = []
-        for name, result in zip(schedulers, results):
-            rows.append(
-                (
-                    name,
-                    result.throughput_qps,
-                    result.mean_response_time,
-                    result.cache_hit_ratio,
-                    result.disk["reads"],
-                )
-            )
-        print(render_table(["scheduler", "qps", "mean_rt_s", "cache_hit", "reads"], rows))
-        return 1 if salvage_failures else 0
+                failed += 1
+                print(f"FAILED: {outcome.failure.describe()}", file=sys.stderr)
     else:
-        specs = [RunSpec(trace, name, engine, label=name) for name in args.schedulers]
-        results = run_many(specs, jobs=args.jobs, supervisor=_supervisor_from_args(args))
+        done = list(
+            zip(args.schedulers, run_many(specs, jobs=args.jobs, supervisor=supervisor))
+        )
     rows = []
-    for name, result in zip(args.schedulers, results):
+    for name, result in done:
         row = (
             name,
             result.throughput_qps,
@@ -794,7 +735,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if degraded:
         headers += ["avail", "retries", "failovers", "timeouts"]
     print(render_table(headers, rows))
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:

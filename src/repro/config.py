@@ -133,9 +133,6 @@ class SchedulerConfig:
     adaptive_alpha:
         Enable the §V-A adaptive starvation-resistance controller
         (JAWS); LifeRaft keeps ``alpha`` fixed.
-    run_length:
-        Number of consecutive completed queries forming one *run* —
-        the granularity of adaptive-α updates and SLRU promotion.
     batch_size:
         ``k``, the maximum number of atoms co-scheduled per time step by
         the two-level framework (paper default 15).  ``1`` disables
@@ -157,7 +154,6 @@ class SchedulerConfig:
 
     alpha: float = 0.5
     adaptive_alpha: bool = False
-    run_length: int = 50
     batch_size: int = 15
     two_level: bool = True
     job_aware: bool = True
@@ -167,8 +163,6 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError("alpha must be in [0, 1]")
-        if self.run_length < 1:
-            raise ConfigurationError("run_length must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if self.gating_max_lag is not None and self.gating_max_lag < 1:
@@ -401,14 +395,14 @@ class ShardConfig:
     shard coordinators, each running the two-level JAWS scheduling loop
     over its slice of the cluster, composed by a deterministic virtual-
     time control plane with epoch-numbered leases on every shard's
-    ranges.  The default instance (``n_shards=1``) degenerates to the
-    single-coordinator engine, byte-identically.
+    ranges.  With the default ``n_shards=1``,
+    :func:`~repro.parallel.pool.run_spec` runs the plain single-
+    coordinator engine instead.
 
     Attributes
     ----------
     n_shards:
-        Coordinator shard count.  ``1`` runs the plain single-
-        coordinator engine.
+        Coordinator shard count.
     crashes:
         Deterministic shard-crash schedule: ``(shard_index,
         crash_time)`` pairs in virtual seconds
@@ -441,21 +435,14 @@ class ShardConfig:
         Extra virtual-time penalty charged when a message carrying a
         stale epoch is re-addressed to the range's new owner (the
         typed retry/timeout path).
-    barrier_every_events:
-        Cluster recovery-point cadence: force a consistent cut — one
-        CRC-guarded snapshot per shard plus an epoch-tagged cluster
-        manifest — every N cluster-wide dispatched events.  ``None``
-        disables barriers (no resume possible).
-    checkpoint_dir:
-        Root directory for per-shard checkpoint subdirectories
-        (``shard-<i>/``) and cluster manifests.  Required when
-        :attr:`barrier_every_events` is set.
     halt_after_barrier:
         Testing/ops knob mirroring ``coordinator_crash_at``: abort the
         whole cluster run (raising
         :class:`~repro.errors.CoordinatorCrash`) immediately after
-        writing this 1-based barrier, leaving a durable recovery point
-        for ``repro resume`` to restore bit-identically.
+        writing this 1-based cluster barrier, leaving a durable
+        recovery point for ``repro resume`` to restore bit-identically.
+        Barriers are armed by ``EngineConfig.checkpoint`` (its
+        directory and ``every_events`` cadence), as for every run.
     """
 
     n_shards: int = 1
@@ -466,8 +453,6 @@ class ShardConfig:
     failover_delay: float = 0.05
     message_delay: float = 0.01
     retry_delay: float = 0.01
-    barrier_every_events: Optional[int] = None
-    checkpoint_dir: Optional[str] = None
     halt_after_barrier: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -507,16 +492,14 @@ class ShardConfig:
             )
         if self.retry_delay <= 0:
             raise ConfigurationError("retry_delay must be positive")
-        if self.barrier_every_events is not None:
-            if self.barrier_every_events < 1:
-                raise ConfigurationError("barrier_every_events must be >= 1 or None")
-            if self.checkpoint_dir is None:
-                raise ConfigurationError("barriers need checkpoint_dir")
         if self.halt_after_barrier is not None:
             if self.halt_after_barrier < 1:
                 raise ConfigurationError("halt_after_barrier must be >= 1 or None")
-            if self.barrier_every_events is None:
-                raise ConfigurationError("halt_after_barrier needs barrier_every_events")
+            if self.n_shards < 2:
+                raise ConfigurationError(
+                    "halt_after_barrier interrupts the sharded control plane; "
+                    "with one shard use the coordinator-crash fault instead"
+                )
 
     @property
     def sharded(self) -> bool:

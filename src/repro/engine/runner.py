@@ -24,6 +24,7 @@ from repro.core.liferaft import LifeRaftScheduler
 from repro.core.noshare import NoShareScheduler
 from repro.engine.results import RunResult
 from repro.engine.simulator import Simulator
+from repro.errors import ConfigurationError
 from repro.workload.trace import Trace
 
 __all__ = ["SCHEDULER_NAMES", "make_scheduler", "run_trace"]
@@ -40,15 +41,13 @@ def make_scheduler(
     """Construct a fresh scheduler for one run over ``trace``.
 
     ``config`` overrides the JAWS scheduler knobs (batch size k, initial
-    α, run length, gating valve); LifeRaft/NoShare ignore most of it by
+    α, gating valve); LifeRaft/NoShare ignore most of it by
     construction.  LifeRaft receives ``engine.max_sim_time`` as the
     clock bound of its tie-set cache.
     """
     engine = engine or EngineConfig()
     spec = trace.spec
-    base = config or SchedulerConfig(
-        alpha=0.5, adaptive_alpha=True, run_length=engine.run_length
-    )
+    base = config or SchedulerConfig(alpha=0.5, adaptive_alpha=True)
     key = name.lower()
     if key == "noshare":
         return NoShareScheduler()
@@ -64,7 +63,7 @@ def make_scheduler(
         return JAWSScheduler(spec, engine.cost, base.with_(job_aware=False))
     if key == "jaws2":
         return JAWSScheduler(spec, engine.cost, base.with_(job_aware=True))
-    raise ValueError(f"unknown scheduler {name!r}; choose from {SCHEDULER_NAMES}")
+    raise ConfigurationError(f"unknown scheduler {name!r}; choose from {SCHEDULER_NAMES}")
 
 
 def run_trace(

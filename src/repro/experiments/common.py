@@ -86,9 +86,7 @@ def standard_engine() -> EngineConfig:
 
 def standard_scheduler_config(**overrides: Any) -> SchedulerConfig:
     """JAWS defaults: α₀ = 0.5, adaptive, k = 15 (paper §VI-B)."""
-    base = SchedulerConfig(
-        alpha=0.5, adaptive_alpha=True, batch_size=15, run_length=40
-    )
+    base = SchedulerConfig(alpha=0.5, adaptive_alpha=True, batch_size=15)
     return base.with_(**overrides) if overrides else base
 
 
@@ -136,8 +134,10 @@ def sweep_supervisor() -> Optional[SupervisorConfig]:
         raise ConfigurationError(
             f"REPRO_TASK_TIMEOUT={raw!r} is not a number of seconds"
         ) from None
-    if timeout <= 0:
-        return None
+    if not timeout > 0:
+        raise ConfigurationError(
+            f"REPRO_TASK_TIMEOUT={raw!r} must be a positive number of seconds"
+        )
     return SupervisorConfig(task_timeout=timeout)
 
 

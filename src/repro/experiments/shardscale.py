@@ -2,8 +2,8 @@
 
 Replays the standard calibrated trace on a fixed-size cluster while the
 coordinator is split into 1, 2, 4, ... shards
-(:func:`repro.shard.run_sharded`).  The N=1 row is byte-identical to
-the single-coordinator cluster engine, so the table reads as "what does
+(:func:`repro.parallel.run_spec`).  The N=1 row runs the
+single-coordinator cluster engine, so the table reads as "what does
 coordinating the same workload through N independent, lease-fenced
 schedulers cost (or buy)": cross-shard messages replace shared-memory
 gating edges, so queries spanning shard boundaries pay the virtual
@@ -28,7 +28,7 @@ from repro.experiments.common import (
     sweep_supervisor,
 )
 from repro.experiments.report import render_table
-from repro.shard import run_sharded
+from repro.parallel import RunSpec, run_spec
 
 #: Cluster size for the sweep: divisible by every shard count below.
 N_NODES = 8
@@ -59,19 +59,16 @@ def run(
         crashes = ()
         if crash is not None and n_shards > 1:
             crashes = ((n_shards - 1, float(crash)),)
-        out = run_sharded(
+        spec = RunSpec(
             trace,
             "jaws2",
-            N_NODES,
+            engine,
+            scheduler_config=config,
+            n_nodes=N_NODES,
             shards=ShardConfig(n_shards=n_shards, crashes=crashes),
-            engine=engine,
-            config=config,
-            jobs=jobs,
-            supervisor=supervisor,
         )
-        result = out.result
+        result = run_spec(spec, jobs=jobs, supervisor=supervisor)
         responses = np.asarray(result.response_times, dtype=np.float64)
-        stats = out.shard_stats
         rows.append(
             {
                 "shards": n_shards,
@@ -84,8 +81,8 @@ def run(
                 "p99_response_s": (
                     float(np.percentile(responses, 99)) if responses.size else 0.0
                 ),
-                "shard_messages": stats["conservation"].get("messages_sent", 0),
-                "stale_retries": stats["stale_retries"],
+                "shard_messages": result.faults.get("shard_messages", 0),
+                "stale_retries": result.faults.get("shard_stale_retries", 0),
             }
         )
     return {

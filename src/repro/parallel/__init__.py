@@ -1,6 +1,7 @@
 """Deterministic parallel evaluation of independent simulation runs.
 
-See :mod:`repro.parallel.pool` for the fan-out primitives and the
+See :mod:`repro.parallel.pool` for :func:`run_spec` (the one router
+from a :class:`RunSpec` to the engine), the fan-out primitives and the
 determinism argument (DESIGN.md §10), and
 :mod:`repro.parallel.supervisor` for the supervised execution layer —
 watchdogs, salvage outcomes, resource guards — plus
@@ -9,7 +10,7 @@ watchdogs, salvage outcomes, resource guards — plus
 """
 
 from repro.parallel.journal import JOURNAL_FORMAT_VERSION, CampaignJournal
-from repro.parallel.pool import RunSpec, map_many, run_many, run_many_outcomes
+from repro.parallel.pool import RunSpec, map_many, run_many, run_many_outcomes, run_spec
 from repro.parallel.supervisor import (
     Outcome,
     SupervisorConfig,
@@ -28,6 +29,7 @@ __all__ = [
     "map_many",
     "run_many",
     "run_many_outcomes",
+    "run_spec",
     "supervise",
     "task_digest",
 ]

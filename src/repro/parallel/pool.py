@@ -1,4 +1,10 @@
-"""Deterministic process-pool fan-out for independent simulation runs.
+"""One description of a run, one router, and a deterministic process-pool
+fan-out for independent simulation runs.
+
+A :class:`RunSpec` describes one run of any shape — a single node, a
+Morton-partitioned cluster, or sharded coordinators — and
+:func:`run_spec` is the only code that picks the engine for it.  The
+CLI, the experiment sweeps and :func:`run_many` all go through it.
 
 The evaluation harness replays many independent ``(trace, scheduler,
 engine, faults)`` combinations — five schedulers per figure, speedup
@@ -41,7 +47,6 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 from typing import (
-    Any,
     Callable,
     List,
     Literal,
@@ -56,11 +61,11 @@ from typing import (
 from repro.config import EngineConfig, FaultConfig, SchedulerConfig, ShardConfig
 from repro.engine.results import RunResult
 from repro.engine.runner import run_trace
-from repro.errors import WorkerCrashError
+from repro.errors import ConfigurationError, WorkerCrashError
 from repro.parallel.supervisor import Outcome, SupervisorConfig, supervise
 from repro.workload.trace import Trace
 
-__all__ = ["RunSpec", "map_many", "run_many", "run_many_outcomes"]
+__all__ = ["RunSpec", "map_many", "run_many", "run_many_outcomes", "run_spec"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -69,6 +74,9 @@ _R = TypeVar("_R")
 @dataclass(frozen=True)
 class RunSpec:
     """One independent simulation run: everything a worker needs.
+
+    The one description of a run for every shape; :func:`run_spec`
+    routes it to the engine.
 
     Attributes
     ----------
@@ -79,7 +87,9 @@ class RunSpec:
         Factory name from :data:`repro.engine.runner.SCHEDULER_NAMES`.
     engine:
         Engine configuration; ``None`` uses :class:`EngineConfig`
-        defaults.
+        defaults.  Its ``checkpoint`` arms snapshots for every shape:
+        per-run snapshots on one coordinator, cluster barriers (every
+        ``every_events`` cumulative events) under sharding.
     scheduler_config:
         Optional scheduler-knob overrides (batch size k, α policy,
         metric config).
@@ -91,14 +101,14 @@ class RunSpec:
         stays identifiable after sweeps reorder their spec lists.
     n_nodes:
         Cluster size; ``1`` replays on the single-node engine, larger
-        values route through :func:`~repro.cluster.cluster.run_cluster`
-        (or the sharded path when :attr:`shards` fans out).
+        values on the Morton-partitioned cluster.
     shards:
         Optional sharded-execution plan
-        (:class:`~repro.config.ShardConfig`).  Part of the content
-        digest: the shard count and range assignment change scheduling
-        interleavings, so a sharded campaign can never collide with an
-        unsharded one in the journal.
+        (:class:`~repro.config.ShardConfig`); more than one shard runs
+        the sharded control plane, one shard the plain engine.  Part
+        of the content digest: the shard count and range assignment
+        change scheduling interleavings, so a sharded campaign can
+        never collide with an unsharded one in the journal.
     """
 
     trace: Trace
@@ -133,14 +143,20 @@ class RunSpec:
         return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def _execute_spec(spec: RunSpec) -> RunResult:
-    """Worker entry point: run one spec to completion (top-level so it
-    pickles by reference).  Routes on the spec's cluster shape: sharded
-    specs through :func:`repro.shard.run_sharded` (whose ``n_shards=1``
-    degenerate case is byte-identical to the cluster path), multi-node
-    specs through :func:`repro.cluster.cluster.run_cluster`, and plain
-    specs through the single-node runner exactly as before."""
-    if spec.shards is not None:
+def run_spec(
+    spec: RunSpec, jobs: int = 1, supervisor: Optional[SupervisorConfig] = None
+) -> RunResult:
+    """Run one spec to completion: the only code that picks the engine.
+
+    More than one shard in ``spec.shards`` runs the sharded control
+    plane (:func:`repro.shard.run_sharded`), ``n_nodes > 1`` the
+    cluster (:func:`~repro.cluster.cluster.run_cluster`), anything else
+    the single-node engine (:func:`~repro.engine.runner.run_trace`).
+    ``jobs`` and ``supervisor`` fan the sharded superstep windows out
+    over the supervised pool; the other shapes run in this process.
+    Top-level, so :func:`run_many` can pickle it by reference.
+    """
+    if spec.shards is not None and spec.shards.sharded:
         from repro.shard import run_sharded  # avoid import cycle
 
         return run_sharded(
@@ -151,6 +167,8 @@ def _execute_spec(spec: RunSpec) -> RunResult:
             engine=spec.engine,
             config=spec.scheduler_config,
             faults=spec.faults,
+            jobs=jobs,
+            supervisor=supervisor,
         ).result
     if spec.n_nodes > 1:
         from repro.cluster.cluster import run_cluster
@@ -281,7 +299,7 @@ def map_many(
         them cannot succeed.
     """
     if jobs < 0:
-        raise ValueError("jobs must be >= 0")
+        raise ConfigurationError("jobs must be >= 0")
     config = supervisor or SupervisorConfig(max_retries=max_retries)
     if not salvage and jobs <= 1 and on_outcome is None:
         # Fast inline reference path: identical to a plain list
@@ -303,11 +321,13 @@ def run_many(
 ) -> List[RunResult]:
     """Run every spec and return results in spec order (raising mode).
 
-    A thin wrapper over :func:`map_many` with :func:`_execute_spec` as
-    the worker function; see there for the determinism contract.
+    A thin wrapper over :func:`map_many` with :func:`run_spec` as the
+    worker function; see there for the determinism contract.  Each
+    spec runs whole in one worker, so a sharded spec's superstep
+    windows run serially there.
     """
     return map_many(
-        _execute_spec, specs, jobs=jobs, max_retries=max_retries, supervisor=supervisor
+        run_spec, specs, jobs=jobs, max_retries=max_retries, supervisor=supervisor
     )
 
 
@@ -323,7 +343,7 @@ def run_many_outcomes(
     spec — each a :class:`~repro.engine.results.RunResult` or a typed
     ``TaskFailure`` — so one poison spec cannot sink a sweep."""
     return map_many(
-        _execute_spec,
+        run_spec,
         specs,
         jobs=jobs,
         max_retries=max_retries,

@@ -63,7 +63,7 @@ from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.errors import SupervisorDegradedWarning
+from repro.errors import ConfigurationError, SupervisorDegradedWarning
 
 __all__ = [
     "Outcome",
@@ -160,17 +160,17 @@ class SupervisorConfig:
 
     def __post_init__(self) -> None:
         if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive (or None)")
+            raise ConfigurationError("task_timeout must be positive (or None)")
         if self.heartbeat <= 0:
-            raise ValueError("heartbeat must be positive")
+            raise ConfigurationError("heartbeat must be positive")
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise ConfigurationError("max_retries must be >= 0")
         if self.rss_limit_mb is not None and self.rss_limit_mb <= 0:
-            raise ValueError("rss_limit_mb must be positive (or None)")
+            raise ConfigurationError("rss_limit_mb must be positive (or None)")
         if self.runaway_deadline is not None and self.runaway_deadline < 0:
-            raise ValueError("runaway_deadline must be >= 0 (or None)")
+            raise ConfigurationError("runaway_deadline must be >= 0 (or None)")
         if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
-            raise ValueError("need 0 <= backoff_base <= backoff_cap")
+            raise ConfigurationError("need 0 <= backoff_base <= backoff_cap")
 
     def backoff(self, digest: str, attempt: int) -> float:
         """Deterministic delay before re-dispatching ``digest``'s
@@ -432,7 +432,7 @@ def supervise(
     in *completion* order (the returned list is in *item* order).
     """
     if jobs < 0:
-        raise ValueError("jobs must be >= 0")
+        raise ConfigurationError("jobs must be >= 0")
     cfg = config or SupervisorConfig()
     tasks = [
         _Task(index=i, item=item, label=task_label(item, i), digest=task_digest(item))

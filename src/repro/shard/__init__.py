@@ -9,10 +9,9 @@ deterministic virtual-time control plane in
 seeded shard-crash failover, and cluster-consistent barrier recovery
 (:mod:`repro.shard.recovery`).
 
-:func:`run_sharded` is the entry point.  ``n_shards=1`` short-circuits
-to the single-coordinator cluster path and is byte-identical to
-:func:`~repro.cluster.cluster.run_cluster` — the sharded machinery only
-engages when there is actually more than one coordinator.
+:func:`run_sharded` runs more than one shard and refuses one.
+:func:`repro.parallel.pool.run_spec` is the entry point that routes a
+run of any shape: a one-shard plan there runs the plain cluster engine.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-from repro.cluster.cluster import run_cluster
 from repro.cluster.partition import MortonRangePartitioner
 from repro.config import (
     CheckpointConfig,
@@ -95,82 +93,58 @@ def run_sharded(
     trace: Trace,
     scheduler_name: str,
     n_nodes: int,
-    shards: Optional[ShardConfig] = None,
+    shards: ShardConfig,
     engine: Optional[EngineConfig] = None,
     config: Optional[SchedulerConfig] = None,
     faults: Optional[FaultConfig] = None,
     jobs: int = 1,
     supervisor: Optional[SupervisorConfig] = None,
 ) -> ShardRunResult:
-    """Replay ``trace`` across ``shards.n_shards`` coordinator shards.
+    """Replay ``trace`` across ``shards.n_shards`` (at least two)
+    coordinator shards.
 
     ``faults`` overrides ``engine.faults`` exactly as in
     :func:`~repro.cluster.cluster.run_cluster`; ``jobs > 1`` fans the
     superstep windows out over the supervised process pool
-    (bit-identical to the serial path).  Raises
-    :class:`~repro.errors.ConfigurationError` for combinations the
-    sharded control plane does not model (overload admission and the
-    runtime sanitizer are single-coordinator concerns; checkpointing of
-    a sharded run goes through ``shards.checkpoint_dir`` barriers, not
-    ``engine.checkpoint``).
+    (bit-identical to the serial path).  ``engine.checkpoint`` arms
+    cluster barriers: one snapshot per shard plus a manifest under its
+    directory, every ``every_events`` cumulative events.  Raises
+    :class:`~repro.errors.ConfigurationError` for one shard (route
+    through :func:`repro.parallel.pool.run_spec` instead) and for what
+    the sharded control plane does not model: overload admission and
+    the runtime sanitizer (single-coordinator concerns), a
+    virtual-time checkpoint cadence, and a halt without barriers.
     """
-    shards = shards or ShardConfig()
+    if not shards.sharded:
+        raise ConfigurationError(
+            "run_sharded needs n_shards >= 2; run_spec runs a one-shard "
+            "plan on the cluster engine"
+        )
     engine = engine or EngineConfig()
     if faults is not None:
         engine = engine.with_(faults=faults)
-    if shards.sharded and engine.overload.enabled:
+    if engine.overload.enabled:
         raise ConfigurationError(
             "overload admission control is not modeled under sharded "
             "execution; run with n_shards=1 or drop the overload config"
         )
-    if shards.sharded and engine.sanitize:
+    if engine.sanitize:
         raise ConfigurationError(
             "the runtime sanitizer audits a single coordinator's invariants; "
             "sharded runs are audited by the cross-shard conservation "
             "counters instead — disable sanitize or run with n_shards=1"
         )
-    if shards.sharded and engine.checkpoint.enabled:
+    if engine.checkpoint.every_seconds is not None:
         raise ConfigurationError(
-            "sharded runs checkpoint through cluster barriers: set "
-            "ShardConfig.checkpoint_dir/barrier_every_events instead of "
-            "engine.checkpoint"
+            "sharded runs checkpoint at cluster barriers counted in "
+            "events; set checkpoint every_events, not every_seconds"
         )
-    if shards.halt_after_barrier is not None and not shards.sharded:
+    if shards.halt_after_barrier is not None and not engine.checkpoint.enabled:
         raise ConfigurationError(
-            "halt_after_barrier interrupts the sharded control plane; "
-            "with n_shards=1 use the coordinator-crash fault instead"
+            "halt_after_barrier needs cluster barriers: set a checkpoint "
+            "directory and every_events"
         )
     topology = ShardTopology(n_nodes=n_nodes, n_shards=shards.n_shards)
-
-    if not shards.sharded:
-        # Degenerate case: exactly the single-coordinator cluster path,
-        # byte for byte.  Barrier knobs map onto the engine's own
-        # checkpoint config so `repro resume` keeps working.
-        if shards.checkpoint_dir is not None:
-            engine = engine.with_(
-                checkpoint=CheckpointConfig(
-                    directory=shards.checkpoint_dir,
-                    every_events=shards.barrier_every_events or 500,
-                )
-            )
-        cluster = run_cluster(trace, scheduler_name, n_nodes, engine=engine, config=config)
-        return ShardRunResult(
-            result=cluster.result,
-            n_shards=1,
-            topology_digest=topology.digest(),
-            shard_stats={
-                "n_shards": 1,
-                "topology_digest": topology.digest(),
-                "shard_crashes": 0,
-                "epoch_bumps": 0,
-                "stale_retries": 0,
-                "messages_delivered": 0,
-                # Same shape as the sharded path: one coordinator has
-                # no cross-shard traffic, so every counter is zero.
-                "conservation": {},
-            },
-        )
-
     partitioner = MortonRangePartitioner(
         trace.spec, n_nodes, replication=engine.faults.replication
     )
@@ -203,6 +177,7 @@ def run_sharded(
         domains=domains,
         topology=topology,
         shards=shards,
+        checkpoint=engine.checkpoint,
         partitioner=partitioner,
         jobs=jobs,
         supervisor=supervisor,

@@ -107,6 +107,7 @@ class ClusterControlPlane:
         domains: List[ShardSimulator],
         topology: ShardTopology,
         shards: ShardConfig,
+        checkpoint: CheckpointConfig,
         partitioner: MortonRangePartitioner,
         jobs: int = 1,
         supervisor: Optional[SupervisorConfig] = None,
@@ -116,6 +117,7 @@ class ClusterControlPlane:
         self.domains = domains
         self.topology = topology
         self.cfg = shards
+        self.checkpoint = checkpoint
         self.partitioner = partitioner
         self.jobs = jobs
         self.supervisor = supervisor
@@ -152,7 +154,7 @@ class ClusterControlPlane:
         self._ctrl = []
         self._ctrl_seq = 0
         self._barrier_count = 0
-        self._next_barrier = shards.barrier_every_events
+        self._next_barrier = checkpoint.every_events
         for shard, when in self._crash_schedule():
             self._push_ctrl(when, "crash", shard)
 
@@ -160,9 +162,9 @@ class ClusterControlPlane:
     # Construction helpers
     # ------------------------------------------------------------------
     def _build_managers(self) -> List[Optional[CheckpointManager]]:
-        if self.cfg.checkpoint_dir is None:
+        if not self.checkpoint.enabled:
             return [None] * self.topology.n_shards
-        root = Path(self.cfg.checkpoint_dir)
+        root = Path(str(self.checkpoint.directory))
         return [
             CheckpointManager(
                 CheckpointConfig(
@@ -366,7 +368,7 @@ class ClusterControlPlane:
         if cum < self._next_barrier:
             return
         self._barrier_count += 1
-        self._next_barrier = cum + (self.cfg.barrier_every_events or 0)
+        self._next_barrier = cum + (self.checkpoint.every_events or 0)
         for d, domain in enumerate(self.domains):
             manager = self._managers[d]
             assert manager is not None
@@ -382,15 +384,15 @@ class ClusterControlPlane:
             raise CoordinatorCrash(
                 f"halted after cluster barrier {self._barrier_count} "
                 f"({cum} cumulative events); resume from "
-                f"{self.cfg.checkpoint_dir}"
+                f"{self.checkpoint.directory}"
             )
 
     def _write_manifest(self, cum: int) -> None:
-        assert self.cfg.checkpoint_dir is not None
-        root = Path(self.cfg.checkpoint_dir)
+        root = Path(str(self.checkpoint.directory))
         meta = {
             "format": SNAPSHOT_FORMAT_VERSION,
             "barrier": self._barrier_count,
+            "every_events": self.checkpoint.every_events,
             "cumulative_events": cum,
             "n_shards": self.topology.n_shards,
             "topology_digest": self.topology.digest(),

@@ -77,10 +77,14 @@ def resume_cluster(
             f"cluster manifest {manifest.name} disagrees with its recorded "
             "topology (shard count or range-assignment digest mismatch)"
         )
-    cfg = state["shards"].with_(
-        checkpoint_dir=str(root),  # resume where the files actually live
-        halt_after_barrier=None,
-    )
+    every_events = meta.get("every_events")
+    if not isinstance(every_events, int):
+        raise RecoveryError(
+            f"cluster manifest {manifest.name} records no barrier cadence "
+            "(written by an older version); it cannot be resumed"
+        )
+    # Resume where the files actually live, at the recorded cadence.
+    checkpoint = CheckpointConfig(directory=str(root), every_events=every_events)
     indices = state["shard_event_indices"]
     if len(indices) != n_shards:
         raise RecoveryError(
@@ -119,7 +123,8 @@ def resume_cluster(
     return ClusterControlPlane(
         domains=domains,
         topology=topology,
-        shards=cfg,
+        shards=state["shards"].with_(halt_after_barrier=None),
+        checkpoint=checkpoint,
         partitioner=state["partitioner"],
         jobs=jobs,
         supervisor=supervisor,

@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from repro.cli import _shard_config, main
+from repro.cli import _run_engine, main
 from repro.errors import ConfigurationError
 from repro.workload.trace import Trace
 
@@ -118,10 +118,6 @@ class TestRunCommands:
                 ["run", "--nodes", "2", "--shards", "3"],
                 "--shards 3 needs at least that many nodes (got --nodes 2)",
             ),
-            (
-                ["run", "--nodes", "2", "--scheduler", "noshare", "--scheduler", "jaws2"],
-                "multiple --scheduler values fan out via the single-node runner",
-            ),
             (["overload", "--flash-crowd", "1"], "invalid flash-crowd parameters: factor must be > 1"),
             (
                 ["run", "--checkpoint-every-events", "0"],
@@ -131,11 +127,16 @@ class TestRunCommands:
                 ["run", "--checkpoint-every-seconds", "5"],
                 "--checkpoint-every-events and --checkpoint-every-seconds need --checkpoint-dir",
             ),
+            (["run", "--task-timeout", "-1"], "task_timeout must be positive (or None)"),
+            (
+                ["run", "--scheduler", "noshare", "--scheduler", "jaws2", "--jobs", "-1"],
+                "jobs must be >= 0",
+            ),
         ],
         ids=[
             "crash", "replication", "shard-crash-at", "shards-over-nodes",
-            "multi-scheduler", "flash-crowd", "every-events-without-dir",
-            "every-seconds-without-dir",
+            "flash-crowd", "every-events-without-dir", "every-seconds-without-dir",
+            "task-timeout", "negative-jobs",
         ],
     )
     def test_bad_user_value_is_a_configuration_error(self, trace_file, capsys, argv, message):
@@ -143,17 +144,46 @@ class TestRunCommands:
         assert main(argv) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
 
-    def test_zero_barrier_cadence_is_not_the_default(self, tmp_path):
-        """``--checkpoint-every-events 0`` on a sharded run is rejected,
-        not read as "unset" and replaced by the 500-event default."""
-        args = argparse.Namespace(
-            shards=2, shard_crash_at=None, halt_after_barrier=None,
-            checkpoint_dir=str(tmp_path), checkpoint_every_events=0,
+    def test_several_schedulers_run_on_a_cluster(self, trace_file, capsys):
+        """Several ``--scheduler``s with cluster flags fan out like any
+        other spec; each ``[name]`` block is that scheduler's own run."""
+        argv = ["run", "--trace", str(trace_file), "--nodes", "2"]
+        assert main([*argv, "--scheduler", "noshare", "--scheduler", "jaws2"]) == 0
+        fanned = capsys.readouterr().out
+        expected = ""
+        for name in ("noshare", "jaws2"):
+            assert main([*argv, "--scheduler", name]) == 0
+            expected += f"[{name}]\n" + capsys.readouterr().out
+        assert fanned == expected
+
+    def test_seconds_cadence_under_shards_is_a_configuration_error(
+        self, trace_file, tmp_path, capsys
+    ):
+        """Sharded barriers are counted in events: a seconds cadence is
+        rejected, not replaced by 500-event barriers."""
+        ckpt = tmp_path / "ck"
+        argv = [
+            "run", "--trace", str(trace_file), "--nodes", "4", "--shards", "2",
+            "--checkpoint-dir", str(ckpt), "--checkpoint-every-seconds", "5",
+        ]
+        assert main(argv) == 2
+        assert "configuration error: sharded runs checkpoint at cluster barriers" in (
+            capsys.readouterr().err
         )
-        with pytest.raises(ConfigurationError, match="barrier_every_events must be >= 1"):
-            _shard_config(args)
+        assert not ckpt.exists()
+
+    def test_zero_barrier_cadence_is_not_the_default(self, tmp_path):
+        """``--checkpoint-every-events 0`` is rejected, not read as
+        "unset" and replaced by the 500-event default, which a bare
+        ``--checkpoint-dir`` gets for every run shape."""
+        args = argparse.Namespace(
+            cache=None, checkpoint_dir=str(tmp_path),
+            checkpoint_every_events=0, checkpoint_every_seconds=None,
+        )
+        with pytest.raises(ConfigurationError, match="every_events must be >= 1"):
+            _run_engine(args)
         args.checkpoint_every_events = None
-        assert _shard_config(args).barrier_every_events == 500
+        assert _run_engine(args).checkpoint.every_events == 500
 
     def test_unknown_scheduler_rejected(self, trace_file):
         with pytest.raises(SystemExit):
@@ -188,6 +218,12 @@ class TestExperimentCommand:
         assert main(["experiment", "fig10", "--scale", "small"]) == 2
         err = capsys.readouterr().err
         assert "configuration error: REPRO_TASK_TIMEOUT='abc' is not a number of seconds" in err
+
+    def test_negative_task_timeout_is_a_configuration_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "-5")
+        assert main(["experiment", "fig10", "--scale", "small"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: REPRO_TASK_TIMEOUT='-5' must be a positive number" in err
 
 
 class TestExperimentCsvExport:

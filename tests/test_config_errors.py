@@ -18,6 +18,9 @@ from repro.config import (
     SchedulerConfig,
 )
 from repro.errors import ConfigurationError
+from repro.grid.dataset import DatasetSpec
+from repro.parallel import RunSpec, SupervisorConfig, map_many, run_spec
+from repro.workload.generator import WorkloadParams, generate_trace
 
 #: One case per validation check of these dataclasses (``ShardConfig``
 #: and ``OverloadConfig`` are checked in their own test modules).
@@ -30,7 +33,7 @@ CASES = [
     (CacheConfig, {"lruk_k": 0}),
     (MetricConfig, {"age_units": 0.0}),
     (SchedulerConfig, {"alpha": 1.5}),
-    (SchedulerConfig, {"run_length": 0}),
+    (SupervisorConfig, {"task_timeout": -1.0}),
     (SchedulerConfig, {"batch_size": 0}),
     (SchedulerConfig, {"gating_max_lag": 0}),
     (FaultConfig, {"transient_fault_rate": 2.0}),
@@ -55,6 +58,11 @@ CASES = [
     (EngineConfig, {"interpolation_order": 3}),
     (EngineConfig, {"run_length": 0}),
     (EngineConfig, {"max_sim_time": 0.0}),
+    (SupervisorConfig, {"heartbeat": 0.0}),
+    (SupervisorConfig, {"max_retries": -1}),
+    (SupervisorConfig, {"rss_limit_mb": 0.0}),
+    (SupervisorConfig, {"runaway_deadline": -1.0}),
+    (SupervisorConfig, {"backoff_base": 1.0, "backoff_cap": 0.5}),
 ]
 
 
@@ -66,3 +74,19 @@ def test_bad_value_is_a_configuration_error(cls, kwargs):
         cls(**kwargs)
     assert type(exc.value) is ConfigurationError
 
+
+
+def test_unknown_scheduler_is_a_configuration_error():
+    trace = generate_trace(
+        DatasetSpec.small(n_timesteps=4, atoms_per_axis=4),
+        WorkloadParams(n_jobs=2, span=10.0, seed=0),
+    )
+    with pytest.raises(ValueError) as exc:
+        run_spec(RunSpec(trace, "belady"))
+    assert type(exc.value) is ConfigurationError
+
+
+def test_negative_jobs_is_a_configuration_error():
+    with pytest.raises(ValueError) as exc:
+        map_many(abs, [1], jobs=-1)
+    assert type(exc.value) is ConfigurationError

@@ -200,7 +200,7 @@ def _always_crash(spec):
 @fork_only
 def test_worker_crash_retries_then_succeeds(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_TEST_CRASH_MARKER", str(tmp_path / "marker"))
-    monkeypatch.setattr(pool_module, "_execute_spec", _crash_twice_then_run)
+    monkeypatch.setattr(pool_module, "run_spec", _crash_twice_then_run)
     trace = small_trace(seed=2, n_jobs=6)
     specs = [RunSpec(trace, "jaws2", engine())] * 2
     results = pool_module.run_many(specs, jobs=2, max_retries=2)
@@ -211,7 +211,7 @@ def test_worker_crash_retries_then_succeeds(monkeypatch, tmp_path):
 
 @fork_only
 def test_worker_crash_exhausts_retries(monkeypatch):
-    monkeypatch.setattr(pool_module, "_execute_spec", _always_crash)
+    monkeypatch.setattr(pool_module, "run_spec", _always_crash)
     trace = small_trace(seed=2, n_jobs=6)
     specs = [RunSpec(trace, "jaws2", engine())] * 2
     with pytest.raises(WorkerCrashError) as excinfo:

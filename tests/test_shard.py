@@ -1,11 +1,10 @@
 """Tests for sharded multi-coordinator execution (repro.shard).
 
-The matrix the ISSUE demands: shard counts {1, 2, 4} x faults on/off x
-crash/failover mid-run x resume-from-cluster-checkpoint, with the N=1
-degenerate case byte-identical to the single-coordinator cluster
-engine and every sharded run audited by the cross-shard conservation
-identities (no sub-query lost or double-executed across epoch
-changes).
+The matrix: shard counts {1, 2, 4} x faults on/off x crash/failover
+mid-run x resume-from-cluster-checkpoint, with a one-shard spec routed
+to the single-coordinator cluster engine and every sharded run audited
+by the cross-shard conservation identities (no sub-query lost or
+double-executed across epoch changes).
 """
 
 import dataclasses
@@ -26,11 +25,13 @@ from repro.errors import (
     ConfigurationError,
     CoordinatorCrash,
     PartitionError,
+    RecoveryError,
     ShardProtocolError,
 )
 from repro.fuzz.oracles import check_conservation, results_equivalent
 from repro.grid.dataset import DatasetSpec
-from repro.parallel.pool import RunSpec
+from repro.parallel.pool import RunSpec, run_spec
+from repro.recovery.codec import decode_snapshot, encode_snapshot
 from repro.shard import (
     OwnershipTable,
     ShardMessage,
@@ -126,12 +127,22 @@ class TestTopology:
 class TestShardRuns:
     def test_single_shard_matches_cluster_engine(self):
         trace = small_trace(seed=1)
-        sharded = run_sharded(
-            trace, "jaws2", 4, shards=ShardConfig(n_shards=1), engine=engine()
+        spec = RunSpec(
+            trace, "jaws2", engine(), n_nodes=4, shards=ShardConfig(n_shards=1)
         )
+        result = run_spec(spec)
         cluster = run_cluster(trace, "jaws2", 4, engine=engine())
-        assert results_equivalent(cluster.result, sharded.result) is None
-        assert sharded.n_shards == 1
+        assert results_equivalent(cluster.result, result) is None
+        # The plain cluster engine ran: no control plane, no shard counters.
+        assert "shard_crashes" not in result.faults
+
+    def test_run_sharded_refuses_one_shard(self):
+        with pytest.raises(ValueError) as exc:
+            run_sharded(
+                small_trace(), "jaws2", 4, shards=ShardConfig(n_shards=1),
+                engine=engine(),
+            )
+        assert type(exc.value) is ConfigurationError
 
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_all_queries_complete(self, n_shards):
@@ -262,30 +273,34 @@ class TestFailover:
 # Cluster-consistent recovery
 # ---------------------------------------------------------------------------
 class TestRecovery:
-    def _shards(self, tmp_path, **overrides):
-        return ShardConfig(
-            n_shards=2,
-            checkpoint_dir=str(tmp_path),
-            barrier_every_events=500,
-            **overrides,
-        )
+    def _engine(self, directory):
+        return engine(checkpoint=CheckpointConfig(directory=str(directory), every_events=500))
 
-    def test_resume_is_bit_identical(self, tmp_path):
-        trace = small_trace(seed=1)
-        reference = run_sharded(
-            trace, "jaws2", 4, shards=ShardConfig(n_shards=2), engine=engine()
-        )
+    def _halt(self, trace, tmp_path, halt_after_barrier=2, **shard_overrides):
         with pytest.raises(CoordinatorCrash):
             run_sharded(
                 trace,
                 "jaws2",
                 4,
-                shards=self._shards(tmp_path, halt_after_barrier=2),
-                engine=engine(),
+                shards=ShardConfig(
+                    n_shards=2, halt_after_barrier=halt_after_barrier, **shard_overrides
+                ),
+                engine=self._engine(tmp_path),
             )
-        assert latest_manifest(tmp_path) is not None
-        resumed = resume_cluster(tmp_path).run()
+
+    def test_resume_is_bit_identical(self, tmp_path):
+        trace = small_trace(seed=1)
+        # The reference writes barriers at the same cadence elsewhere,
+        # so the resumed run must count the same barriers.
+        reference = run_sharded(
+            trace, "jaws2", 4, shards=ShardConfig(n_shards=2),
+            engine=self._engine(tmp_path / "reference"),
+        )
+        self._halt(trace, tmp_path / "halted")
+        assert latest_manifest(tmp_path / "halted") is not None
+        resumed = resume_cluster(tmp_path / "halted").run()
         assert results_equivalent(reference.result, resumed.result) is None
+        assert resumed.shard_stats["barriers"] == reference.shard_stats["barriers"] > 2
         assert_conserved(resumed.shard_stats)
 
     def test_resume_after_failover(self, tmp_path):
@@ -298,14 +313,7 @@ class TestRecovery:
             shards=ShardConfig(n_shards=2, crashes=crashes),
             engine=engine(),
         )
-        with pytest.raises(CoordinatorCrash):
-            run_sharded(
-                trace,
-                "jaws2",
-                4,
-                shards=self._shards(tmp_path, crashes=crashes, halt_after_barrier=3),
-                engine=engine(),
-            )
+        self._halt(trace, tmp_path, halt_after_barrier=3, crashes=crashes)
         control = resume_cluster(tmp_path)
         # The recovery point must carry the post-failover ownership.
         assert 1 in control.dead
@@ -314,9 +322,19 @@ class TestRecovery:
         assert resumed.shard_stats["shard_crashes"] == 1
 
     def test_resume_without_manifest_raises(self, tmp_path):
-        from repro.errors import RecoveryError
-
         with pytest.raises(RecoveryError):
+            resume_cluster(tmp_path)
+
+    def test_manifest_without_cadence_is_refused(self, tmp_path):
+        """A manifest that does not record its barrier cadence (as
+        manifests written before the cadence moved to
+        ``EngineConfig.checkpoint`` do not) is a typed refusal."""
+        self._halt(small_trace(seed=1), tmp_path)
+        manifest = latest_manifest(tmp_path)
+        meta, state = decode_snapshot(manifest.read_bytes())
+        del meta["every_events"]
+        manifest.write_bytes(encode_snapshot(meta, state))
+        with pytest.raises(RecoveryError, match="records no barrier cadence"):
             resume_cluster(tmp_path)
 
 
@@ -344,8 +362,8 @@ class TestConfigErrors:
                 engine=engine(sanitize=True),
             )
 
-    def test_rejects_engine_checkpoint_when_sharded(self, tmp_path):
-        with pytest.raises(ConfigurationError):
+    def test_rejects_seconds_cadence_when_sharded(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="not every_seconds"):
             run_sharded(
                 small_trace(),
                 "jaws2",
@@ -353,9 +371,20 @@ class TestConfigErrors:
                 shards=ShardConfig(n_shards=2),
                 engine=engine(
                     checkpoint=CheckpointConfig(
-                        directory=str(tmp_path), every_events=100
+                        directory=str(tmp_path), every_events=100, every_seconds=5.0
                     )
                 ),
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejects_halt_without_barriers(self):
+        with pytest.raises(ConfigurationError, match="halt_after_barrier needs"):
+            run_sharded(
+                small_trace(),
+                "jaws2",
+                4,
+                shards=ShardConfig(n_shards=2, halt_after_barrier=1),
+                engine=engine(),
             )
 
     def test_rejects_halt_without_sharding(self):
