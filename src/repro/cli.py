@@ -64,7 +64,6 @@ from repro.parallel import (
     SupervisorConfig,
     run_many,
     run_many_outcomes,
-    run_spec,
 )
 from repro.workload.generator import generate_trace
 from repro.workload.stats import workload_summary
@@ -228,7 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--nodes", type=int, default=1, help="cluster size")
     run_p.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for parallel evaluation (bit-identical to serial)",
+        help="worker processes to fan several --scheduler runs out over "
+        "(bit-identical to serial); a single run, sharded or not, runs in "
+        "this process",
     )
     run_p.add_argument(
         "--salvage", action="store_true",
@@ -540,12 +541,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         RunSpec(trace, name, engine, faults=faults, label=name, n_nodes=args.nodes, shards=shards)
         for name in args.scheduler or ["jaws2"]
     ]
+    if len(specs) > 1 and engine.checkpoint.enabled:
+        raise ConfigurationError(
+            "--checkpoint-dir holds one run's recovery point; give each "
+            "--scheduler its own run and checkpoint directory"
+        )
     supervisor = _supervisor_from_args(args)
     degraded = faults is not None
     try:
         if len(specs) == 1:
-            # One run: --jobs fans out its sharded superstep windows.
-            result = run_spec(specs[0], jobs=args.jobs, supervisor=supervisor)
+            # One run has nothing to fan out: run_many runs it inline
+            # and still refuses a negative --jobs.
+            (result,) = run_many(specs, jobs=min(args.jobs, 1))
             _print_run(specs[0], result, degraded, args.overload)
             return 0
         if args.salvage:

@@ -883,7 +883,7 @@ class Simulator:
         it is the event the heap would pop next, so it is dispatched
         directly — numbered and vetted like any other, and still
         through :meth:`_dispatch` (WAL record, crash probe, snapshot
-        cadence, the shard window log); otherwise it is pushed.  The
+        cadence); otherwise it is pushed.  The
         heap push and pop it skips are the bulk of a quiet stretch's
         loop cost.
         """

@@ -1,8 +1,8 @@
 """Shard scale law: throughput and tail latency vs coordinator count.
 
 Replays the standard calibrated trace on a fixed-size cluster while the
-coordinator is split into 1, 2, 4, ... shards
-(:func:`repro.parallel.run_spec`).  The N=1 row runs the
+coordinator is split into 1, 2, 4, ... shards, one
+:class:`~repro.parallel.RunSpec` per row.  The N=1 row runs the
 single-coordinator cluster engine, so the table reads as "what does
 coordinating the same workload through N independent, lease-fenced
 schedulers cost (or buy)": cross-shard messages replace shared-memory
@@ -25,10 +25,10 @@ from repro.experiments.common import (
     standard_engine,
     standard_scheduler_config,
     standard_trace,
-    sweep_supervisor,
+    sweep_run_many,
 )
 from repro.experiments.report import render_table
-from repro.parallel import RunSpec, run_spec
+from repro.parallel import RunSpec
 
 #: Cluster size for the sweep: divisible by every shard count below.
 N_NODES = 8
@@ -47,27 +47,30 @@ def run(
     ``crash`` optionally injects a shard crash at that virtual time
     into every sharded row (the highest-numbered shard dies; survivors
     adopt its ranges), turning the table into a failover-overhead law.
-    ``jobs`` fans each row's superstep windows over the supervised
-    pool — bit-identical to serial.
+    ``jobs`` fans the rows out over the supervised pool, one whole run
+    per worker — bit-identical to serial.
     """
     trace = standard_trace(scale, speedup=1.0, seed=seed)
     engine = standard_engine()
     config = standard_scheduler_config()
-    supervisor = sweep_supervisor()
-    rows = []
+    specs = []
     for n_shards in SHARD_COUNTS:
         crashes = ()
         if crash is not None and n_shards > 1:
             crashes = ((n_shards - 1, float(crash)),)
-        spec = RunSpec(
-            trace,
-            "jaws2",
-            engine,
-            scheduler_config=config,
-            n_nodes=N_NODES,
-            shards=ShardConfig(n_shards=n_shards, crashes=crashes),
+        specs.append(
+            RunSpec(
+                trace,
+                "jaws2",
+                engine,
+                scheduler_config=config,
+                label=f"shardscale:{n_shards}",
+                n_nodes=N_NODES,
+                shards=ShardConfig(n_shards=n_shards, crashes=crashes),
+            )
         )
-        result = run_spec(spec, jobs=jobs, supervisor=supervisor)
+    rows = []
+    for n_shards, result in zip(SHARD_COUNTS, sweep_run_many(specs, jobs=jobs)):
         responses = np.asarray(result.response_times, dtype=np.float64)
         rows.append(
             {

@@ -143,17 +143,14 @@ class RunSpec:
         return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def run_spec(
-    spec: RunSpec, jobs: int = 1, supervisor: Optional[SupervisorConfig] = None
-) -> RunResult:
-    """Run one spec to completion: the only code that picks the engine.
+def run_spec(spec: RunSpec) -> RunResult:
+    """Run one spec to completion in this process: the only code that
+    picks the engine.
 
     More than one shard in ``spec.shards`` runs the sharded control
     plane (:func:`repro.shard.run_sharded`), ``n_nodes > 1`` the
     cluster (:func:`~repro.cluster.cluster.run_cluster`), anything else
     the single-node engine (:func:`~repro.engine.runner.run_trace`).
-    ``jobs`` and ``supervisor`` fan the sharded superstep windows out
-    over the supervised pool; the other shapes run in this process.
     Top-level, so :func:`run_many` can pickle it by reference.
     """
     if spec.shards is not None and spec.shards.sharded:
@@ -167,8 +164,6 @@ def run_spec(
             engine=spec.engine,
             config=spec.scheduler_config,
             faults=spec.faults,
-            jobs=jobs,
-            supervisor=supervisor,
         ).result
     if spec.n_nodes > 1:
         from repro.cluster.cluster import run_cluster
@@ -323,8 +318,7 @@ def run_many(
 
     A thin wrapper over :func:`map_many` with :func:`run_spec` as the
     worker function; see there for the determinism contract.  Each
-    spec runs whole in one worker, so a sharded spec's superstep
-    windows run serially there.
+    spec runs whole in one worker, sharded ones included.
     """
     return map_many(
         run_spec, specs, jobs=jobs, max_retries=max_retries, supervisor=supervisor

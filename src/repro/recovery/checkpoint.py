@@ -177,19 +177,11 @@ class CheckpointManager:
             self._snapshot(sim)
 
     def log_event(self, sim: "Simulator", ev: Event) -> None:
-        """Write-ahead hook: called immediately before dispatching."""
-        self.log_event_at(sim, sim.event_index, ev)
+        """Write-ahead hook: called immediately before dispatching.
 
-    def log_event_at(self, sim: "Simulator", index: int, ev: Event) -> None:
-        """Write-ahead (or replay-verify) one event at an explicit index.
-
-        The sharded control plane (:mod:`repro.shard`) records events
-        as ``(index, event)`` pairs during a superstep window — the
-        window may have executed in a worker process without file
-        handles — and flushes them here afterwards; the plain engine's
-        :meth:`log_event` is the ``index == sim.event_index`` case.
-        """
-        record = make_record(index, ev)
+        Appends the event's record or, while pre-crash records remain,
+        verifies the re-dispatched event against the next one."""
+        record = make_record(sim.event_index, ev)
         if self.replaying:
             expected = self._replay[self._replay_pos]
             if record != expected:

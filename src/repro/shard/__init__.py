@@ -30,8 +30,8 @@ from repro.config import (
 )
 from repro.engine.runner import make_scheduler
 from repro.errors import ConfigurationError
-from repro.parallel.supervisor import SupervisorConfig
-from repro.shard.control import ClusterControlPlane, ShardRunResult
+from repro.recovery.checkpoint import CheckpointManager
+from repro.shard.control import ClusterControlPlane, ShardRunResult, shard_checkpoint
 from repro.shard.coordinator import ShardSimulator
 from repro.shard.messages import ShardMessage
 from repro.shard.recovery import latest_manifest, resume_cluster
@@ -97,23 +97,21 @@ def run_sharded(
     engine: Optional[EngineConfig] = None,
     config: Optional[SchedulerConfig] = None,
     faults: Optional[FaultConfig] = None,
-    jobs: int = 1,
-    supervisor: Optional[SupervisorConfig] = None,
 ) -> ShardRunResult:
     """Replay ``trace`` across ``shards.n_shards`` (at least two)
-    coordinator shards.
+    coordinator shards, advancing every domain in this process.
 
     ``faults`` overrides ``engine.faults`` exactly as in
-    :func:`~repro.cluster.cluster.run_cluster`; ``jobs > 1`` fans the
-    superstep windows out over the supervised process pool
-    (bit-identical to the serial path).  ``engine.checkpoint`` arms
-    cluster barriers: one snapshot per shard plus a manifest under its
-    directory, every ``every_events`` cumulative events.  Raises
+    :func:`~repro.cluster.cluster.run_cluster`.  ``engine.checkpoint``
+    arms cluster barriers: one snapshot per shard plus a manifest under
+    its directory, every ``every_events`` cumulative events, keeping
+    ``keep`` generations of each.  Raises
     :class:`~repro.errors.ConfigurationError` for one shard (route
-    through :func:`repro.parallel.pool.run_spec` instead) and for what
-    the sharded control plane does not model: overload admission and
+    through :func:`repro.parallel.pool.run_spec` instead), for what
+    the sharded control plane does not model — overload admission and
     the runtime sanitizer (single-coordinator concerns), a
-    virtual-time checkpoint cadence, and a halt without barriers.
+    virtual-time checkpoint cadence, and a halt without barriers — and
+    for ``keep < 2``.
     """
     if not shards.sharded:
         raise ConfigurationError(
@@ -144,6 +142,11 @@ def run_sharded(
             "halt_after_barrier needs cluster barriers: set a checkpoint "
             "directory and every_events"
         )
+    if engine.checkpoint.enabled and engine.checkpoint.keep < 2:
+        raise ConfigurationError(
+            "sharded runs keep at least 2 checkpoint generations: a crash "
+            "mid-barrier resumes from the previous manifest's shard snapshots"
+        )
     topology = ShardTopology(n_nodes=n_nodes, n_shards=shards.n_shards)
     partitioner = MortonRangePartitioner(
         trace.spec, n_nodes, replication=engine.faults.replication
@@ -171,6 +174,11 @@ def run_sharded(
                 replicas_of=partitioner.replicas_of,
                 full_node_crashes=full_crashes,
                 message_delay=shards.message_delay,
+                checkpointer=(
+                    CheckpointManager(shard_checkpoint(engine.checkpoint, d))
+                    if engine.checkpoint.enabled
+                    else None
+                ),
             )
         )
     control = ClusterControlPlane(
@@ -179,7 +187,5 @@ def run_sharded(
         shards=shards,
         checkpoint=engine.checkpoint,
         partitioner=partitioner,
-        jobs=jobs,
-        supervisor=supervisor,
     )
     return control.run()

@@ -11,15 +11,14 @@ window can deliver before ``horizon``.  Each superstep:
 1. deliver bus messages due before the horizon (validating lease
    epochs; stale messages are re-addressed with a typed retry delay,
    never applied and never silently dropped);
-2. run every shard with work in the window — inline for ``jobs <= 1``,
-   or fanned out over the supervised process pool with the domain
-   state pickled both ways (the two paths are bit-identical because
-   the engine's full state survives a pickle round trip, the property
-   the checkpoint subsystem already pins);
+2. run every shard with work in the window, one after another in this
+   process; each domain writes its own write-ahead log as it
+   dispatches, exactly as a single coordinator does (a sharded run's
+   parallelism is whole runs fanned out by
+   :func:`repro.parallel.run_many`, never windows);
 3. collect outboxes onto the bus in a total deterministic order
    ``(send_time, src_domain, seq)``;
-4. append each domain's dispatched events to its write-ahead log and,
-   at cluster barriers, snapshot every shard plus a manifest — the
+4. at cluster barriers, snapshot every shard plus a manifest — the
    consistent cut :func:`repro.shard.recovery.resume_cluster` restores.
 
 Shard crashes (``FaultKind.SHARD_CRASH``) are control events on the
@@ -39,7 +38,6 @@ import dataclasses
 import heapq
 import math
 import os
-import pickle
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,9 +48,6 @@ from repro.config import CheckpointConfig, ShardConfig
 from repro.engine.results import RunResult
 from repro.engine.simulator import build_result
 from repro.errors import CoordinatorCrash, LivelockError, ShardProtocolError
-from repro.parallel.pool import map_many
-from repro.parallel.supervisor import SupervisorConfig
-from repro.recovery.checkpoint import CheckpointManager
 from repro.recovery.codec import SNAPSHOT_FORMAT_VERSION, encode_snapshot
 from repro.shard.coordinator import ShardSimulator
 from repro.shard.messages import ShardMessage
@@ -64,26 +59,23 @@ __all__ = ["ClusterControlPlane", "ShardRunResult", "MANIFEST_GLOB"]
 MANIFEST_GLOB = "cluster-*.manifest"
 
 #: Snapshot policy sentinel for per-shard managers: the policy must
-#: never self-fire (barriers are cluster-wide, driven by force_snapshot)
-#: — and it cannot, because the domains never call maybe_snapshot; the
-#: huge threshold only satisfies CheckpointConfig's enablement check.
+#: never self-fire (barriers are cluster-wide, driven by force_snapshot).
+#: Every dispatched event asks maybe_snapshot, as on a single
+#: coordinator; no run dispatches this many events in one domain, so
+#: the per-shard policy never fires and the threshold only satisfies
+#: CheckpointConfig's enablement check.
 _NEVER_EVENTS = 10**9
 
-#: Manifest generations kept, matching CheckpointConfig's default keep.
-_KEEP_MANIFESTS = 3
 
-
-def _window_task(item: Tuple[bytes, float]) -> bytes:
-    """Worker entry: run one shard's superstep window on pickled state.
-
-    Top-level and pure — every draw comes from state inside the blob —
-    so the supervised pool may retry it freely and the parallel path
-    stays bit-identical to the inline path.
-    """
-    blob, horizon = item
-    sim = pickle.loads(blob)
-    sim.run_window(horizon)
-    return pickle.dumps(sim, protocol=4)
+def shard_checkpoint(checkpoint: CheckpointConfig, domain: int) -> CheckpointConfig:
+    """The checkpoint policy of shard ``domain``'s own manager: its
+    ``shard-<domain>/`` subdirectory of the barrier directory, the run's
+    ``keep``, and no self-firing snapshots."""
+    return CheckpointConfig(
+        directory=str(Path(str(checkpoint.directory)) / f"shard-{domain}"),
+        every_events=_NEVER_EVENTS,
+        keep=checkpoint.keep,
+    )
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,12 @@ class ShardRunResult:
 
 class ClusterControlPlane:
     """Owns the bus, the ownership table, the crash/failover schedule,
-    the barrier writer, and the superstep loop."""
+    the barrier writer, and the superstep loop.
+
+    Each domain owns its :class:`~repro.recovery.checkpoint.CheckpointManager`
+    (its ``_checkpointer``, attached when the domain is built or
+    revived); the control plane only starts, force-snapshots and
+    flushes them."""
 
     def __init__(
         self,
@@ -109,23 +106,14 @@ class ClusterControlPlane:
         shards: ShardConfig,
         checkpoint: CheckpointConfig,
         partitioner: MortonRangePartitioner,
-        jobs: int = 1,
-        supervisor: Optional[SupervisorConfig] = None,
         _restored: Optional[Dict[str, Any]] = None,
-        _managers: Optional[List[Optional[CheckpointManager]]] = None,
     ) -> None:
         self.domains = domains
         self.topology = topology
         self.cfg = shards
         self.checkpoint = checkpoint
         self.partitioner = partitioner
-        self.jobs = jobs
-        self.supervisor = supervisor
         n = topology.n_shards
-
-        self._managers: List[Optional[CheckpointManager]] = (
-            _managers if _managers is not None else self._build_managers()
-        )
 
         if _restored is not None:
             self.ownership: OwnershipTable = _restored["ownership"]
@@ -154,26 +142,13 @@ class ClusterControlPlane:
         self._ctrl = []
         self._ctrl_seq = 0
         self._barrier_count = 0
-        self._next_barrier = checkpoint.every_events
+        self._next_barrier = checkpoint.every_events if checkpoint.enabled else None
         for shard, when in self._crash_schedule():
             self._push_ctrl(when, "crash", shard)
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _build_managers(self) -> List[Optional[CheckpointManager]]:
-        if not self.checkpoint.enabled:
-            return [None] * self.topology.n_shards
-        root = Path(str(self.checkpoint.directory))
-        return [
-            CheckpointManager(
-                CheckpointConfig(
-                    directory=str(root / f"shard-{d}"), every_events=_NEVER_EVENTS
-                )
-            )
-            for d in range(self.topology.n_shards)
-        ]
-
     def _crash_schedule(self) -> List[Tuple[int, float]]:
         """The run's shard-crash plan: explicit pairs, or seeded draws
         from the crash window (dedicated RNG stream, so arming crashes
@@ -251,39 +226,12 @@ class ClusterControlPlane:
     # Supersteps
     # ------------------------------------------------------------------
     def _run_windows(self, horizon: float) -> None:
-        active = [
-            d
-            for d in range(self.topology.n_shards)
-            if d not in self.frozen
-            and (t := self.domains[d].next_event_time()) is not None
-            and t < horizon
-        ]
-        if not active:
-            return
-        if self.jobs <= 1:
-            # Serial reference path: in place, no pickling.  Identical
-            # to the pooled path below because a domain's behavior is a
-            # pure function of its (pickle-faithful) state.
-            for d in active:
-                self.domains[d].run_window(horizon)
-            return
-        blobs = map_many(
-            _window_task,
-            [(pickle.dumps(self.domains[d], protocol=4), horizon) for d in active],
-            jobs=self.jobs,
-            supervisor=self.supervisor,
-        )
-        for d, blob in zip(active, blobs):
-            self.domains[d] = pickle.loads(blob)
-
-    def _flush_logs(self) -> None:
+        # A window only fills its domain's outbox, so running the
+        # domains one after another is the same as running them at once.
         for d, domain in enumerate(self.domains):
-            log = domain.drain_window_log()
-            manager = self._managers[d]
-            if manager is None:
-                continue
-            for index, ev in log:
-                manager.log_event_at(domain, index, ev)
+            t = domain.next_event_time()
+            if d not in self.frozen and t is not None and t < horizon:
+                domain.run_window(horizon)
 
     # ------------------------------------------------------------------
     # Crash + failover
@@ -362,25 +310,22 @@ class ClusterControlPlane:
         return sum(domain.event_index for domain in self.domains)
 
     def _maybe_barrier(self) -> None:
-        if self._next_barrier is None or any(m is None for m in self._managers):
+        if self._next_barrier is None:
             return
         cum = self._cumulative_events()
         if cum < self._next_barrier:
             return
         self._barrier_count += 1
         self._next_barrier = cum + (self.checkpoint.every_events or 0)
-        for d, domain in enumerate(self.domains):
-            manager = self._managers[d]
-            assert manager is not None
-            manager.force_snapshot(domain)
+        for domain in self.domains:
+            assert domain._checkpointer is not None
+            domain._checkpointer.force_snapshot(domain)
         self._write_manifest(cum)
         if (
             self.cfg.halt_after_barrier is not None
             and self._barrier_count >= self.cfg.halt_after_barrier
         ):
-            for manager in self._managers:
-                if manager is not None:
-                    manager.flush()
+            # run()'s finally flushes every shard's WAL.
             raise CoordinatorCrash(
                 f"halted after cluster barrier {self._barrier_count} "
                 f"({cum} cumulative events); resume from "
@@ -393,6 +338,7 @@ class ClusterControlPlane:
             "format": SNAPSHOT_FORMAT_VERSION,
             "barrier": self._barrier_count,
             "every_events": self.checkpoint.every_events,
+            "keep": self.checkpoint.keep,
             "cumulative_events": cum,
             "n_shards": self.topology.n_shards,
             "topology_digest": self.topology.digest(),
@@ -421,16 +367,16 @@ class ClusterControlPlane:
         tmp.write_bytes(blob)
         os.replace(tmp, path)
         manifests = sorted(root.glob(MANIFEST_GLOB))
-        for stale in manifests[:-_KEEP_MANIFESTS]:
+        for stale in manifests[: -self.checkpoint.keep]:
             stale.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> ShardRunResult:
-        for d, manager in enumerate(self._managers):
-            if manager is not None:
-                manager.start(self.domains[d])
+        for domain in self.domains:
+            if domain._checkpointer is not None:
+                domain._checkpointer.start(domain)
         try:
             while True:
                 event_times = [
@@ -473,13 +419,12 @@ class ClusterControlPlane:
                 self._deliver(horizon)
                 self._run_windows(horizon)
                 self._drain_outboxes()
-                self._flush_logs()
                 self._maybe_barrier()
             return self._finalize()
         finally:
-            for manager in self._managers:
-                if manager is not None:
-                    manager.flush()
+            for domain in self.domains:
+                if domain._checkpointer is not None:
+                    domain._checkpointer.flush()
 
     # ------------------------------------------------------------------
     # Merge

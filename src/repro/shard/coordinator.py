@@ -28,11 +28,11 @@ created = applied + cancelled-residual identity over these counters.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import EngineConfig
 from repro.core.base import Scheduler
-from repro.engine.events import Event, EventKind
+from repro.engine.events import EventKind
 from repro.engine.simulator import Simulator
 from repro.errors import ShardProtocolError
 from repro.shard.messages import ShardMessage
@@ -40,6 +40,9 @@ from repro.shard.topology import ShardTopology
 from repro.workload.job import Job, JobAtomSets
 from repro.workload.query import Query, SubQuery
 from repro.workload.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports recovery)
+    from repro.recovery.checkpoint import CheckpointManager
 
 __all__ = ["ShardSimulator"]
 
@@ -132,8 +135,11 @@ class ShardSimulator(Simulator):
     :func:`repro.shard.run_sharded` (local node crashes only, a derived
     fault seed, no coordinator crash, checkpoint, overload or sanitizer
     — cluster-level invariants are checked by the control plane and the
-    conservation counters instead).  The handlers below override
-    exactly the points where work crosses a shard boundary.
+    conservation counters instead).  A barrier run hands the domain its
+    own ``checkpointer``, through which the base engine writes the
+    domain's WAL; the control plane decides when it snapshots.  The
+    handlers below override exactly the points where work crosses a
+    shard boundary.
     """
 
     # A peer's node can be down while this domain injects no faults:
@@ -151,6 +157,7 @@ class ShardSimulator(Simulator):
         replicas_of,
         full_node_crashes: Tuple[Tuple[int, float, float], ...],
         message_delay: float,
+        checkpointer: Optional["CheckpointManager"] = None,
     ) -> None:
         local_idx = topology.nodes_of_shard(shard_id)
         if len(schedulers) != len(local_idx):
@@ -169,7 +176,6 @@ class ShardSimulator(Simulator):
         self._lease_epoch = 0
         self._msg_seq = 0
         self._outbox: List[ShardMessage] = []
-        self._window_log: List[Tuple[int, Event]] = []
         # query_id -> home domain, for every live foreign query heard of.
         self._foreign: Dict[int, int] = {}
         # (node, atom) loss facts learned from peer shards' fail reports.
@@ -183,6 +189,7 @@ class ShardSimulator(Simulator):
         self._late_done_dropped = 0  # done-counts arriving after cancel
         self._msgs_sent = 0
         super().__init__(trace, schedulers, config, node_of, replicas_of)
+        self._checkpointer = checkpointer
 
     def _domain(self, schedulers: Sequence[Scheduler]) -> tuple:
         # Slots span the whole cluster, so the domain's one injector is
@@ -209,10 +216,6 @@ class ShardSimulator(Simulator):
     def drain_outbox(self) -> List[ShardMessage]:
         out, self._outbox = self._outbox, []
         return out
-
-    def drain_window_log(self) -> List[Tuple[int, Event]]:
-        log, self._window_log = self._window_log, []
-        return log
 
     def force_release_pass(self) -> bool:
         """Cluster-idle fallback: ask every live local scheduler to
@@ -335,12 +338,6 @@ class ShardSimulator(Simulator):
     # ------------------------------------------------------------------
     # Event handlers (home side)
     # ------------------------------------------------------------------
-    def _dispatch(self, ev: Event) -> None:
-        # Window log for the cluster WAL: the control plane assigns
-        # cluster-consistent indices and flushes after each superstep.
-        self._window_log.append((self.event_index, ev))
-        super()._dispatch(ev)
-
     def _announce_job(self, job: Job, atom_sets: JobAtomSets, now: float) -> None:
         super()._announce_job(job, atom_sets, now)
         # Remote gating graphs hear the admission one message hop later,

@@ -9,8 +9,8 @@ the control-plane state — ownership table, lease epochs, in-flight bus
 messages, pending crash/failover control events, and the exact event
 index each shard snapshot was taken at.  The manifest is written
 *after* every shard snapshot lands, so a crash mid-barrier leaves the
-previous manifest (and its still-retained shard snapshots) as the
-newest complete cut.
+previous manifest (and its shard snapshots, which a retention ``keep``
+of at least 2 still holds) as the newest complete cut.
 
 :func:`resume_cluster` rebuilds the N domains from the snapshots the
 manifest names — refusing with :class:`~repro.errors.RecoveryError` if
@@ -31,10 +31,9 @@ from typing import Optional
 
 from repro.config import CheckpointConfig
 from repro.errors import RecoveryError
-from repro.parallel.supervisor import SupervisorConfig
 from repro.recovery.checkpoint import CheckpointManager
 from repro.recovery.codec import decode_snapshot
-from repro.shard.control import _NEVER_EVENTS, MANIFEST_GLOB, ClusterControlPlane
+from repro.shard.control import MANIFEST_GLOB, ClusterControlPlane, shard_checkpoint
 from repro.shard.coordinator import ShardSimulator
 
 __all__ = ["resume_cluster", "latest_manifest"]
@@ -50,11 +49,7 @@ def latest_manifest(directory: str | Path) -> Optional[Path]:
     return manifests[-1] if manifests else None
 
 
-def resume_cluster(
-    directory: str | Path,
-    jobs: int = 1,
-    supervisor: Optional[SupervisorConfig] = None,
-) -> ClusterControlPlane:
+def resume_cluster(directory: str | Path) -> ClusterControlPlane:
     """Rebuild a sharded run from its newest consistent cut.
 
     Returns the reconstructed control plane; call
@@ -83,8 +78,14 @@ def resume_cluster(
             f"cluster manifest {manifest.name} records no barrier cadence "
             "(written by an older version); it cannot be resumed"
         )
-    # Resume where the files actually live, at the recorded cadence.
-    checkpoint = CheckpointConfig(directory=str(root), every_events=every_events)
+    # Resume where the files actually live, at the recorded cadence and
+    # retention (a manifest that records no keep was written at the
+    # default one).
+    checkpoint = CheckpointConfig(
+        directory=str(root),
+        every_events=every_events,
+        keep=meta.get("keep", CheckpointConfig.keep),
+    )
     indices = state["shard_event_indices"]
     if len(indices) != n_shards:
         raise RecoveryError(
@@ -92,20 +93,15 @@ def resume_cluster(
             f"snapshot indices for {n_shards} shards"
         )
     domains = []
-    managers = []
     for d in range(n_shards):
         # The exact index the manifest recorded, never the newest: a
         # crash between a shard snapshot and the manifest write may
         # leave a newer snapshot that belongs to no consistent cut.
-        shard_dir = root / f"shard-{d}"
+        config = shard_checkpoint(checkpoint, d)
         _meta, shard_state, manager = CheckpointManager.load(
-            shard_dir,
-            indices[d],
-            CheckpointConfig(directory=str(shard_dir), every_events=_NEVER_EVENTS),
+            str(config.directory), indices[d], config
         )
-        # The control plane, not the domain, owns the shard's manager.
-        domains.append(ShardSimulator._revive(shard_state, None))
-        managers.append(manager)
+        domains.append(ShardSimulator._revive(shard_state, manager))
     restored = {
         "ownership": state["ownership"],
         "bus": state["bus"],
@@ -126,8 +122,5 @@ def resume_cluster(
         shards=state["shards"].with_(halt_after_barrier=None),
         checkpoint=checkpoint,
         partitioner=state["partitioner"],
-        jobs=jobs,
-        supervisor=supervisor,
         _restored=restored,
-        _managers=managers,
     )

@@ -132,11 +132,12 @@ class TestRunCommands:
                 ["run", "--scheduler", "noshare", "--scheduler", "jaws2", "--jobs", "-1"],
                 "jobs must be >= 0",
             ),
+            (["run", "--scheduler", "jaws2", "--jobs", "-1"], "jobs must be >= 0"),
         ],
         ids=[
             "crash", "replication", "shard-crash-at", "shards-over-nodes",
             "flash-crowd", "every-events-without-dir", "every-seconds-without-dir",
-            "task-timeout", "negative-jobs",
+            "task-timeout", "negative-jobs", "negative-jobs-one-run",
         ],
     )
     def test_bad_user_value_is_a_configuration_error(self, trace_file, capsys, argv, message):
@@ -155,6 +156,22 @@ class TestRunCommands:
             assert main([*argv, "--scheduler", name]) == 0
             expected += f"[{name}]\n" + capsys.readouterr().out
         assert fanned == expected
+
+    def test_several_schedulers_refuse_one_checkpoint_dir(
+        self, trace_file, tmp_path, capsys
+    ):
+        """One checkpoint directory holds one run's recovery point:
+        several ``--scheduler``s would overwrite each other's snapshots."""
+        ckpt = tmp_path / "ck"
+        argv = [
+            "run", "--trace", str(trace_file), "--scheduler", "noshare",
+            "--scheduler", "jaws2", "--checkpoint-dir", str(ckpt),
+        ]
+        assert main(argv) == 2
+        assert "configuration error: --checkpoint-dir holds one run's recovery point" in (
+            capsys.readouterr().err
+        )
+        assert not ckpt.exists()
 
     def test_seconds_cadence_under_shards_is_a_configuration_error(
         self, trace_file, tmp_path, capsys
