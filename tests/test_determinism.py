@@ -22,9 +22,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import CacheConfig, CostModel, EngineConfig, FaultConfig
+from repro.config import (
+    CacheConfig,
+    CheckpointConfig,
+    CostModel,
+    EngineConfig,
+    FaultConfig,
+    ShardConfig,
+)
 from repro.engine.runner import SCHEDULER_NAMES, run_trace
 from repro.grid.dataset import DatasetSpec
+from repro.parallel.pool import RunSpec, run_spec
 from repro.workload.generator import WorkloadParams, generate_trace
 
 SPEC = DatasetSpec.small(n_timesteps=6, atoms_per_axis=4)
@@ -169,4 +177,55 @@ def test_results_independent_of_hash_seed():
     digests = {seed: _run_digest(seed) for seed in ("0", "1", "12345")}
     assert len(set(digests.values())) == 1, (
         "RunResult digest varies with PYTHONHASHSEED: " + repr(digests)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Byte-identical checkpoint directories
+# ---------------------------------------------------------------------------
+def _directory_digests(directory):
+    """``relative path -> SHA-256`` of every file under ``directory``."""
+    return {
+        str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+_CHECKPOINT_CASES = {
+    # One coordinator with faults, snapshotting every 200 events.
+    "single": dict(
+        n_nodes=1,
+        faults=FaultConfig(seed=11, transient_fault_rate=0.05, slow_read_rate=0.05),
+    ),
+    # Two shards with a shard crash, a cluster barrier every 200 events.
+    "sharded": dict(n_nodes=4, shards=ShardConfig(n_shards=2, crashes=((1, 40.0),))),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="snapshots pickle wall-clock overhead counters")
+@pytest.mark.parametrize("case", sorted(_CHECKPOINT_CASES))
+def test_same_seed_checkpoint_directories_byte_identical(case, tmp_path):
+    """Two same-seed checkpointed runs write the same bytes to every
+    file.  Both runs use one directory path, because the checkpoint
+    configuration (and with it that path) is pickled into each
+    snapshot."""
+    from tests.test_shard import engine as shard_engine, small_trace as shard_trace
+
+    trace = shard_trace(seed=1)
+    directory = tmp_path / "ckpt"
+    spec = RunSpec(
+        trace,
+        "jaws2",
+        shard_engine(checkpoint=CheckpointConfig(directory=str(directory), every_events=200)),
+        **_CHECKPOINT_CASES[case],
+    )
+    digests = []
+    for attempt in range(2):
+        run_spec(spec)
+        digests.append(_directory_digests(directory))
+        directory.rename(tmp_path / f"run-{attempt}")
+    assert len(digests[0]) > 2
+    assert digests[0] == digests[1], sorted(
+        name for name in digests[0] if digests[0][name] != digests[1].get(name)
     )
