@@ -13,7 +13,6 @@ Runs one workload three ways and proves they agree bit-for-bit:
 Run:  python examples/crash_recovery.py
 """
 
-import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -78,21 +77,14 @@ def main() -> None:
               f"replaying the WAL forward")
         recovered = resumed.run()
 
-    def comparable(result, name):
-        value = getattr(result, name)
-        if name == "faults":
-            # Lifecycle metadata, not simulation output: the resumed run
-            # records that its crash fired; the baseline never armed one.
-            value = {k: v for k, v in value.items() if k != "crash_effective"}
-        return repr(value)
+    def comparable(result):
+        # Lifecycle metadata, not simulation output: the resumed run
+        # records that its crash fired; the baseline never armed one.
+        out = result.to_dict()
+        out["faults"] = {k: v for k, v in out["faults"].items() if k != "crash_effective"}
+        return out
 
-    fields = dataclasses.fields(recovered)
-    skip = {"gating_overhead_ns", "cache_overhead_ns"}  # wall-clock profiling
-    identical = all(
-        comparable(recovered, f.name) == comparable(baseline, f.name)
-        for f in fields
-        if f.name not in skip and f.name != "cache"
-    )
+    identical = comparable(recovered) == comparable(baseline)
     print(f"recovered: {recovered.n_queries} queries, "
           f"mean rt {recovered.mean_response_time:.4f}s")
     print(f"bit-identical to uninterrupted baseline: {identical}")

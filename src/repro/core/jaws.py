@@ -21,7 +21,6 @@ The paper's two evaluation variants map to configuration:
 
 from __future__ import annotations
 
-import time
 from typing import Iterator, Optional
 
 import numpy as np
@@ -61,11 +60,6 @@ class JAWSScheduler(ContentionSchedulerBase):
         self._held: dict[int, tuple[Query, list[SubQuery], float]] = {}
         # Completed-query counts since each held query went READY (lag valve).
         self._held_lag: dict[int, int] = {}
-        # Wall-clock cost of gating bookkeeping (§VI overhead figure).
-        # The D001 suppressions below are safe: these reads only feed
-        # this reporting counter, never the virtual clock or any
-        # scheduling decision.
-        self.gating_overhead_ns = 0
         self.forced_releases = 0
 
     # ------------------------------------------------------------------
@@ -74,18 +68,14 @@ class JAWSScheduler(ContentionSchedulerBase):
     def on_job_submitted(self, job: Job, now: float, atom_sets: JobAtomSets) -> None:
         if self._gating is None or not job.is_ordered or job.n_queries < 2:
             return
-        t0 = time.perf_counter_ns()  # jawslint: disable=D001
         self._gating.add_job(job.job_id, [q.query_id for q in job.queries], atom_sets())
-        self.gating_overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
 
     def on_query_arrival(self, query: Query, subqueries: list[SubQuery], now: float) -> None:
         if self._gating is None or not self._gating.is_tracked(query.query_id):
             self._enqueue(subqueries, now)
             return
-        t0 = time.perf_counter_ns()  # jawslint: disable=D001
         self._held[query.query_id] = (query, subqueries, now)
         released = self._gating.on_arrival(query.query_id)
-        self.gating_overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
         if released is None:
             self._held_lag[query.query_id] = 0
             return
@@ -101,9 +91,7 @@ class JAWSScheduler(ContentionSchedulerBase):
     def on_query_complete(self, query: Query, now: float) -> None:
         if self._gating is None:
             return
-        t0 = time.perf_counter_ns()  # jawslint: disable=D001
         self._gating.on_complete(query.query_id)
-        self.gating_overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
         # Liveness valve: a query held past gating_max_lag completions
         # abandons its gates (bounded starvation from gating itself).
         max_lag = self.config.gating_max_lag

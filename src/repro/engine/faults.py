@@ -250,8 +250,7 @@ class FaultInjector:
         whose config armed a crash but whose result says
         ``crash_effective: False`` exercised nothing — the soak-level
         assertion this flag exists for.  Lifecycle metadata, not
-        simulation output: bit-identity comparisons exclude it, exactly
-        like the wall-clock overhead counters.
+        simulation output: bit-identity comparisons exclude it.
         """
         out = self.stats.snapshot()
         out["degraded_nodes"] = sum(self.degraded)

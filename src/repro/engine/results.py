@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, ClassVar, Mapping
 
 import numpy as np
 
@@ -37,8 +37,6 @@ class RunResult:
         Snapshot dicts from the storage stack (summed over nodes).
     forced_releases:
         Gated queries released by the liveness valve (should be 0).
-    gating_overhead_ns / cache_overhead_ns:
-        Measured wall-clock bookkeeping cost (Table I's overhead).
     alpha_histories:
         Per-node α traces for adaptive schedulers (``alpha_history`` is
         the first node's, preserving the single-node shape).
@@ -78,8 +76,6 @@ class RunResult:
     disk: dict = field(default_factory=dict)
     exec: dict = field(default_factory=dict)
     forced_releases: int = 0
-    gating_overhead_ns: int = 0
-    cache_overhead_ns: int = 0
     timeouts: int = 0
     retries: int = 0
     failovers: int = 0
@@ -92,6 +88,9 @@ class RunResult:
     throttled_jobs: int = 0
     class_response_times: dict[str, list[float]] = field(default_factory=dict)
     overload: dict = field(default_factory=dict)
+    # Always 0, never serialized: kept only for benchmarks/perf/child.py.
+    gating_overhead_ns: ClassVar[int] = 0
+    cache_overhead_ns: ClassVar[int] = 0
 
     # -- headline numbers ---------------------------------------------------
     @property
@@ -160,11 +159,6 @@ class RunResult:
         offered += self.rejected_queries
         return (offered - self.rejected_queries) / offered if offered else 1.0
 
-    @property
-    def cache_overhead_ms_per_query(self) -> float:
-        """Measured cache-policy bookkeeping per query, milliseconds."""
-        return self.cache_overhead_ns / 1e6 / self.n_queries if self.n_queries else 0.0
-
     def summary(self) -> dict[str, float]:
         """Flat dict for experiment tables."""
         return {
@@ -232,8 +226,6 @@ class RunResult:
             "disk": dict(self.disk),
             "exec": dict(self.exec),
             "forced_releases": self.forced_releases,
-            "gating_overhead_ns": self.gating_overhead_ns,
-            "cache_overhead_ns": self.cache_overhead_ns,
             "timeouts": self.timeouts,
             "retries": self.retries,
             "failovers": self.failovers,
@@ -276,8 +268,6 @@ class RunResult:
             disk=dict(data["disk"]),
             exec=dict(data["exec"]),
             forced_releases=int(data["forced_releases"]),
-            gating_overhead_ns=int(data["gating_overhead_ns"]),
-            cache_overhead_ns=int(data["cache_overhead_ns"]),
             timeouts=int(data["timeouts"]),
             retries=int(data["retries"]),
             failovers=int(data["failovers"]),

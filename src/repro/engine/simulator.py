@@ -970,7 +970,6 @@ class Simulator:
         cache: dict = {}
         disk: dict = {}
         execs: dict = {}
-        gating_ns = 0
         sched_forced = 0
         alpha_histories: list[list[float]] = []
         local = [node for node in self.nodes if isinstance(node, _Node)]
@@ -982,7 +981,6 @@ class Simulator:
                 disk[key] = disk.get(key, 0) + val
             for key, val in node.executor.stats.snapshot().items():
                 execs[key] = execs.get(key, 0) + val
-            gating_ns += getattr(node.scheduler, "gating_overhead_ns", 0)
             sched_forced += getattr(node.scheduler, "forced_releases", 0)
             history = getattr(node.scheduler, "alpha_history", None)
             if history:
@@ -998,7 +996,6 @@ class Simulator:
             "disk": disk,
             "exec": execs,
             "forced_releases": self.forced_releases + sched_forced,
-            "gating_overhead_ns": gating_ns,
             "timeouts": self._timeouts,
             "retries": self.injector.stats.retries if self.injector is not None else 0,
             "failovers": self._failovers,
@@ -1082,8 +1079,6 @@ def build_result(trace: Trace, partials: Sequence[dict], **extra_faults: int) ->
         disk=disk,
         exec=execs,
         forced_releases=sum(p["forced_releases"] for p in partials),
-        gating_overhead_ns=sum(p["gating_overhead_ns"] for p in partials),
-        cache_overhead_ns=cache.get("overhead_ns", 0),
         timeouts=sum(p["timeouts"] for p in partials),
         retries=sum(p["retries"] for p in partials),
         failovers=sum(p["failovers"] for p in partials),

@@ -147,6 +147,6 @@ def sweep_run_many(specs: Sequence[RunSpec], jobs: int = 1) -> List[RunResult]:
     The one fan-out entry point every figure/table module uses: spec
     labels ride along to failure records, and :func:`sweep_supervisor`
     (the ``REPRO_TASK_TIMEOUT`` environment knob) arms the watchdog
-    uniformly across fig10/fig11/fig12/table1 and the ablations.
+    uniformly across the figure/table sweeps and the ablations.
     """
     return run_many(specs, jobs=jobs, supervisor=sweep_supervisor())

@@ -70,10 +70,6 @@ ORACLE_NAMES = (
     "shard_conservation",
 )
 
-#: RunResult fields measuring host wall-clock time, not simulation
-#: output (same exclusion set as tests/test_determinism.py).
-_WALL_CLOCK_FIELDS = ("gating_overhead_ns", "cache_overhead_ns")
-
 #: Fault-accounting keys the simulator always reports; the injector
 #: adds the rest only when fault injection is enabled.
 _INJECTOR_KEYS = (
@@ -190,16 +186,13 @@ def check_shard_conservation(
 def normalize_result(result: RunResult) -> dict[str, Any]:
     """RunResult as a comparable dict, minus run-lifecycle artifacts.
 
-    Strips the wall-clock overhead counters, the ``crash_effective``
-    lifecycle flag (True on a resumed run, False on its uninterrupted
-    baseline — by design), and zero-fills injector accounting keys so a
-    baseline run whose fault config is entirely disabled compares equal
-    to a crash-stage run that armed only the coordinator crash.
+    Strips the ``crash_effective`` lifecycle flag (True on a resumed run,
+    False on its uninterrupted baseline — by design), and zero-fills
+    injector accounting keys so a baseline run whose fault config is
+    entirely disabled compares equal to a crash-stage run that armed
+    only the coordinator crash.
     """
     out = result.to_dict()
-    for fld in _WALL_CLOCK_FIELDS:
-        out.pop(fld, None)
-    out["cache"] = {k: v for k, v in out["cache"].items() if k != "overhead_ns"}
     faults = {k: v for k, v in out["faults"].items() if k != "crash_effective"}
     for key in _INJECTOR_KEYS:
         faults.setdefault(key, 0)

@@ -89,7 +89,8 @@ __all__ = [
 #:    query (and the trace) is a pure reference, with no derived cache.
 #: 7: a gating vertex holds its atom set as an ``AtomSet`` bitmap
 #:    ``(lo, bits)``, not a frozenset.
-SNAPSHOT_FORMAT_VERSION = 7
+#: 8: ``CacheStats`` and ``JAWSScheduler`` hold no wall-clock counters.
+SNAPSHOT_FORMAT_VERSION = 8
 
 SNAPSHOT_MAGIC = b"JAWSCKPT"
 

@@ -309,6 +309,19 @@ class ClusterControlPlane:
     def _cumulative_events(self) -> int:
         return sum(domain.event_index for domain in self.domains)
 
+    def _diagnostics(self) -> dict:
+        """The domains' engine diagnostics merged: cumulative events, all pending
+        queries, each node as its own domain sees it, the latest clock."""
+        parts = [domain._diagnostics() for domain in self.domains]
+        owner = [parts[self.topology.shard_of_node(n)] for n in range(self.topology.n_nodes)]
+        return {
+            "clock": max(part["clock"] for part in parts),
+            "event_index": self._cumulative_events(),
+            "pending_queries": sorted({q for part in parts for q in part["pending_queries"]}),
+            "queue_depths": [own["queue_depths"][n] for n, own in enumerate(owner)],
+            "busy_flags": [own["busy_flags"][n] for n, own in enumerate(owner)],
+        }
+
     def _maybe_barrier(self) -> None:
         if self._next_barrier is None:
             return
@@ -326,10 +339,12 @@ class ClusterControlPlane:
             and self._barrier_count >= self.cfg.halt_after_barrier
         ):
             # run()'s finally flushes every shard's WAL.
+            clocks = ", ".join(f"{domain.clock:.6g}s" for domain in self.domains)
             raise CoordinatorCrash(
                 f"halted after cluster barrier {self._barrier_count} "
-                f"({cum} cumulative events); resume from "
-                f"{self.checkpoint.directory}"
+                f"({cum} cumulative events; domain clocks {clocks}); resume from "
+                f"{self.checkpoint.directory}",
+                **self._diagnostics(),
             )
 
     def _write_manifest(self, cum: int) -> None:
@@ -400,11 +415,7 @@ class ClusterControlPlane:
                                 "cluster livelock: pending queries on some "
                                 "shard but no schedulable work, no message "
                                 "in flight, and no control event",
-                                pending_queries=sorted(
-                                    qid
-                                    for d in self.domains
-                                    for qid in d._remaining
-                                ),
+                                **self._diagnostics(),
                             )
                         self._drain_outboxes()
                         continue

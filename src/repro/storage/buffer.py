@@ -3,16 +3,13 @@
 The paper's evaluation manages a 2 GB atom cache *externally* to SQL
 Server (§VI-B); :class:`BufferCache` is that cache.  It owns residency
 and statistics, delegates victim selection to a pluggable
-:class:`~repro.cache.base.CachePolicy`, measures the policy's real
-bookkeeping cost (Table I's overhead column) with a wall-clock timer,
-and notifies listeners on insert/evict so the scheduler's workload
-queues can keep their ``phi`` (cached?) flags current without set
-lookups on the hot path.
+:class:`~repro.cache.base.CachePolicy`, and notifies listeners on
+insert/evict so the scheduler's workload queues can keep their ``phi``
+(cached?) flags current without set lookups on the hot path.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -28,7 +25,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    overhead_ns: int = 0
 
     @property
     def accesses(self) -> int:
@@ -45,7 +41,6 @@ class CacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "hit_ratio": self.hit_ratio,
-            "overhead_ns": self.overhead_ns,
         }
 
 
@@ -100,12 +95,10 @@ class BufferCache:
         On a miss the atom is fetched into the cache (the caller charges
         the disk cost), evicting the policy's victim if full.
         """
-        t0 = time.perf_counter_ns()  # jawslint: disable=D001
         stats = self.stats
         resident = self._resident
         if atom_id in resident:
             self.policy.on_access(atom_id, now)
-            stats.overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
             stats.hits += 1
             return True
 
@@ -119,16 +112,11 @@ class BufferCache:
             resident.remove(victim)
             policy.on_evict(victim)
             stats.evictions += 1
-            if self._on_evict:
-                # Listener time is the scheduler's, not the policy's.
-                stats.overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
-                for cb in self._on_evict:
-                    cb(victim)
-                t0 = time.perf_counter_ns()  # jawslint: disable=D001
+            for cb in self._on_evict:
+                cb(victim)
 
         resident.add(atom_id)
         policy.on_insert(atom_id, now)
-        stats.overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
         stats.misses += 1
         for cb in self._on_insert:
             cb(atom_id)
@@ -137,9 +125,7 @@ class BufferCache:
     # -- control ------------------------------------------------------------
     def run_boundary(self) -> None:
         """Propagate a workload run boundary to the policy (SLRU)."""
-        t0 = time.perf_counter_ns()  # jawslint: disable=D001
         self.policy.on_run_boundary()
-        self.stats.overhead_ns += time.perf_counter_ns() - t0  # jawslint: disable=D001
 
     def drop(self, atom_ids: Iterable[int]) -> None:
         """Explicitly evict atoms (used by tests and cluster rebalance)."""

@@ -1,9 +1,19 @@
 """Tests for the buffer cache container (policy-agnostic behaviour)."""
 
+import itertools
+
 import pytest
 
+from repro.cache.base import _REGISTRY
 from repro.cache.lru import LRUPolicy
+from repro.config import CacheConfig, EngineConfig
+from repro.experiments import table1
+from repro.experiments.table1 import HOOKS, PolicyClock, clocked_run
+from repro.fuzz.oracles import results_equivalent
+from repro.grid.dataset import DatasetSpec
+from repro.parallel import RunSpec, run_spec
 from repro.storage.buffer import BufferCache
+from repro.workload.generator import WorkloadParams, generate_trace
 
 
 def make(capacity=3):
@@ -74,8 +84,38 @@ class TestInvariants:
         cache.access(3, 3.0)  # evicts 2
         assert 1 in cache and 3 in cache and 2 not in cache
 
-    def test_overhead_measured(self):
-        cache = make()
-        for a in range(10):
-            cache.access(a % 4, float(a))
-        assert cache.stats.overhead_ns > 0
+
+class TestPolicyClock:
+    """Table I's overhead column: wall-clock time inside policy hooks,
+    measured from outside the engine."""
+
+    def test_clocked_run_measures_and_changes_nothing(self):
+        classes = list(_REGISTRY.values())
+        before = [(dict(vars(cls)), [getattr(cls, h) for h in HOOKS]) for cls in classes]
+        trace = generate_trace(
+            DatasetSpec.small(n_timesteps=6, atoms_per_axis=4),
+            WorkloadParams(n_jobs=10, span=90.0, seed=3),
+        )
+        spec = RunSpec(
+            trace, "jaws2", EngineConfig(cache=CacheConfig(capacity_atoms=32, policy="urc"))
+        )
+        clocked, policy_ns = clocked_run(spec)
+        assert policy_ns > 0
+        assert [(dict(vars(cls)), [getattr(cls, h) for h in HOOKS]) for cls in classes] == before
+        assert results_equivalent(run_spec(spec), clocked) is None
+
+    def test_hook_called_from_a_hook_is_counted_once(self, monkeypatch):
+        class Nested(LRUPolicy):
+            def on_insert(self, atom_id, now):
+                super().on_insert(atom_id, now)
+                self.on_access(atom_id, now)
+
+        # A fake clock that ticks once per read: an outermost call adds 1.
+        monkeypatch.setattr(table1, "_now_ns", itertools.count().__next__)
+        monkeypatch.setitem(_REGISTRY, "nested-test", Nested)
+        cache = BufferCache(2, Nested())
+        with PolicyClock() as clock:
+            cache.access(1, 0.0)  # miss: on_insert, which calls on_access
+            cache.access(1, 1.0)  # hit: on_access
+        assert clock.ns == 2
+        assert "on_insert" in vars(Nested) and "on_access" not in vars(Nested)

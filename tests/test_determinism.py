@@ -4,14 +4,10 @@ Same trace + same seeds ⇒ bit-identical :class:`RunResult`,
 field-for-field, with faults off and on — and independent of
 ``PYTHONHASHSEED`` (checked in fresh subprocesses), since string
 hashing is the one stdlib source of per-process iteration-order
-variation the engine could accidentally depend on.
-
-Wall-clock overhead profiling counters (``gating_overhead_ns``,
-``cache_overhead_ns``, ``cache["overhead_ns"]``) are the documented
-exception: they measure real time by design and are excluded here.
+variation the engine could accidentally depend on.  Checkpointed runs
+also write byte-identical checkpoint directories.
 """
 
-import dataclasses
 import hashlib
 import os
 import subprocess
@@ -37,8 +33,6 @@ from repro.workload.generator import WorkloadParams, generate_trace
 
 SPEC = DatasetSpec.small(n_timesteps=6, atoms_per_axis=4)
 
-WALL_CLOCK_FIELDS = frozenset({"gating_overhead_ns", "cache_overhead_ns"})
-
 
 def small_trace(seed=0, n_jobs=15):
     return generate_trace(SPEC, WorkloadParams(n_jobs=n_jobs, span=120.0, seed=seed))
@@ -54,32 +48,21 @@ def engine(**kwargs):
 
 
 def result_fields(result):
-    """``field name -> comparable value`` with wall-clock profiling
-    stripped (those fields measure real time by design) and the
-    ``faults["crash_effective"]`` lifecycle flag stripped (a resumed run
-    records that its crash fired; the uninterrupted same-seed run never
-    armed one — metadata about the run's lifecycle, not simulation
-    output)."""
-    out = {}
-    for f in dataclasses.fields(result):
-        if f.name in WALL_CLOCK_FIELDS:
-            continue
-        value = getattr(result, f.name)
-        if isinstance(value, np.ndarray):
-            out[f.name] = (value.shape, str(value.dtype), value.tobytes())
-        elif f.name == "cache":
-            out[f.name] = {k: v for k, v in value.items() if k != "overhead_ns"}
-        elif f.name == "faults":
-            out[f.name] = {k: v for k, v in value.items() if k != "crash_effective"}
-        else:
-            out[f.name] = repr(value)
+    """``RunResult.to_dict()`` with the ``faults["crash_effective"]``
+    lifecycle flag stripped (a resumed run records that its crash fired;
+    the uninterrupted same-seed run never armed one — metadata about the
+    run's lifecycle, not simulation output)."""
+    out = result.to_dict()
+    out["faults"] = {k: v for k, v in out["faults"].items() if k != "crash_effective"}
     return out
 
 
 def assert_identical(a, b):
     fa, fb = result_fields(a), result_fields(b)
+    assert set(fa) == set(fb)
     for name in fa:
-        assert fa[name] == fb[name], f"RunResult.{name} differs between same-seed runs"
+        # repr, not ==: a dict's key order is part of what must not vary.
+        assert repr(fa[name]) == repr(fb[name]), f"RunResult.{name} differs between same-seed runs"
 
 
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
@@ -121,8 +104,7 @@ def test_trace_generation_deterministic():
 # ---------------------------------------------------------------------------
 _DIGEST_SCRIPT = textwrap.dedent(
     """
-    import dataclasses, hashlib, sys
-    import numpy as np
+    import hashlib, json, sys
     from repro.config import CacheConfig, CostModel, EngineConfig, FaultConfig
     from repro.engine.runner import run_trace
     from repro.grid.dataset import DatasetSpec
@@ -137,20 +119,8 @@ _DIGEST_SCRIPT = textwrap.dedent(
         faults=FaultConfig(seed=4, transient_fault_rate=0.03),
     )
     result = run_trace(trace, "jaws2", eng)
-    h = hashlib.sha256()
-    for f in sorted(dataclasses.fields(result), key=lambda f: f.name):
-        if f.name in ("gating_overhead_ns", "cache_overhead_ns"):
-            continue
-        value = getattr(result, f.name)
-        if isinstance(value, np.ndarray):
-            h.update(f.name.encode())
-            h.update(value.tobytes())
-        elif f.name == "cache":
-            slim = {k: v for k, v in value.items() if k != "overhead_ns"}
-            h.update((f.name + repr(sorted(slim.items()))).encode())
-        else:
-            h.update((f.name + repr(value)).encode())
-    sys.stdout.write(h.hexdigest())
+    doc = json.dumps(result.to_dict())
+    sys.stdout.write(hashlib.sha256(doc.encode()).hexdigest())
     """
 )
 
@@ -203,7 +173,6 @@ _CHECKPOINT_CASES = {
 }
 
 
-@pytest.mark.xfail(strict=True, reason="snapshots pickle wall-clock overhead counters")
 @pytest.mark.parametrize("case", sorted(_CHECKPOINT_CASES))
 def test_same_seed_checkpoint_directories_byte_identical(case, tmp_path):
     """Two same-seed checkpointed runs write the same bytes to every

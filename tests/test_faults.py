@@ -100,9 +100,7 @@ class TestZeroFaultEquivalence:
         assert base.makespan == explicit.makespan
         np.testing.assert_array_equal(base.response_times, explicit.response_times)
         assert base.disk == explicit.disk
-        # overhead_ns is measured wall-clock time, not simulated state.
-        drop = lambda d: {k: v for k, v in d.items() if k != "overhead_ns"}  # noqa: E731
-        assert drop(base.cache) == drop(explicit.cache)
+        assert base.cache == explicit.cache
         assert explicit.retries == 0 and explicit.failovers == 0
         assert explicit.faults.get("transient_faults", 0) == 0
 

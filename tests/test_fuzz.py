@@ -215,19 +215,18 @@ class TestOracles:
         detail = check_metric_sanity(fake_result(**overrides), engine)
         assert detail is not None and fragment in detail
 
-    def test_results_equivalent_ignores_wall_clock_only(self):
+    def test_results_equivalent_ignores_lifecycle_flag_only(self):
         scenario = materialize(tiny_spec())
         from repro.engine.runner import run_trace
 
         a = run_trace(scenario.trace, "jaws2", engine=scenario.engine)
         b = run_trace(scenario.trace, "jaws2", engine=scenario.engine)
-        # Wall-clock overheads differ between the two runs, yet the
-        # normalized comparison must treat them as equivalent.
         assert results_equivalent(a, b) is None
         norm = normalize_result(a)
-        assert "gating_overhead_ns" not in norm
-        assert "overhead_ns" not in norm["cache"]
         assert "crash_effective" not in norm["faults"]
+        assert {k: v for k, v in norm.items() if k != "faults"} == {
+            k: v for k, v in a.to_dict().items() if k != "faults"
+        }
 
     def test_results_equivalent_reports_first_divergence(self):
         scenario_a = materialize(tiny_spec())

@@ -3,10 +3,7 @@
 ``run_many(specs, jobs=N)`` must be indistinguishable from the inline
 serial path: same seed ⇒ same :class:`RunResult`, field for field, for
 every scheduler, with faults off and on, and with the runtime sanitizer
-attached.  Wall-clock overhead profiling counters
-(``gating_overhead_ns``, ``cache_overhead_ns``, ``cache["overhead_ns"]``)
-are the documented exception — they measure real time by design
-(see DESIGN.md §7) and are stripped before comparison.
+attached.
 
 Worker-crash retry is exercised by monkeypatching the worker entry
 point with a crashing stand-in; the patch reaches pool workers because
@@ -29,10 +26,6 @@ from repro.parallel import pool as pool_module
 from repro.workload.generator import WorkloadParams, generate_trace
 
 SPEC = DatasetSpec.small(n_timesteps=6, atoms_per_axis=4)
-
-#: Wall-clock profiling counters excluded from bit-identity (they time
-#: real bookkeeping cost and legitimately differ between processes).
-WALL_CLOCK_KEYS = frozenset({"gating_overhead_ns", "cache_overhead_ns"})
 
 FAULTS = FaultConfig(
     seed=11,
@@ -60,17 +53,8 @@ def engine(**kwargs):
     )
 
 
-def comparable(result):
-    """``RunResult.to_dict()`` with wall-clock profiling stripped."""
-    d = result.to_dict()
-    for key in WALL_CLOCK_KEYS:
-        d.pop(key)
-    d["cache"] = {k: v for k, v in d["cache"].items() if k != "overhead_ns"}
-    return d
-
-
 def assert_identical(serial, parallel):
-    a, b = comparable(serial), comparable(parallel)
+    a, b = serial.to_dict(), parallel.to_dict()
     assert set(a) == set(b)
     for key in a:
         assert a[key] == b[key], f"to_dict()[{key!r}] differs parallel vs serial"

@@ -245,14 +245,14 @@ def test_version_mismatch_raises(tmp_path):
 
 def test_v3_snapshot_refused(tmp_path):
     """Format 3 sub-queries lack their neighbor keys: never resumed."""
-    assert SNAPSHOT_FORMAT_VERSION == 7
+    assert SNAPSHOT_FORMAT_VERSION == 8
     trace = small_trace()
     ckpt_dir = crash_and_leave_artifacts(tmp_path, trace, "jaws2", crash_at=30)
     latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
     blob = bytearray(latest.read_bytes())
     struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 3)
     latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v3, this build reads v7"):
+    with pytest.raises(RecoveryError, match="file has v3, this build reads v8"):
         Simulator.restore(ckpt_dir)
 
 
@@ -762,7 +762,7 @@ def test_v4_snapshot_refused(tmp_path):
     blob = bytearray(latest.read_bytes())
     struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 4)
     latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v4, this build reads v7"):
+    with pytest.raises(RecoveryError, match="file has v4, this build reads v8"):
         Simulator.restore(ckpt_dir)
 
 
@@ -774,7 +774,7 @@ def test_v5_snapshot_refused(tmp_path):
     blob = bytearray(latest.read_bytes())
     struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 5)
     latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v5, this build reads v7"):
+    with pytest.raises(RecoveryError, match="file has v5, this build reads v8"):
         Simulator.restore(ckpt_dir)
 
 
@@ -785,5 +785,17 @@ def test_v6_snapshot_refused(tmp_path):
     blob = bytearray(latest.read_bytes())
     struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 6)
     latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v6, this build reads v7"):
+    with pytest.raises(RecoveryError, match="file has v6, this build reads v8"):
+        Simulator.restore(ckpt_dir)
+
+
+def test_v7_snapshot_refused(tmp_path):
+    """Format 7 caches and JAWS schedulers carry wall-clock overhead
+    counters: never resumed."""
+    ckpt_dir = crash_and_leave_artifacts(tmp_path, small_trace(), "jaws2", crash_at=30)
+    latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
+    blob = bytearray(latest.read_bytes())
+    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 7)
+    latest.write_bytes(bytes(blob))
+    with pytest.raises(RecoveryError, match="file has v7, this build reads v8"):
         Simulator.restore(ckpt_dir)

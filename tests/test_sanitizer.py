@@ -9,9 +9,6 @@ Two families of checks:
   :class:`~repro.errors.InvariantViolation` names the invariant.
 """
 
-import dataclasses
-
-import numpy as np
 import pytest
 
 from repro.analysis.sanitizer import SimulationSanitizer
@@ -28,10 +25,6 @@ from repro.workload.query import AtomSet
 
 SPEC = DatasetSpec.small(n_timesteps=6, atoms_per_axis=4)
 
-#: Wall-clock profiling fields — the only RunResult content allowed to
-#: differ between two otherwise identical runs (DESIGN.md §7).
-WALL_CLOCK_FIELDS = frozenset({"gating_overhead_ns", "cache_overhead_ns"})
-
 
 def small_trace(seed=0, n_jobs=15):
     return generate_trace(SPEC, WorkloadParams(n_jobs=n_jobs, span=120.0, seed=seed))
@@ -44,22 +37,6 @@ def engine(**kwargs):
         run_length=10,
         **kwargs,
     )
-
-
-def result_digest(result):
-    """RunResult as comparable data, wall-clock profiling excluded."""
-    out = {}
-    for f in dataclasses.fields(result):
-        if f.name in WALL_CLOCK_FIELDS:
-            continue
-        value = getattr(result, f.name)
-        if isinstance(value, np.ndarray):
-            out[f.name] = (value.shape, str(value.dtype), value.tobytes())
-        elif f.name == "cache":
-            out[f.name] = {k: v for k, v in value.items() if k != "overhead_ns"}
-        else:
-            out[f.name] = repr(value)
-    return out
 
 
 def build_sim(name="jaws2", sanitize=True, faults=None, seed=0):
@@ -79,7 +56,7 @@ def test_sanitized_run_is_bit_identical(name):
     sim = Simulator(trace, [make_scheduler(name, trace, eng)], eng)
     on = sim.run()
     assert sim.sanitizer is not None and sim.sanitizer.checks > 0
-    assert result_digest(off) == result_digest(on)
+    assert off.to_dict() == on.to_dict()
 
 
 def test_sanitized_run_with_faults_is_bit_identical():
@@ -89,7 +66,7 @@ def test_sanitized_run_with_faults_is_bit_identical():
     eng_on = engine(faults=faults, sanitize=True)
     off = Simulator(trace, [make_scheduler("jaws2", trace, eng_off)], eng_off).run()
     on = Simulator(trace, [make_scheduler("jaws2", trace, eng_on)], eng_on).run()
-    assert result_digest(off) == result_digest(on)
+    assert off.to_dict() == on.to_dict()
 
 
 def test_sanitizer_disabled_by_default():

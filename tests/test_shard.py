@@ -285,7 +285,7 @@ class TestRecovery:
         return engine(checkpoint=CheckpointConfig(directory=str(directory), every_events=500))
 
     def _halt(self, trace, tmp_path, halt_after_barrier=2, **shard_overrides):
-        with pytest.raises(CoordinatorCrash):
+        with pytest.raises(CoordinatorCrash) as halt:
             run_sharded(
                 trace,
                 "jaws2",
@@ -295,6 +295,21 @@ class TestRecovery:
                 ),
                 engine=self._engine(tmp_path),
             )
+        return halt.value
+
+    def test_halt_carries_cluster_diagnostics(self, tmp_path):
+        """A barrier halt describes the cluster: its cumulative events,
+        the queries still pending on any shard, every node's queue, and
+        each domain's clock."""
+        halt = self._halt(small_trace(seed=1), tmp_path)
+        meta, _ = decode_snapshot(latest_manifest(tmp_path).read_bytes())
+        assert halt.event_index == meta["cumulative_events"]
+        assert halt.pending_queries == sorted(set(halt.pending_queries))
+        assert halt.pending_queries
+        assert len(halt.queue_depths) == len(halt.busy_flags) == 4
+        assert halt.clock > 0
+        assert f"cluster barrier {meta['barrier']} " in str(halt)
+        assert "domain clocks" in str(halt)
 
     def test_resume_is_bit_identical(self, tmp_path):
         trace = small_trace(seed=1)

@@ -226,9 +226,6 @@ class TestTrace:
         trace.save(path)
         a = run_trace(trace, "jaws2").to_dict()
         b = run_trace(Trace.load(path), "jaws2").to_dict()
-        for result in (a, b):  # wall-clock overheads differ run to run
-            del result["gating_overhead_ns"], result["cache_overhead_ns"]
-            del result["cache"]["overhead_ns"]
         assert a == b
 
     def test_duplicate_job_ids_rejected(self):
