@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from repro.config import CostModel, OverloadConfig, SHED_POLICIES
+from repro.config import CostModel, SHED_POLICIES
 from repro.errors import ConfigurationError
 from repro.workload.query import SubQuery
 
@@ -152,8 +152,3 @@ def make_shed_policy(name: str) -> ShedPolicy:
     policy = ShedPolicy(keys[name])
     policy.name = name
     return policy
-
-
-def shed_policy_for(config: OverloadConfig) -> ShedPolicy:
-    """The policy selected by ``config.shed_policy``."""
-    return make_shed_policy(config.shed_policy)

@@ -18,9 +18,10 @@ One :class:`CheckpointManager` is attached to a
 
 ``load`` + :func:`verify_restored_state` implement the resume side
 used by ``Simulator.restore`` (newest snapshot, via ``load_latest``)
-and by sharded recovery (the snapshot a cluster manifest names): decode
-the snapshot (version + CRC checked by the codec), load and verify the
-input file it names, read its WAL segment, and — once
+and by sharded recovery (the snapshot a cluster manifest names): check
+the snapshot and the input file it names (version, length, CRC and the
+input's digest, by the codec) before unpickling either, read its WAL
+segment, and — once
 the simulator object is rebuilt — re-run the workload-queue and
 gating-graph consistency audits from the simulation sanitizer before a
 single new event executes.  Recovery refuses
@@ -42,9 +43,10 @@ from repro.errors import RecoveryError
 from repro.recovery.codec import (
     SNAPSHOT_FORMAT_VERSION,
     InputRefs,
+    check_container,
     encode_snapshot,
-    load_state,
     read_container,
+    unpickle_state,
 )
 from repro.recovery.wal import WalRecord, WalWriter, make_record, read_wal
 from repro.workload.trace import Trace
@@ -318,12 +320,13 @@ class CheckpointManager:
         directory = Path(directory)
         path = directory / _snapshot_name(event_index)
         try:
-            data = path.read_bytes()
+            file = path.open("rb")
         except FileNotFoundError:
             raise RecoveryError(f"snapshot {path.name} is missing from {directory}") from None
-        meta, payload = read_container(data)
-        refs, digest = _read_input(directory, meta.get("input_digest"), path.name)
-        state = load_state(payload, refs)
+        with file:
+            meta = check_container(file)
+            refs, digest = _read_input(directory, meta.get("input_digest"), path.name)
+            state = unpickle_state(file, refs)
         missing = [key for key in _REQUIRED_STATE_KEYS if key not in state]
         if missing:
             raise RecoveryError(f"snapshot {path.name} lacks required state keys: {missing}")
@@ -363,22 +366,24 @@ def _read_input(
     """Load ``input.ckpt`` and check it is the input ``snapshot`` names."""
     path = directory / INPUT_NAME
     try:
-        data = path.read_bytes()
+        file = path.open("rb")
     except FileNotFoundError:
         raise RecoveryError(
             f"checkpoint input {INPUT_NAME} is missing from {directory}"
         ) from None
-    try:
-        _meta, payload = read_container(data)
-    except RecoveryError as exc:
-        raise RecoveryError(f"checkpoint input {INPUT_NAME}: {exc}") from exc
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != expected:
-        raise RecoveryError(
-            f"checkpoint input {INPUT_NAME} (digest {digest[:16]}) is not the input "
-            f"snapshot {snapshot} was taken from (digest {str(expected)[:16]})"
-        )
-    state = load_state(payload)
+    with file:
+        hasher = hashlib.sha256()
+        try:
+            check_container(file, hasher.update)
+        except RecoveryError as exc:
+            raise RecoveryError(f"checkpoint input {INPUT_NAME}: {exc}") from exc
+        digest = hasher.hexdigest()
+        if digest != expected:
+            raise RecoveryError(
+                f"checkpoint input {INPUT_NAME} (digest {digest[:16]}) is not the input "
+                f"snapshot {snapshot} was taken from (digest {str(expected)[:16]})"
+            )
+        state = unpickle_state(file)
     trace, trees = state.get("trace"), state.get("trees")
     if not isinstance(trace, Trace) or not isinstance(trees, list):
         raise RecoveryError(f"checkpoint input {INPUT_NAME} holds no trace and trees")

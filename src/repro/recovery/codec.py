@@ -43,6 +43,15 @@ each.
 :class:`~repro.workload.query.AtomSet` are ``NamedTuple`` classes and
 already pickle as their positional fields.
 
+**Check, then load.**  A container is read from its file in two
+passes and never held whole: :func:`check_container` parses the header,
+checks the payload length against the file size and runs one chunked
+pass for the CRC-32 (feeding ``input.ckpt``'s SHA-256 digest too);
+only a container that passes is unpickled, straight from the file, by
+:func:`unpickle_state`.  The bytes API (:func:`read_container`,
+:func:`load_state`, :func:`decode_snapshot`), for tests and the
+cluster manifest, wraps the same two steps over an in-memory buffer.
+
 Every decode failure — wrong magic, version mismatch, truncated file,
 checksum mismatch, unpicklable payload, unresolvable reference — raises
 :class:`~repro.errors.RecoveryError`; a snapshot is either bit-perfect
@@ -60,7 +69,7 @@ import pickle
 import struct
 import zlib
 from collections import deque
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, BinaryIO, Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import RecoveryError
 from repro.storage.btree import BPlusTree
@@ -73,6 +82,8 @@ __all__ = [
     "SNAPSHOT_MAGIC",
     "InputRefs",
     "encode_snapshot",
+    "check_container",
+    "unpickle_state",
     "decode_snapshot",
     "read_container",
     "load_state",
@@ -192,7 +203,7 @@ _PLAIN_TABLE = {**copyreg.dispatch_table, **_COMPACT}
 class _StateUnpickler(pickle.Unpickler):
     """Resolves input references against ``refs`` (``None``: refuse them)."""
 
-    def __init__(self, file: io.BytesIO, refs: Optional[InputRefs]) -> None:
+    def __init__(self, file: BinaryIO, refs: Optional[InputRefs]) -> None:
         super().__init__(file)
         self._refs = refs
 
@@ -223,82 +234,109 @@ def _collector_paused() -> Iterator[None]:
 # ----------------------------------------------------------------------
 # Container
 # ----------------------------------------------------------------------
+#: Bytes per read of :func:`check_container`'s pass over the payload.
+_CHUNK = 1 << 18
+
+
 def encode_snapshot(
     meta: Mapping[str, Any], state: Mapping[str, Any], refs: Optional[InputRefs] = None
 ) -> bytes:
     """Serialize ``state`` (the engine-state mapping) with ``meta``
     (JSON-safe descriptive metadata) into the container format.  With
-    ``refs``, the checkpoint input's objects are stored by reference."""
+    ``refs``, the checkpoint input's objects are stored by reference.
+
+    The payload is pickled straight after the header into one buffer,
+    whose length and CRC fields are then filled in place, so the
+    container exists once in memory."""
     header = json.dumps(dict(meta), sort_keys=True).encode("utf-8")
     buf = io.BytesIO()
+    buf.write(SNAPSHOT_MAGIC)
+    buf.write(_FIXED.pack(SNAPSHOT_FORMAT_VERSION, len(header)))
+    buf.write(header)
+    fields = buf.tell()
+    buf.write(bytes(_PAYLOAD.size))
     pickler = pickle.Pickler(buf, protocol=_PROTOCOL)
     pickler.dispatch_table = refs.dispatch_table if refs is not None else _PLAIN_TABLE
     with _collector_paused():
         pickler.dump(dict(state))
         # Free the memo's tuples before the collector sees them.
         pickler.clear_memo()
-    payload = buf.getbuffer()
-    out = io.BytesIO()
-    out.write(SNAPSHOT_MAGIC)
-    out.write(_FIXED.pack(SNAPSHOT_FORMAT_VERSION, len(header)))
-    out.write(header)
-    out.write(_PAYLOAD.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF))
-    out.write(payload)
-    return out.getvalue()
+    with buf.getbuffer() as view, view[fields + _PAYLOAD.size :] as payload:
+        _PAYLOAD.pack_into(view, fields, len(payload), zlib.crc32(payload))
+    # With no view left open, getvalue() hands over the buffer uncopied.
+    return buf.getvalue()
 
 
-def _take(buf: bytes, offset: int, size: int, what: str) -> bytes:
-    if offset + size > len(buf):
-        raise RecoveryError(
-            f"truncated snapshot: {what} needs {size} bytes at offset {offset}, "
-            f"file has {len(buf)}"
-        )
-    return buf[offset : offset + size]
+def _truncated(what: str, size: int, offset: int, file_size: int) -> RecoveryError:
+    return RecoveryError(
+        f"truncated snapshot: {what} needs {size} bytes at offset {offset}, "
+        f"file has {file_size}"
+    )
 
 
-def read_container(data: bytes) -> Tuple[dict[str, Any], bytes]:
-    """Check container bytes and split them into ``(meta, payload)``.
+def check_container(
+    file: BinaryIO, feed: Optional[Callable[[bytes], object]] = None
+) -> dict[str, Any]:
+    """Check the container in the seekable binary ``file`` without
+    unpickling anything, and return its metadata.
 
-    Raises :class:`~repro.errors.RecoveryError` on any corruption or
-    version mismatch; the payload is not unpickled.
+    One chunked pass over the payload checks its CRC-32 and hands each
+    chunk to ``feed`` (a hash's ``update``), so no copy of the file is
+    held.  On return ``file`` is positioned at the payload, ready for
+    :func:`unpickle_state`.  Raises :class:`~repro.errors.RecoveryError`
+    on any corruption or version mismatch.
     """
-    magic = _take(data, 0, len(SNAPSHOT_MAGIC), "magic")
+    file_size = file.seek(0, io.SEEK_END)
+    file.seek(0)
+
+    def take(size: int, what: str) -> bytes:
+        offset = file.tell()
+        data = file.read(size) if offset + size <= file_size else b""
+        if len(data) != size:
+            raise _truncated(what, size, offset, file_size)
+        return data
+
+    magic = take(len(SNAPSHOT_MAGIC), "magic")
     if magic != SNAPSHOT_MAGIC:
         raise RecoveryError(f"not a JAWS snapshot (magic {magic!r})")
-    offset = len(SNAPSHOT_MAGIC)
-    version, header_len = _FIXED.unpack(_take(data, offset, _FIXED.size, "fixed header"))
+    version, header_len = _FIXED.unpack(take(_FIXED.size, "fixed header"))
     if version != SNAPSHOT_FORMAT_VERSION:
         raise RecoveryError(
             f"snapshot format version mismatch: file has v{version}, "
             f"this build reads v{SNAPSHOT_FORMAT_VERSION}"
         )
-    offset += _FIXED.size
-    header = _take(data, offset, header_len, "JSON header")
-    offset += header_len
+    header = take(header_len, "JSON header")
     try:
         meta = json.loads(header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise RecoveryError(f"corrupt snapshot header: {exc}") from exc
     if not isinstance(meta, dict):
         raise RecoveryError("corrupt snapshot header: not a JSON object")
-    payload_len, crc = _PAYLOAD.unpack(_take(data, offset, _PAYLOAD.size, "payload header"))
-    offset += _PAYLOAD.size
-    payload = _take(data, offset, payload_len, "payload")
-    if offset + payload_len != len(data):
-        raise RecoveryError(
-            f"snapshot has {len(data) - offset - payload_len} trailing bytes"
-        )
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+    payload_len, crc = _PAYLOAD.unpack(take(_PAYLOAD.size, "payload header"))
+    start = file.tell()
+    if start + payload_len > file_size:
+        raise _truncated("payload", payload_len, start, file_size)
+    if start + payload_len != file_size:
+        raise RecoveryError(f"snapshot has {file_size - start - payload_len} trailing bytes")
+    seen = 0
+    for offset in range(0, payload_len, _CHUNK):
+        chunk = take(min(_CHUNK, payload_len - offset), "payload")
+        seen = zlib.crc32(chunk, seen)
+        if feed is not None:
+            feed(chunk)
+    if seen != crc:
         raise RecoveryError("snapshot payload CRC mismatch (corrupt or tampered)")
-    return meta, payload
+    file.seek(start)
+    return meta
 
 
-def load_state(payload: bytes, refs: Optional[InputRefs] = None) -> dict[str, Any]:
-    """Unpickle a payload from :func:`read_container`, resolving input
-    references against ``refs``."""
+def unpickle_state(file: BinaryIO, refs: Optional[InputRefs] = None) -> dict[str, Any]:
+    """Unpickle the state mapping at ``file``'s position (a payload
+    :func:`check_container` has passed), resolving input references
+    against ``refs``."""
     try:
         with _collector_paused():
-            state = _StateUnpickler(io.BytesIO(payload), refs).load()
+            state = _StateUnpickler(file, refs).load()
     except RecoveryError:
         raise
     except Exception as exc:  # pickle raises a menagerie of types
@@ -308,12 +346,27 @@ def load_state(payload: bytes, refs: Optional[InputRefs] = None) -> dict[str, An
     return state
 
 
+def read_container(data: bytes) -> Tuple[dict[str, Any], memoryview]:
+    """:func:`check_container` over container bytes: ``(meta, payload)``,
+    the payload a view into ``data``."""
+    file = io.BytesIO(data)  # shares the bytes object's buffer
+    meta = check_container(file)
+    return meta, memoryview(data)[file.tell() :]
+
+
+def load_state(payload: bytes | memoryview, refs: Optional[InputRefs] = None) -> dict[str, Any]:
+    """:func:`unpickle_state` of a payload from :func:`read_container`
+    (a view is copied into the reader; bytes are shared)."""
+    return unpickle_state(io.BytesIO(payload), refs)
+
+
 def decode_snapshot(data: bytes) -> Tuple[dict[str, Any], dict[str, Any]]:
-    """Parse container bytes without input references back into
+    """Check and unpickle container bytes without input references:
     ``(meta, state)``.
 
     Raises :class:`~repro.errors.RecoveryError` on any corruption or
     version mismatch.
     """
-    meta, payload = read_container(data)
-    return meta, load_state(payload)
+    file = io.BytesIO(data)
+    meta = check_container(file)
+    return meta, unpickle_state(file)

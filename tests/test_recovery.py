@@ -12,10 +12,13 @@ mechanism and every refusal path.
 """
 
 import dataclasses
+import gc
 import io
 import json
 import pickle
+import shutil
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -24,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.recovery.checkpoint as checkpoint_module
+import repro.recovery.codec as codec_module
 from repro.cluster.cluster import run_cluster
 from repro.config import CheckpointConfig, FaultConfig
 from repro.core.base import Batch
@@ -231,28 +235,42 @@ def test_restore_empty_directory_raises(tmp_path):
         Simulator.restore(tmp_path)
 
 
-def test_version_mismatch_raises(tmp_path):
-    trace = small_trace()
-    ckpt_dir = crash_and_leave_artifacts(tmp_path, trace, "jaws2", crash_at=30)
-    latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
-    blob = bytearray(latest.read_bytes())
+@pytest.fixture(scope="module")
+def crashed_dir(tmp_path_factory):
+    """One crashed run's checkpoint directory; tests damage copies of it."""
+    root = tmp_path_factory.mktemp("crashed")
+    return crash_and_leave_artifacts(root, small_trace(), "jaws2", crash_at=30)
+
+
+def _latest_snapshot(ckpt_dir):
+    return sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
+
+
+def _write_version(path, version):
+    blob = bytearray(path.read_bytes())
     # Overwrite the u32 format version right after the magic.
-    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), SNAPSHOT_FORMAT_VERSION + 1)
-    latest.write_bytes(bytes(blob))
+    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), version)
+    path.write_bytes(bytes(blob))
+
+
+def test_version_mismatch_raises(crashed_dir, tmp_path):
+    ckpt_dir = shutil.copytree(crashed_dir, tmp_path / "ckpt")
+    _write_version(_latest_snapshot(ckpt_dir), SNAPSHOT_FORMAT_VERSION + 1)
     with pytest.raises(RecoveryError, match="version mismatch"):
         Simulator.restore(ckpt_dir)
 
 
-def test_v3_snapshot_refused(tmp_path):
-    """Format 3 sub-queries lack their neighbor keys: never resumed."""
+@pytest.mark.parametrize("version", range(2, 8))
+def test_older_snapshot_version_refused(crashed_dir, tmp_path, version):
+    """Formats 2-7 lay the state out differently (the history is at
+    ``SNAPSHOT_FORMAT_VERSION``: v3 sub-queries lack their neighbor
+    keys, v4 REROUTE events carry one bare pair, v5 sub-queries carry
+    index bytes, v6 gating vertices hold frozensets, v7 caches and
+    schedulers carry wall-clock counters): never resumed."""
     assert SNAPSHOT_FORMAT_VERSION == 8
-    trace = small_trace()
-    ckpt_dir = crash_and_leave_artifacts(tmp_path, trace, "jaws2", crash_at=30)
-    latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
-    blob = bytearray(latest.read_bytes())
-    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 3)
-    latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v3, this build reads v8"):
+    ckpt_dir = shutil.copytree(crashed_dir, tmp_path / "ckpt")
+    _write_version(_latest_snapshot(ckpt_dir), version)
+    with pytest.raises(RecoveryError, match=f"file has v{version}, this build reads v8"):
         Simulator.restore(ckpt_dir)
 
 
@@ -268,6 +286,47 @@ def test_codec_rejects_bad_magic_truncation_and_crc():
         decode_snapshot(bytes(corrupt))
     meta, state = decode_snapshot(blob)
     assert meta == {"event_index": 0} and state == {"event_index": 0}
+
+
+def test_encode_snapshot_keeps_the_container_layout():
+    """Magic, ``>II`` (version, header length), the JSON header, ``>QI``
+    (payload length, CRC-32), then the pickle of the state, byte for
+    byte; a bytes value past the pickle frame size included."""
+    meta = {"event_index": 3, "clock": 1.5}
+    state = {
+        "event_index": 3,
+        "queue": [(i, f"q{i}") for i in range(200)],
+        "positions": np.arange(300, dtype=np.float64),
+        "blob": bytes(range(256)) * 1024,
+    }
+    header = json.dumps(meta, sort_keys=True).encode("utf-8")
+    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    expected = (
+        SNAPSHOT_MAGIC
+        + struct.pack(">II", SNAPSHOT_FORMAT_VERSION, len(header))
+        + header
+        + struct.pack(">QI", len(payload), zlib.crc32(payload))
+        + payload
+    )
+    assert encode_snapshot(meta, state) == expected
+
+
+def test_restore_holds_no_copy_of_the_input(tmp_path):
+    """Containers stream from their files: apart from what it returns,
+    loading a crashed run's recovery point allocates well under the size
+    of ``input.ckpt`` (a restore that reads the file into memory and
+    slices out its payload needs about twice that size)."""
+    ckpt_dir = crash_and_leave_artifacts(tmp_path, small_trace(n_jobs=80), "jaws2", crash_at=60)
+    size = (ckpt_dir / INPUT_NAME).stat().st_size
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = CheckpointManager.load_latest(ckpt_dir)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded[1]["event_index"] == 60
+    assert peak - kept < 0.25 * size
 
 
 def test_truncated_wal_raises(tmp_path):
@@ -536,6 +595,10 @@ def _damage_crc(path, _other):
     path.write_bytes(bytes(blob))
 
 
+def _damage_trailing(path, _other):
+    path.write_bytes(path.read_bytes() + bytes(7))
+
+
 def _damage_foreign(path, other):
     path.write_bytes((other / INPUT_NAME).read_bytes())
 
@@ -558,6 +621,48 @@ def test_bad_input_file_refused(tmp_path, damage, message):
     damage(ckpt_dir / INPUT_NAME, other)
     with pytest.raises(RecoveryError, match=message):
         Simulator.restore(ckpt_dir)
+
+
+def _probe_unpickling(monkeypatch):
+    """Make every unpickling fail, and return the list it appends to."""
+    loads = []
+
+    def refuse(self):
+        loads.append(self)
+        raise RuntimeError("unpickling")
+
+    monkeypatch.setattr(codec_module._StateUnpickler, "load", refuse)
+    return loads
+
+
+@pytest.mark.parametrize("target", ["snapshot", "input"])
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_damage_truncated, "truncated"),
+        (_damage_crc, "CRC mismatch"),
+        (_damage_trailing, "7 trailing bytes"),
+    ],
+    ids=["truncated", "crc", "trailing"],
+)
+def test_damaged_container_refused_before_unpickling(
+    crashed_dir, tmp_path, monkeypatch, target, damage, message
+):
+    """Every container a restore reads passes its checks before any of
+    it is unpickled."""
+    ckpt_dir = shutil.copytree(crashed_dir, tmp_path / "ckpt")
+    damage(_latest_snapshot(ckpt_dir) if target == "snapshot" else ckpt_dir / INPUT_NAME, None)
+    loads = _probe_unpickling(monkeypatch)
+    with pytest.raises(RecoveryError, match=message):
+        CheckpointManager.load_latest(ckpt_dir)
+    assert loads == []
+
+
+def test_unpickling_probe_sees_an_intact_load(crashed_dir, monkeypatch):
+    loads = _probe_unpickling(monkeypatch)
+    with pytest.raises(RecoveryError, match="failed to unpickle"):
+        CheckpointManager.load_latest(crashed_dir)
+    assert len(loads) == 1
 
 
 def test_pruning_keeps_the_input_file(tmp_path):
@@ -604,16 +709,6 @@ def test_genesis_snapshot_is_small_next_to_the_trace(tmp_path):
     build_sim(trace, "jaws2", checkpoint=checkpoint).run()
     _meta, payload = read_container((ckpt_dir / "snapshot-000000000.ckpt").read_bytes())
     assert len(payload) < 0.1 * len(pickle.dumps(trace))
-
-
-def test_v2_snapshot_refused(tmp_path):
-    ckpt_dir = crash_and_leave_artifacts(tmp_path, small_trace(), "jaws2", crash_at=30)
-    latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
-    blob = bytearray(latest.read_bytes())
-    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 2)
-    latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v2"):
-        Simulator.restore(ckpt_dir)
 
 
 def _json_record_line(record):
@@ -753,49 +848,3 @@ def test_replayed_bucket_must_match_its_record(tmp_path, outage_run):
     resumed = Simulator.restore(tmp_path)
     with pytest.raises(RecoveryError, match="diverged"):
         resumed.run()
-
-
-def test_v4_snapshot_refused(tmp_path):
-    """Format 4 REROUTE events carry one bare pair, not a bucket."""
-    ckpt_dir = crash_and_leave_artifacts(tmp_path, small_trace(), "jaws2", crash_at=30)
-    latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
-    blob = bytearray(latest.read_bytes())
-    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 4)
-    latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v4, this build reads v8"):
-        Simulator.restore(ckpt_dir)
-
-
-def test_v5_snapshot_refused(tmp_path):
-    """Format 5 sub-queries carry index bytes and its queries an atom-set
-    cache: never resumed."""
-    ckpt_dir = crash_and_leave_artifacts(tmp_path, small_trace(), "jaws2", crash_at=30)
-    latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
-    blob = bytearray(latest.read_bytes())
-    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 5)
-    latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v5, this build reads v8"):
-        Simulator.restore(ckpt_dir)
-
-
-def test_v6_snapshot_refused(tmp_path):
-    """Format 6 gating vertices hold frozenset atom sets: never resumed."""
-    ckpt_dir = crash_and_leave_artifacts(tmp_path, small_trace(), "jaws2", crash_at=30)
-    latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
-    blob = bytearray(latest.read_bytes())
-    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 6)
-    latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v6, this build reads v8"):
-        Simulator.restore(ckpt_dir)
-
-
-def test_v7_snapshot_refused(tmp_path):
-    """Format 7 caches and JAWS schedulers carry wall-clock overhead
-    counters: never resumed."""
-    ckpt_dir = crash_and_leave_artifacts(tmp_path, small_trace(), "jaws2", crash_at=30)
-    latest = sorted(ckpt_dir.glob("snapshot-*.ckpt"))[-1]
-    blob = bytearray(latest.read_bytes())
-    struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), 7)
-    latest.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError, match="file has v7, this build reads v8"):
-        Simulator.restore(ckpt_dir)
