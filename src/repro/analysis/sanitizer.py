@@ -196,8 +196,7 @@ class SimulationSanitizer:
         zombie: Counter = Counter()
         sim = self._sim
         for node in sim.nodes:
-            for sq in node.scheduler.iter_pending():
-                queued[sq.query.query_id] += 1
+            queued.update(node.scheduler.pending_by_query())
             if node.inflight is not None:
                 for _, subs in node.inflight.atoms:
                     for sq in subs:

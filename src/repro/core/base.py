@@ -6,9 +6,10 @@ scheduler through this interface:
 1. ``on_job_submitted`` when a job's first query (ordered) or all of
    its queries (batched) are about to arrive — JAWS uses this to align
    the new job against active jobs;
-2. ``on_query_arrival`` with the pre-processed sub-queries — the
-   scheduler decides when they enter the workload queues (JAWS may
-   hold a query in READY until its gating group is complete);
+2. ``on_query_arrival`` with the pre-processed sub-queries (the
+   node's part of the query's :class:`~repro.workload.query.SubQueries`
+   record) — the scheduler decides when they enter the workload queues
+   (JAWS may hold a query in READY until its gating group is complete);
 3. ``next_batch`` whenever the executor goes idle — returns the next
    set of atoms (with their drained sub-queries) to evaluate in one
    pass, or ``None`` when nothing is queued;
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.workload.job import Job, JobAtomSets
 from repro.workload.query import Query, SubQuery
@@ -81,9 +82,10 @@ class Scheduler(ABC):
         node that asks."""
 
     @abstractmethod
-    def on_query_arrival(self, query: Query, subqueries: list[SubQuery], now: float) -> None:
+    def on_query_arrival(self, query: Query, subqueries: Sequence[SubQuery], now: float) -> None:
         """A query's precedence constraints are satisfied; its
-        pre-processed sub-queries are handed over."""
+        pre-processed sub-queries are handed over (a record of columns
+        from pre-processing, or a list of re-admitted ones)."""
 
     @abstractmethod
     def next_batch(self, now: float) -> Optional[Batch]:
@@ -136,12 +138,13 @@ class Scheduler(ABC):
         Returns the number of sub-queries removed."""
         return 0
 
-    def iter_pending(self) -> Iterator["SubQuery"]:
-        """Yield every sub-query this scheduler currently holds (queued
-        *and* internally held, e.g. by gating).  The simulation
-        sanitizer uses this for its conservation sweep; implementations
-        must not mutate state while yielding."""
-        return iter(())
+    def pending_by_query(self) -> dict[int, int]:
+        """Every sub-query this scheduler currently holds (queued *and*
+        internally held, e.g. by gating), counted per query id; a query
+        with none is absent.  The simulation sanitizer's conservation
+        sweep and queue-bound shedding read it; implementations must not
+        mutate state."""
+        return {}
 
     def force_release(self, now: float) -> bool:
         """Liveness valve: release any internally held queries.

@@ -11,7 +11,7 @@ draining.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -100,12 +100,12 @@ class ContentionSchedulerBase(Scheduler):
     # ------------------------------------------------------------------
     # Queue plumbing
     # ------------------------------------------------------------------
-    def _enqueue(self, subqueries: list[SubQuery], now: float) -> None:
+    def _enqueue(self, subqueries: Sequence[SubQuery], now: float) -> None:
         self.queues.add_query(subqueries, now)
         if subqueries:
             self._invalidate_utilities()
 
-    def on_query_arrival(self, query: Query, subqueries: list[SubQuery], now: float) -> None:
+    def on_query_arrival(self, query: Query, subqueries: Sequence[SubQuery], now: float) -> None:
         self._enqueue(subqueries, now)
 
     def _metric_view(
@@ -156,9 +156,13 @@ class ContentionSchedulerBase(Scheduler):
     def queue_depth(self) -> int:
         return sum(len(subs) for subs in self.queues.iter_subquery_lists())
 
-    def iter_pending(self) -> Iterator[SubQuery]:
+    def pending_by_query(self) -> dict[int, int]:
+        counts: dict[int, int] = {}
         for subs in self.queues.iter_subquery_lists():
-            yield from subs
+            for sq in subs:
+                qid = sq.query.query_id
+                counts[qid] = counts.get(qid, 0) + 1
+        return counts
 
     # ------------------------------------------------------------------
     # Degraded-mode hooks (node failover, query cancellation)

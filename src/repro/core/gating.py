@@ -55,6 +55,7 @@ class _Vertex:
     span: tuple[int, int]  # atoms.span, for the sharing index
     group: int
     state: QueryState = QueryState.WAIT
+    succ: int | None = None  # the next live query of the job
 
 
 class PrecedenceGraph:
@@ -89,6 +90,8 @@ class PrecedenceGraph:
                 job_id=job_id, seq=seq, atoms=atoms, span=atoms.span, group=gid
             )
             self._groups[gid] = {qid}
+        for qid, succ in zip(query_ids, query_ids[1:]):
+            self._v[qid].succ = succ
         self._job_queries[job_id] = list(query_ids)
 
     def __contains__(self, qid: int) -> bool:
@@ -133,17 +136,15 @@ class PrecedenceGraph:
         path found.
         """
         v = self._v
-        chains = self._job_queries
         groups = self._groups
         seen = {src}
         stack = [src]
         while stack:
             for qid in groups[stack.pop()]:
-                chain = chains[v[qid].job_id]
-                i = chain.index(qid) + 1
-                if i == len(chain):
+                succ = v[qid].succ
+                if succ is None:
                     continue
-                g = v[chain[i]].group
+                g = v[succ].group
                 if g == dst:
                     return True
                 if g not in seen:
@@ -264,10 +265,11 @@ class PrecedenceGraph:
             del self._groups[v.group]
         qids = self._job_queries.get(v.job_id)
         if qids is not None:
-            try:
-                qids.remove(qid)
-            except ValueError:
-                pass
+            if qid in qids:
+                i = qids.index(qid)
+                del qids[i]
+                if i:
+                    self._v[qids[i - 1]].succ = v.succ
             if not qids:
                 del self._job_queries[v.job_id]
 
@@ -358,6 +360,10 @@ class PrecedenceGraph:
                 if v.job_id != job_id:
                     problems.append(f"job {job_id}: lists query {qid} of job {v.job_id}")
                 seqs.append(v.seq)
+            for qid, succ in zip(qids, [*qids[1:], None]):
+                v = self._v.get(qid)
+                if v is not None and v.succ != succ:
+                    problems.append(f"job {job_id}: query {qid}'s successor link is {v.succ}")
             if seqs != sorted(seqs):
                 problems.append(f"job {job_id}: query chain out of sequence order")
         # Gating numbers must be a stable fixed point: one further

@@ -21,7 +21,7 @@ The paper's two evaluation variants map to configuration:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,8 +56,10 @@ class JAWSScheduler(ContentionSchedulerBase):
         )
         self._gating = GatingManager() if config.job_aware else None
         # READY queries held back by gating:
-        # query_id -> (query, subqueries, arrival_time).
-        self._held: dict[int, tuple[Query, list[SubQuery], float]] = {}
+        # query_id -> (query, subqueries, arrival_time); the sub-queries
+        # stay the record pre-processing made until a re-admission
+        # joins them.
+        self._held: dict[int, tuple[Query, Sequence[SubQuery], float]] = {}
         # Completed-query counts since each held query went READY (lag valve).
         self._held_lag: dict[int, int] = {}
         self.forced_releases = 0
@@ -70,7 +72,7 @@ class JAWSScheduler(ContentionSchedulerBase):
             return
         self._gating.add_job(job.job_id, [q.query_id for q in job.queries], atom_sets())
 
-    def on_query_arrival(self, query: Query, subqueries: list[SubQuery], now: float) -> None:
+    def on_query_arrival(self, query: Query, subqueries: Sequence[SubQuery], now: float) -> None:
         if self._gating is None or not self._gating.is_tracked(query.query_id):
             self._enqueue(subqueries, now)
             return
@@ -126,10 +128,12 @@ class JAWSScheduler(ContentionSchedulerBase):
         held = sum(len(entry[1]) for entry in self._held.values())
         return super().queue_depth() + held
 
-    def iter_pending(self) -> Iterator[SubQuery]:
-        yield from super().iter_pending()
-        for _, subs, _ in self._held.values():
-            yield from subs
+    def pending_by_query(self) -> dict[int, int]:
+        counts = super().pending_by_query()
+        for qid, (_, subs, _) in self._held.items():
+            if subs:
+                counts[qid] = counts.get(qid, 0) + len(subs)
+        return counts
 
     # ------------------------------------------------------------------
     # Degraded-mode hooks (node failover, query cancellation)
@@ -156,7 +160,8 @@ class JAWSScheduler(ContentionSchedulerBase):
         for arrival, sq in entries:
             held = self._held.get(sq.query.query_id)
             if held is not None:
-                held[1].append(sq)
+                query, subs, held_arrival = held
+                self._held[query.query_id] = (query, [*subs, sq], held_arrival)
             else:
                 passthrough.append((arrival, sq))
         super().readmit(passthrough, now)

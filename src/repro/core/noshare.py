@@ -9,12 +9,18 @@ scans.  No co-scheduling happens: a batch contains exactly one
 sub-query of one query, even when other queries have pending work on
 the same atom (they will read it again themselves; only the buffer
 cache can save them, as it would under SQL Server).
+
+An active query is held as its pre-processed sub-queries (a
+:class:`~repro.workload.query.SubQueries` record of columns, or the
+list a re-admission hands over) and a cursor to the next one; the
+:class:`SubQuery` a batch runs is built when the batch is.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Optional, Sequence
 
 from repro.core.base import Batch, Scheduler
 from repro.workload.query import Query, SubQuery
@@ -40,13 +46,14 @@ class NoShareScheduler(Scheduler):
         if max_concurrent is not None and max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1 or None")
         self._max_concurrent = max_concurrent
-        self._admission: deque[tuple[Query, deque[SubQuery], float]] = deque()
-        self._active: deque[tuple[Query, deque[SubQuery], float]] = deque()
+        # (query, sub-queries, cursor to the next one, arrival time)
+        self._admission: deque[tuple[Query, Sequence[SubQuery], int, float]] = deque()
+        self._active: deque[tuple[Query, Sequence[SubQuery], int, float]] = deque()
 
-    def on_query_arrival(self, query: Query, subqueries: list[SubQuery], now: float) -> None:
+    def on_query_arrival(self, query: Query, subqueries: Sequence[SubQuery], now: float) -> None:
         if not subqueries:
             return  # multi-node broadcast: no local work for this query
-        entry = (query, deque(subqueries), now)
+        entry = (query, subqueries, 0, now)
         if self._max_concurrent is not None and len(self._active) >= self._max_concurrent:
             self._admission.append(entry)
         else:
@@ -62,10 +69,11 @@ class NoShareScheduler(Scheduler):
         self._admit()
         if not self._active:
             return None
-        query, subs, arrival = self._active.popleft()
-        subquery = subs.popleft()
-        if subs:
-            self._active.append((query, subs, arrival))  # round-robin rotation
+        query, subs, cursor, arrival = self._active.popleft()
+        subquery = subs[cursor]
+        cursor += 1
+        if cursor < len(subs):
+            self._active.append((query, subs, cursor, arrival))  # round-robin rotation
         else:
             self._admit()
         return Batch(atoms=[(subquery.atom_id, [subquery])])
@@ -74,24 +82,25 @@ class NoShareScheduler(Scheduler):
         return bool(self._active) or bool(self._admission)
 
     def queue_depth(self) -> int:
-        return sum(len(subs) for _, subs, _ in self._active) + sum(
-            len(subs) for _, subs, _ in self._admission
+        return sum(
+            len(subs) - cursor for _, subs, cursor, _ in chain(self._active, self._admission)
         )
 
-    def iter_pending(self) -> Iterator[SubQuery]:
-        for queue in (self._active, self._admission):
-            for _, subs, _ in queue:
-                yield from subs
+    def pending_by_query(self) -> dict[int, int]:
+        counts: dict[int, int] = {}
+        for query, subs, cursor, _ in chain(self._active, self._admission):
+            qid = query.query_id
+            counts[qid] = counts.get(qid, 0) + len(subs) - cursor
+        return counts
 
     # ------------------------------------------------------------------
     # Degraded-mode hooks (node failover, query cancellation)
     # ------------------------------------------------------------------
     def evacuate(self, now: float) -> list[tuple[float, SubQuery]]:
         entries = [
-            (arrival, sq)
-            for queue in (self._active, self._admission)
-            for _, subs, arrival in queue
-            for sq in subs
+            (arrival, subs[i])
+            for _, subs, cursor, arrival in chain(self._active, self._admission)
+            for i in range(cursor, len(subs))
         ]
         self._active.clear()
         self._admission.clear()
@@ -104,11 +113,12 @@ class NoShareScheduler(Scheduler):
         removed = 0
         for queue in (self._active, self._admission):
             kept = []
-            for query, subs, arrival in queue:
+            for entry in queue:
+                query, subs, cursor, _ = entry
                 if query.query_id == query_id:
-                    removed += len(subs)
+                    removed += len(subs) - cursor
                 else:
-                    kept.append((query, subs, arrival))
+                    kept.append(entry)
             queue.clear()
             queue.extend(kept)
         return removed

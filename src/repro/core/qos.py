@@ -24,7 +24,7 @@ The scheduler tracks misses and tardiness for the QoS bench.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.config import CostModel, SchedulerConfig
 from repro.core.base import Batch
@@ -81,20 +81,20 @@ class QoSJAWSScheduler(JAWSScheduler):
         self.total_tardiness = 0.0
 
     # ------------------------------------------------------------------
-    def estimate_service(self, subqueries: list[SubQuery]) -> float:
+    def estimate_service(self, subqueries: Sequence[SubQuery]) -> float:
         """Standalone service estimate: one read per touched atom plus
         per-position compute."""
         n_positions = sum(sq.n_positions for sq in subqueries)
         return len(subqueries) * self.cost.t_b + n_positions * self.cost.t_m
 
-    def on_query_arrival(self, query: Query, subqueries: list[SubQuery], now: float) -> None:
+    def on_query_arrival(self, query: Query, subqueries: Sequence[SubQuery], now: float) -> None:
         if subqueries:  # queries without local work carry no local deadline
             self._deadline[query.query_id] = now + self.slack_factor * self.estimate_service(
                 subqueries
             )
         super().on_query_arrival(query, subqueries, now)
 
-    def _enqueue(self, subqueries: list[SubQuery], now: float) -> None:
+    def _enqueue(self, subqueries: Sequence[SubQuery], now: float) -> None:
         super()._enqueue(subqueries, now)
         for sq in subqueries:
             deadline = self._deadline.get(sq.query.query_id)

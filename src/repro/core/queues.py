@@ -41,7 +41,7 @@ column.  Only order-independent reductions (min, max, ties) may read
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -206,10 +206,11 @@ class WorkloadQueues:
         self.total_positions += subquery.n_positions
         self._version += 1
 
-    def add_query(self, subqueries: list[SubQuery], now: float) -> None:
+    def add_query(self, subqueries: Sequence[SubQuery], now: float) -> None:
         """Append sub-queries that all arrived at ``now`` (one query's).
 
-        Equivalent to :meth:`add` on each in order: one dict pass
+        Equivalent to :meth:`add` on each in order: one pass over the
+        sub-queries (building each one a record of columns holds)
         assigns rows and activation sequence numbers in sub-query
         order, then the column writes and the Eq. 1 ``u_t`` refresh
         run vectorized over the touched rows.
@@ -219,9 +220,11 @@ class WorkloadQueues:
         n0 = n = self._n
         pos = self._pos
         rows: list[int] = []
+        counts: list[int] = []
         new_atoms: list[int] = []
         for sq in subqueries:
             atom_id = sq.atom_id
+            counts.append(sq.n_positions)
             p = pos.get(atom_id)
             if p is None:
                 p = pos[atom_id] = n
@@ -245,7 +248,7 @@ class WorkloadQueues:
             self._next_seq += n - n0
             self._n = n
         r = np.array(rows, dtype=np.intp)
-        positions = np.array([sq.n_positions for sq in subqueries], dtype=np.int64)
+        positions = np.array(counts, dtype=np.int64)
         # add.at accumulates repeated rows the way sequential add would.
         np.add.at(self._counts, r, positions)
         oldest = self._oldest[r]
@@ -430,7 +433,8 @@ class WorkloadQueues:
         if not np.array_equal(self._ids[rows], atoms):
             problems.append("row map and atom-id column are not inverse")
         seq = self._seq[:n]
-        if len(np.unique(seq)) != n:
+        # Sort and diff, not np.unique, which imports numpy.ma.
+        if not bool((np.diff(np.sort(seq)) > 0).all()):
             problems.append("activation sequence numbers are not unique")
         elif not bool((np.diff(seq[rows]) > 0).all()):
             problems.append("activation sequence disagrees with the row map's order")

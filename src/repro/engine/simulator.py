@@ -12,8 +12,9 @@ Lifecycle of a query (paper Fig. 1 + §IV-B):
 
 1. its job's ``JOB_SUBMIT`` fires; ordered jobs emit the first query's
    ``QUERY_ARRIVAL``, batched jobs emit all of them;
-2. on arrival the pre-processor splits it into per-atom sub-queries
-   which are routed to nodes and handed to each node's scheduler;
+2. on arrival the pre-processor splits it into per-atom sub-queries,
+   one record of columns, and each node's scheduler is handed the part
+   of the record routed to it;
 3. idle nodes pull batches; batch completion decrements the query's
    outstanding sub-query count;
 4. at zero the query completes: response time is recorded, and an
@@ -79,7 +80,7 @@ from repro.overload import OverloadManager, PendingWork, estimate_service
 from repro.storage.buffer import BufferCache
 from repro.storage.disk import DiskModel
 from repro.workload.job import Job, JobAtomSets
-from repro.workload.query import Query, SubQuery, preprocess_query
+from repro.workload.query import Query, SubQueries, SubQuery, preprocess_query
 from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - recovery imports engine.events
@@ -123,6 +124,22 @@ def build_policy(config: CacheConfig) -> CachePolicy:
     if config.policy == "lruk":
         return make_policy("lruk", k=config.lruk_k)
     return make_policy(config.policy)
+
+
+def _split_by_node(
+    subqueries: SubQueries, targets: list[int]
+) -> dict[int, Sequence[SubQuery]]:
+    """Each node's part of a query's sub-queries, ``targets[i]`` being
+    sub-query ``i``'s node (-1: routed nowhere).  A query whose
+    sub-queries all go to one node hands it the whole record."""
+    first = targets[0] if targets else -1
+    if first >= 0 and targets.count(first) == len(targets):
+        return {first: subqueries}
+    rows: dict[int, list[int]] = {}
+    for i, target in enumerate(targets):
+        if target >= 0:
+            rows.setdefault(target, []).append(i)
+    return {target: subqueries.take(index) for target, index in rows.items()}
 
 
 class _Node:
@@ -492,7 +509,8 @@ class Simulator:
         self._live_query[qid] = query
         self._job_of[qid] = self._job_index[query.job_id]
         subqueries = preprocess_query(query, self.mapper, self.interp)
-        self._remaining[qid] = len(subqueries)
+        n_sub = len(subqueries)
+        self._remaining[qid] = n_sub
         self._admitted += 1
         if self.overload is not None:
             job = self._job_of[qid]
@@ -503,32 +521,32 @@ class Simulator:
                     job_id=query.job_id,
                     client_class=job.client_class,
                     arrival=now,
-                    n_subqueries=len(subqueries),
-                    density=query.n_positions / max(1, len(subqueries)),
+                    n_subqueries=n_sub,
+                    density=query.n_positions / max(1, n_sub),
                     service_estimate=service,
                     deadline=now + self.config.overload.slack_factor * service,
                     class_weight=self.overload.fairness.weight(job.client_class),
                 ),
-                len(subqueries),
+                n_sub,
             )
-        by_node: dict[int, list] = {}
+        atom_ids = subqueries.atom_ids.tolist()
         deferred: list[SubQuery] = []
         lost: bool = False
-        direct = self.injector is None and self._route_fault_free
-        for sq in subqueries:
-            if direct:
-                by_node.setdefault(self._node_of(sq.atom_id), []).append(sq)
-                continue
-            target, lost_everywhere = self._route(sq.atom_id)
-            if target is not None:
-                if target != self._node_of(sq.atom_id):
-                    self._failovers += 1
-                by_node.setdefault(target, []).append(sq)
-            elif lost_everywhere:
-                lost = True
-            else:
-                deferred.append(sq)
-        self._deliver_arrival(query, by_node, now)
+        if self.injector is None and self._route_fault_free:
+            targets = [self._node_of(atom_id) for atom_id in atom_ids]
+        else:
+            targets = []
+            for i, atom_id in enumerate(atom_ids):
+                target, lost_everywhere = self._route(atom_id)
+                if target is not None:
+                    if target != self._node_of(atom_id):
+                        self._failovers += 1
+                elif lost_everywhere:
+                    lost = True
+                else:
+                    deferred.append(subqueries[i])
+                targets.append(-1 if target is None else target)
+        self._deliver_arrival(query, _split_by_node(subqueries, targets), now)
         for sq in deferred:
             self._defer(sq, now, now)
         if lost:
@@ -544,7 +562,9 @@ class Simulator:
         if deadline is not None:
             self._push(now + deadline, EventKind.QUERY_DEADLINE, qid)
 
-    def _deliver_arrival(self, query: Query, by_node: dict[int, list], now: float) -> None:
+    def _deliver_arrival(
+        self, query: Query, by_node: dict[int, Sequence[SubQuery]], now: float
+    ) -> None:
         """Hand an arrived query's routed sub-queries to the schedulers.
 
         Every node hears every arrival (possibly with no local
@@ -568,7 +588,7 @@ class Simulator:
         bound = self.config.overload.max_queue_depth
         for node in self.nodes:
             while node.scheduler.queue_depth() > bound:
-                local = sorted({sq.query.query_id for sq in node.scheduler.iter_pending()})
+                local = sorted(node.scheduler.pending_by_query())
                 victims = self.overload.rank_victims(local, now)
                 if not victims:
                     break  # pragma: no cover - pending work the manager never saw

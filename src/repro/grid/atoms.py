@@ -79,16 +79,16 @@ class AtomMapper:
 
     def sort_by_atom(
         self, positions: np.ndarray, timestep: int
-    ) -> tuple[np.ndarray, list[int], list[int]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(order, bounds, atoms)``: the stable argsort of the
         positions by atom id, the group boundaries into it
         (``[0, ..., N]``, one group per atom) and each group's atom id,
-        ascending."""
-        ids = self.atom_ids(positions, timestep)
+        ascending; ``bounds`` and ``atoms`` are ``int64`` arrays."""
+        ids = self.atom_ids(positions, timestep).astype(np.int64, copy=False)
         order = np.argsort(ids, kind="stable")
         if not len(ids):
-            return order, [0], []
+            return order, np.zeros(1, np.int64), ids
         sorted_ids = ids[order]
         starts = np.flatnonzero(np.diff(sorted_ids)) + 1
-        bounds = [0, *starts.tolist(), len(ids)]
-        return order, bounds, sorted_ids[bounds[:-1]].tolist()
+        bounds = np.concatenate(([0], starts, [len(ids)]))
+        return order, bounds, sorted_ids[bounds[:-1]]

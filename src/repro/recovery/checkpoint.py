@@ -54,11 +54,18 @@ from repro.workload.trace import Trace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.engine.simulator import Simulator
 
-__all__ = ["CheckpointManager", "INPUT_NAME", "verify_restored_state"]
+__all__ = ["CheckpointManager", "DIRECTORY_PLACEHOLDER", "INPUT_NAME", "verify_restored_state"]
 
 #: The checkpoint input: the trace and the disk B+-trees, written once
 #: per checkpoint directory; every snapshot in the directory refers to it.
 INPUT_NAME = "input.ckpt"
+
+#: The checkpoint directory a snapshot's engine config names.  Where
+#: the files live is known when they are loaded, and a directory may
+#: move, so :func:`_capture_state` pickles this in place of the path
+#: (snapshots are then the same bytes wherever they are written) and
+#: :meth:`CheckpointManager.load` puts the real directory back.
+DIRECTORY_PLACEHOLDER = "<checkpoint directory>"
 
 #: Simulator attributes every restorable snapshot must contain; a
 #: snapshot missing any of them predates the current engine layout.
@@ -94,8 +101,16 @@ def _capture_state(sim: "Simulator") -> Dict[str, Any]:
     event, sub-queries shared between heap payloads and queues — keep
     their identity through the round trip.  The trace's own objects and
     the disk B+-trees in it are pickled as references into ``input.ckpt``
-    (:class:`~repro.recovery.codec.InputRefs`)."""
-    return {key: value for key, value in vars(sim).items() if key != "_checkpointer"}
+    (:class:`~repro.recovery.codec.InputRefs`).  The engine config
+    names :data:`DIRECTORY_PLACEHOLDER` as its checkpoint directory."""
+    state = {key: value for key, value in vars(sim).items() if key != "_checkpointer"}
+    checkpoint = sim.config.checkpoint
+    if checkpoint.directory is not None:
+        state["config"] = dataclasses.replace(
+            sim.config,
+            checkpoint=dataclasses.replace(checkpoint, directory=DIRECTORY_PLACEHOLDER),
+        )
+    return state
 
 
 def _snapshot_meta(sim: "Simulator") -> Dict[str, Any]:
@@ -312,7 +327,9 @@ class CheckpointManager:
         Returns ``(meta, state, manager)`` where ``manager`` is primed
         in resume mode (replay queue loaded, WAL segment selected) and
         runs under ``config`` (default: the restored engine's
-        checkpoint policy), re-pointed at ``directory``.  Raises
+        checkpoint policy), re-pointed at ``directory``; so is the
+        restored engine config, whose snapshot names
+        :data:`DIRECTORY_PLACEHOLDER`.  Raises
         :class:`~repro.errors.RecoveryError` when the snapshot, the
         input file it names or its WAL segment is missing or fails
         validation.
@@ -345,6 +362,12 @@ class CheckpointManager:
             raise RecoveryError("snapshot was written without checkpointing enabled")
         # Resume where the files live, wherever the run first wrote them.
         manager = cls(dataclasses.replace(config, directory=str(directory)))
+        engine = state["config"]
+        if engine.checkpoint.directory == DIRECTORY_PLACEHOLDER:
+            state["config"] = dataclasses.replace(
+                engine,
+                checkpoint=dataclasses.replace(engine.checkpoint, directory=str(directory)),
+            )
         manager._input, manager._input_digest = refs, digest
         manager._last_snapshot_event = event_index
         manager._last_snapshot_clock = float(state["clock"])

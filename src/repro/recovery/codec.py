@@ -35,9 +35,9 @@ is: a query stores nothing derived from it.  An object that merely
 shares an id with an input object is pickled by value.
 
 **Compact records.**  :class:`SubQuery` pickles as its four fields
-``(query, atom_id, n_positions, neighbor_keys)`` and a ``deque`` (the
-LRU-K access histories) as ``(items, maxlen)``, instead of through the
-generic dataclass and deque reducers — the engine holds thousands of
+``(query, atom_id, n_positions, neighbor_keys)`` and a
+:class:`SubQueries` record as its query and three columns (the two
+arrays as lists of ints), instead of through the generic slots reducer — the engine holds thousands of
 each.
 :class:`~repro.engine.events.Event` and a gating vertex's
 :class:`~repro.workload.query.AtomSet` are ``NamedTuple`` classes and
@@ -68,13 +68,14 @@ import json
 import pickle
 import struct
 import zlib
-from collections import deque
 from typing import Any, BinaryIO, Callable, Iterator, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import RecoveryError
 from repro.storage.btree import BPlusTree
 from repro.workload.job import Job
-from repro.workload.query import Query, SubQuery
+from repro.workload.query import Query, SubQueries, SubQuery
 from repro.workload.trace import Trace
 
 __all__ = [
@@ -101,7 +102,10 @@ __all__ = [
 #: 7: a gating vertex holds its atom set as an ``AtomSet`` bitmap
 #:    ``(lo, bits)``, not a frozenset.
 #: 8: ``CacheStats`` and ``JAWSScheduler`` hold no wall-clock counters.
-SNAPSHOT_FORMAT_VERSION = 8
+#: 9: NoShare and JAWS's gate hold a query's sub-queries as one
+#:    ``SubQueries`` record of columns; an LRU-K atom's history is one
+#:    tuple; the engine config's checkpoint directory is a placeholder.
+SNAPSHOT_FORMAT_VERSION = 9
 
 SNAPSHOT_MAGIC = b"JAWSCKPT"
 
@@ -118,14 +122,25 @@ def _reduce_subquery(sq: SubQuery) -> tuple:
     return SubQuery, (sq.query, sq.atom_id, sq.n_positions, sq.neighbor_keys)
 
 
-def _reduce_deque(d: deque) -> tuple:
-    # deque's own reducer goes through copyreg._slotnames per instance.
-    return deque, (list(d), d.maxlen)
+def _subqueries_from_lists(
+    query: Query, atom_ids: list[int], n_positions: list[int], neighbor_keys: Any
+) -> SubQueries:
+    return SubQueries(
+        query, np.array(atom_ids, np.int64), np.array(n_positions, np.int64), neighbor_keys
+    )
+
+
+def _reduce_subqueries(r: SubQueries) -> tuple:
+    # Lists of small ints pickle in 2-3 bytes an entry; the int64
+    # arrays would take 8 and a header each.
+    return _subqueries_from_lists, (
+        r.query, r.atom_ids.tolist(), r.n_positions.tolist(), r.neighbor_keys
+    )
 
 
 _COMPACT: dict[type, Callable[[Any], Any]] = {
     SubQuery: _reduce_subquery,
-    deque: _reduce_deque,
+    SubQueries: _reduce_subqueries,
 }
 
 

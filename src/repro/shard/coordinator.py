@@ -90,8 +90,8 @@ class _NullScheduler:
     def cancel_query(self, query_id: int, now: float) -> None:
         pass
 
-    def iter_pending(self) -> list:  # pragma: no cover - overload is off when sharded
-        return []
+    def pending_by_query(self) -> dict:  # pragma: no cover - overload is off when sharded
+        return {}
 
     def force_release(self, now: float) -> bool:
         return False
@@ -347,7 +347,7 @@ class ShardSimulator(Simulator):
         self._broadcast("job", (job, atom_sets), now)
 
     def _deliver_arrival(
-        self, query: Query, by_node: Dict[int, List[SubQuery]], now: float
+        self, query: Query, by_node: Dict[int, Sequence[SubQuery]], now: float
     ) -> None:
         # Routing has not touched the outstanding count yet: it is still
         # the number of sub-queries this arrival created.

@@ -6,13 +6,15 @@ computation" at one time step (paper §III-B).  Its primary atom set
 The pre-processor identifies the atom containing each position and
 emits one *sub-query* per touched atom; sub-queries can execute in any
 order and the query's result is the combination of its sub-queries'
-results.  Sub-queries are emitted in Morton order.
+results.  Sub-queries are emitted in Morton order, as one
+:class:`SubQueries` record of columns per query; a :class:`SubQuery`
+object is built from it only where one sub-query is needed on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence, overload
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
 from repro.grid.interpolation import InterpolationSpec, group_overshoot_keys
 
-__all__ = ["AtomSet", "Query", "SubQuery", "preprocess_query"]
+__all__ = ["AtomSet", "Query", "SubQueries", "SubQuery", "preprocess_query"]
 
 #: Operations a query can perform, mirroring the paper's workload
 #: classes: velocity/pressure lookup, Lagrangian interpolation (particle
@@ -45,12 +47,12 @@ class AtomSet(NamedTuple):
     @classmethod
     def of(cls, ids: Iterable[int]) -> AtomSet:
         """The set of ``ids``: any iterable of ints, or an integer array,
-        whose values are never boxed."""
-        a = np.unique(ids if isinstance(ids, np.ndarray) else np.fromiter(ids, np.int64))
+        whose values are never boxed.  Duplicates set the same flag."""
+        a = ids if isinstance(ids, np.ndarray) else np.fromiter(ids, np.int64)
         if not len(a):
             return cls(0, 0)
-        lo = int(a[0])
-        flags = np.zeros(int(a[-1]) - lo + 1, dtype=np.uint8)
+        lo = int(a.min())
+        flags = np.zeros(int(a.max()) - lo + 1, dtype=np.uint8)
         flags[a - lo] = 1
         return cls(lo, int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little"))
 
@@ -154,9 +156,66 @@ class SubQuery:
     neighbor_keys: tuple[int, ...] = ()
 
 
+class SubQueries(Sequence[SubQuery]):
+    """One query's sub-queries as columns, in Morton order.
+
+    ``atom_ids`` (``int64``) and ``n_positions`` are arrays with one
+    entry per touched atom and ``neighbor_keys`` holds each atom's
+    overshoot keys.  The record is a ``Sequence[SubQuery]``: indexing
+    or iterating it builds :class:`SubQuery` objects with plain ``int``
+    fields, so a holder keeps the three columns instead of one object
+    per pending sub-query.  Each access builds a new object.
+    """
+
+    __slots__ = ("query", "atom_ids", "n_positions", "neighbor_keys")
+
+    def __init__(
+        self,
+        query: Query,
+        atom_ids: np.ndarray,
+        n_positions: np.ndarray,
+        neighbor_keys: Sequence[tuple[int, ...]],
+    ) -> None:
+        self.query = query
+        self.atom_ids = atom_ids
+        self.n_positions = n_positions
+        self.neighbor_keys = neighbor_keys
+
+    def __len__(self) -> int:
+        return len(self.atom_ids)
+
+    @overload
+    def __getitem__(self, i: int) -> SubQuery: ...
+
+    @overload
+    def __getitem__(self, i: slice) -> SubQueries: ...
+
+    def __getitem__(self, i: int | slice) -> SubQuery | SubQueries:
+        if isinstance(i, slice):
+            return self.take(range(len(self))[i])
+        return SubQuery(
+            self.query, self.atom_ids.item(i), self.n_positions.item(i), self.neighbor_keys[i]
+        )
+
+    def __iter__(self) -> Iterator[SubQuery]:
+        query = self.query
+        for atom_id, n, keys in zip(
+            self.atom_ids.tolist(), self.n_positions.tolist(), self.neighbor_keys
+        ):
+            yield SubQuery(query, atom_id, n, keys)
+
+    def take(self, index: Sequence[int]) -> SubQueries:
+        """The sub-queries at positions ``index``, as a record of their own."""
+        keys = self.neighbor_keys
+        rows = np.asarray(index, dtype=np.intp)
+        return SubQueries(
+            self.query, self.atom_ids[rows], self.n_positions[rows], [keys[i] for i in index]
+        )
+
+
 def preprocess_query(
     query: Query, mapper: AtomMapper, interp: InterpolationSpec
-) -> list[SubQuery]:
+) -> SubQueries:
     """Split a query into per-atom sub-queries in Morton order.
 
     Implements the pre-processing stage of Figure 1: each sub-query is
@@ -164,7 +223,8 @@ def preprocess_query(
     sub-queries are independent; their union reconstructs the query.
     An ``interp`` query's sub-queries also carry the overshoot keys of
     their stencils under ``interp`` (the engine's kernel).  The query is
-    left as it was.
+    left as it was.  The sub-queries come back as one
+    :class:`SubQueries` record.
     """
     order, bounds, atoms = mapper.sort_by_atom(query.positions, query.timestep)
     keys: list[tuple[int, ...]]
@@ -172,7 +232,4 @@ def preprocess_query(
         keys = group_overshoot_keys(mapper.spec, query.positions, order, bounds, interp)
     else:
         keys = [()] * len(atoms)
-    return [
-        SubQuery(query, atom_id, e - s, k)
-        for atom_id, s, e, k in zip(atoms, bounds, bounds[1:], keys)
-    ]
+    return SubQueries(query, atoms, np.diff(bounds), keys)

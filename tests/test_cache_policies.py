@@ -1,5 +1,8 @@
 """Tests for the replacement policies: LRU, LRU-K, SLRU, URC."""
 
+import heapq
+from collections import OrderedDict, deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +83,108 @@ class TestLRUK:
         for atom, t in ((1, 0.0), (3, 0.0), (0, 0.0), (1, 2.0), (2, 3.0)):
             cache.access(atom, t)
         assert 3 not in cache and 1 in cache
+
+
+class DequeLRUK:
+    """The earlier LRU-K: one ``deque(maxlen=k)`` of reference times per
+    atom and a separate version map.  :class:`LRUKPolicy` keeps each
+    atom's history as one tuple and must pick the same victims, stale
+    heap entries included."""
+
+    def __init__(self, k=2, retained_history=1024):
+        self._k = k
+        self._resident = {}
+        self._retained = OrderedDict()
+        self._retained_cap = retained_history
+        self._heap = []
+        self._version = {}
+
+    def on_insert(self, atom_id, now):
+        history = self._retained.pop(atom_id, None)
+        if history is None:
+            history = deque(maxlen=self._k)
+        history.append(now)
+        self._resident[atom_id] = history
+        self._version[atom_id] = 2
+        kth = history[0] if len(history) == self._k else float("-inf")
+        heapq.heappush(self._heap, (kth, now, 2, atom_id))
+
+    def on_evict(self, atom_id):
+        history = self._resident.pop(atom_id, None)
+        self._version.pop(atom_id, None)
+        if history is not None and self._retained_cap > 0:
+            self._retained[atom_id] = history
+            if len(self._retained) > self._retained_cap:
+                self._retained.popitem(last=False)
+
+    def on_access(self, atom_id, now):
+        history = self._resident[atom_id]
+        history.append(now)
+        version = self._version[atom_id] + 1
+        self._version[atom_id] = version
+        kth = history[0] if len(history) == self._k else float("-inf")
+        heapq.heappush(self._heap, (kth, now, version, atom_id))
+
+    def choose_victim(self):
+        while self._heap:
+            kth, last, version, atom_id = self._heap[0]
+            if atom_id in self._resident and self._version.get(atom_id) == version:
+                return atom_id
+            heapq.heappop(self._heap)
+        raise RuntimeError("choose_victim called on empty cache")
+
+
+def drive_both(references, capacity, k, retained):
+    """Feed ``(atom, time)`` references to both LRU-K implementations
+    the way a buffer cache of ``capacity`` atoms would, asserting after
+    every step that they name the same victim; returns the evictions."""
+    policies = (LRUKPolicy(k=k, retained_history=retained), DequeLRUK(k, retained))
+    resident = set()
+    evicted = []
+    for atom, now in references:
+        if atom in resident:
+            for policy in policies:
+                policy.on_access(atom, now)
+        else:
+            if len(resident) == capacity:
+                victims = [policy.choose_victim() for policy in policies]
+                assert victims[0] == victims[1]
+                for policy in policies:
+                    policy.on_evict(victims[0])
+                resident.discard(victims[0])
+                evicted.append(victims[0])
+            for policy in policies:
+                policy.on_insert(atom, now)
+            resident.add(atom)
+        victims = [policy.choose_victim() for policy in policies]
+        assert victims[0] == victims[1], (atom, now)
+    return evicted
+
+
+class TestLRUKAgainstDequeOracle:
+    def test_docstring_stale_entry_case(self):
+        """Both evict atom 1 in the module docstring's smallest case."""
+        refs = [(1, 0.0), (3, 0.0), (0, 0.0), (1, 2.0), (2, 3.0)]
+        assert drive_both(refs, capacity=2, k=2, retained=1024) == [1, 0, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.integers(0, 7), st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])),
+            min_size=1,
+            max_size=80,
+        ),
+        capacity=st.integers(1, 4),
+        k=st.integers(1, 3),
+        retained=st.integers(0, 5),
+    )
+    def test_same_victims_under_capacity_pressure(self, steps, capacity, k, retained):
+        now = 0.0
+        refs = []
+        for atom, dt in steps:
+            now += dt
+            refs.append((atom, now))
+        drive_both(refs, capacity, k, retained)
 
 
 class TestSLRU:

@@ -176,24 +176,17 @@ _CHECKPOINT_CASES = {
 @pytest.mark.parametrize("case", sorted(_CHECKPOINT_CASES))
 def test_same_seed_checkpoint_directories_byte_identical(case, tmp_path):
     """Two same-seed checkpointed runs write the same bytes to every
-    file.  Both runs use one directory path, because the checkpoint
-    configuration (and with it that path) is pickled into each
-    snapshot."""
+    file, also into directories whose paths differ in length: no
+    snapshot records where it was written."""
     from tests.test_shard import engine as shard_engine, small_trace as shard_trace
 
     trace = shard_trace(seed=1)
-    directory = tmp_path / "ckpt"
-    spec = RunSpec(
-        trace,
-        "jaws2",
-        shard_engine(checkpoint=CheckpointConfig(directory=str(directory), every_events=200)),
-        **_CHECKPOINT_CASES[case],
-    )
     digests = []
-    for attempt in range(2):
-        run_spec(spec)
+    for directory in (tmp_path / "ckpt", tmp_path / "a-longer-checkpoint-directory"):
+        checkpoint = CheckpointConfig(directory=str(directory), every_events=200)
+        run_spec(RunSpec(trace, "jaws2", shard_engine(checkpoint=checkpoint),
+                         **_CHECKPOINT_CASES[case]))
         digests.append(_directory_digests(directory))
-        directory.rename(tmp_path / f"run-{attempt}")
     assert len(digests[0]) > 2
     assert digests[0] == digests[1], sorted(
         name for name in digests[0] if digests[0][name] != digests[1].get(name)

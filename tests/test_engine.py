@@ -2,6 +2,11 @@
 
 import dataclasses
 import heapq
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,3 +345,51 @@ class TestParkedBuckets:
         if n_nodes > 1 or deadline is not None:
             # Some recovery releases more than one bucket: one closed.
             assert len(sim.buckets) > len(set(sim.buckets))
+
+
+_NO_MASKED_ARRAYS_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    import tempfile
+
+    from repro.config import CheckpointConfig, FaultConfig
+    from repro.engine.runner import make_scheduler
+    from repro.engine.simulator import Simulator
+    from repro.errors import CoordinatorCrash
+    from repro.experiments.common import standard_engine, standard_spec
+    from repro.workload.generator import WorkloadParams, generate_trace
+
+    trace = generate_trace(standard_spec(), WorkloadParams(n_jobs=15, span=120.0, seed=0))
+    for name in ("noshare", "liferaft2", "jaws2"):
+        config = standard_engine()
+        Simulator(trace, [make_scheduler(name, trace, config)], config).run()
+    with tempfile.TemporaryDirectory() as directory:
+        config = standard_engine().with_(
+            faults=FaultConfig(seed=7, transient_fault_rate=0.02, coordinator_crash_at=150),
+            checkpoint=CheckpointConfig(directory=directory, every_events=40),
+        )
+        try:
+            Simulator(trace, [make_scheduler("jaws2", trace, config)], config).run()
+        except CoordinatorCrash:
+            pass
+        else:
+            raise SystemExit("the coordinator crash never fired")
+        Simulator.restore(directory).run()
+    print("numpy.ma" in sys.modules)
+    """
+)
+
+
+def test_runs_and_restore_never_import_numpy_ma():
+    """``numpy.ma`` costs about 1.2 MiB of RSS once imported (``np.unique``
+    imports it on first use); NoShare, LifeRaft2 and JAWS2 runs and a
+    JAWS2 crash, restore and resume must not import it."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

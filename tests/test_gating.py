@@ -172,6 +172,17 @@ class TestPruning:
         g.mark_done(0)
         assert g.jobs() == []
 
+    def test_pruning_splices_the_successor_link(self):
+        """Each live query links to the job's next live query; pruning
+        a middle query links its predecessor past it, and ``validate``
+        reports a link that disagrees with the chain."""
+        g = PrecedenceGraph()
+        g.add_job(0, [0, 1, 2], [fs(), fs(), fs()])
+        g.mark_done(1)
+        assert g.validate() == []
+        g._v[0].succ = 1
+        assert any("successor link" in p for p in g.validate())
+
 
 class TestGatingNumbers:
     def test_no_edges_all_zero(self):

@@ -109,7 +109,7 @@ def atom_members(spec, pos, ts, sq):
     """Indices of ``sq``'s positions, recomputed the way pre-processing
     groups them (a sub-query carries only their count)."""
     order, bounds, atoms = AtomMapper(spec).sort_by_atom(pos, ts)
-    i = atoms.index(sq.atom_id)
+    i = atoms.tolist().index(sq.atom_id)
     idx = order[bounds[i] : bounds[i + 1]]
     assert len(idx) == sq.n_positions
     return idx

@@ -373,10 +373,12 @@ class TestAddQuery:
         for queues in (batched, scalar):
             queues.on_cache_insert(3)
         for step in range(12):
-            subs = make_subqueries(
+            # A list, so both queues are handed the same objects (a
+            # record builds new ones on every pass).
+            subs = list(make_subqueries(
                 int(rng.integers(1, 80)), timestep=int(rng.integers(0, 4)),
                 seed=seed * 100 + step, qid=step,
-            )
+            ))
             # Arrivals move back and forth, so some rows' oldest drops.
             now = float(rng.uniform(0, 10))
             batched.add_query(subs, now)

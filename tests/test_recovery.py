@@ -235,6 +235,28 @@ def test_restore_empty_directory_raises(tmp_path):
         Simulator.restore(tmp_path)
 
 
+def test_snapshots_are_path_free_and_a_moved_directory_resumes(tmp_path):
+    """Same-seed crash runs into directories whose paths differ in
+    length write byte-identical files; a directory moved after the
+    crash resumes to the uninterrupted result, its engine config
+    pointing at where the files now are."""
+    trace = small_trace()
+    dirs = []
+    for name in ("a", "a-much-longer-directory-name"):
+        root = tmp_path / name
+        root.mkdir()
+        dirs.append(crash_and_leave_artifacts(root, trace, "jaws2", crash_at=70))
+    listings = [
+        {p.name: p.read_bytes() for p in sorted(d.iterdir())} for d in dirs
+    ]
+    assert len(listings[0]) > 3
+    assert listings[0] == listings[1]
+    moved = dirs[0].rename(tmp_path / "moved")
+    sim = Simulator.restore(moved)
+    assert sim.config.checkpoint.directory == str(moved)
+    assert_identical(build_sim(trace, "jaws2").run(), sim.run())
+
+
 @pytest.fixture(scope="module")
 def crashed_dir(tmp_path_factory):
     """One crashed run's checkpoint directory; tests damage copies of it."""
@@ -260,17 +282,18 @@ def test_version_mismatch_raises(crashed_dir, tmp_path):
         Simulator.restore(ckpt_dir)
 
 
-@pytest.mark.parametrize("version", range(2, 8))
+@pytest.mark.parametrize("version", range(2, 9))
 def test_older_snapshot_version_refused(crashed_dir, tmp_path, version):
-    """Formats 2-7 lay the state out differently (the history is at
+    """Formats 2-8 lay the state out differently (the history is at
     ``SNAPSHOT_FORMAT_VERSION``: v3 sub-queries lack their neighbor
     keys, v4 REROUTE events carry one bare pair, v5 sub-queries carry
     index bytes, v6 gating vertices hold frozensets, v7 caches and
-    schedulers carry wall-clock counters): never resumed."""
-    assert SNAPSHOT_FORMAT_VERSION == 8
+    schedulers carry wall-clock counters, v8 holds LRU-K histories as
+    deques and pending sub-queries as objects): never resumed."""
+    assert SNAPSHOT_FORMAT_VERSION == 9
     ckpt_dir = shutil.copytree(crashed_dir, tmp_path / "ckpt")
     _write_version(_latest_snapshot(ckpt_dir), version)
-    with pytest.raises(RecoveryError, match=f"file has v{version}, this build reads v8"):
+    with pytest.raises(RecoveryError, match=f"file has v{version}, this build reads v9"):
         Simulator.restore(ckpt_dir)
 
 

@@ -2,21 +2,24 @@
 
 import hashlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core.noshare import NoShareScheduler
 from repro.engine.runner import run_trace
 from repro.experiments import common
 from repro.experiments.common import (
     ExperimentScale,
+    standard_engine,
     standard_params,
     standard_spec,
     standard_trace,
 )
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
-from repro.grid.interpolation import InterpolationSpec
+from repro.grid.interpolation import InterpolationSpec, stencil_overshoot_keys
 from repro.workload import generator
 from repro.workload.generator import WorkloadParams, _timestep_popularity, generate_trace
 from repro.workload.job import Job, JobKind
@@ -67,6 +70,87 @@ class TestPreprocess:
         assert q.atoms(SPEC) == AtomSet.of(sq.atom_id for sq in subs)
         ids = [sq.atom_id for sq in subs]
         assert ids == sorted(ids)  # Morton order
+
+
+def reference_subqueries(query, mapper, interp):
+    """``(atom id, position count, overshoot keys)`` of each touched
+    atom in ascending order, built one atom at a time from the
+    definitions the way pre-processing once built its list."""
+    ids = mapper.atom_ids(query.positions, query.timestep)
+    keys = None
+    if query.op == "interp" and interp.half_width > mapper.spec.halo:
+        keys = stencil_overshoot_keys(mapper.spec, query.positions, interp)
+    out = []
+    for atom in sorted(set(ids.tolist())):
+        mask = ids == atom
+        overshoot = () if keys is None else tuple(sorted(set(keys[mask].tolist()) - {13}))
+        out.append((atom, int(mask.sum()), overshoot))
+    return out
+
+
+def fields(sq):
+    return sq.atom_id, sq.n_positions, sq.neighbor_keys
+
+
+class TestSubQueryColumns:
+    """``preprocess_query`` returns one ``SubQueries`` record of columns;
+    its items are the sub-queries a list used to hold."""
+
+    SPEC = standard_spec()
+    MAPPER = AtomMapper(SPEC)
+    INTERP = InterpolationSpec(order=12)  # half width 6 > halo 4: neighbor keys
+
+    def query(self, op, seed):
+        rng = np.random.default_rng(seed)
+        side = self.SPEC.grid_side
+        pos = rng.uniform(0, side, (400, 3))
+        # Half the coordinates near an atom face, some exactly at
+        # grid_side (they wrap to the first atom of the axis).
+        faces = rng.integers(0, self.SPEC.atoms_per_axis + 1, (400, 3)) * self.SPEC.atom_side
+        near = rng.random((400, 3)) < 0.5
+        pos[near] = np.clip(faces + rng.uniform(-3, 3, (400, 3)), 0, side)[near]
+        pos[rng.random((400, 3)) < 0.05] = float(side)
+        pos[0] = (side, side, side)
+        return Query(7, 3, 0, 0, op, 5, pos)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("op", ["interp", "stats", "velocity"])
+    def test_items_equal_the_per_atom_reference(self, op, seed):
+        q = self.query(op, seed)
+        record = preprocess_query(q, self.MAPPER, self.INTERP)
+        subs = list(record)
+        assert [fields(sq) for sq in subs] == reference_subqueries(q, self.MAPPER, self.INTERP)
+        assert all(sq.query is q for sq in subs)
+        assert all(type(sq.atom_id) is int and type(sq.n_positions) is int for sq in subs)
+        if op == "interp":
+            assert any(sq.neighbor_keys for sq in subs)
+        assert len(record) == len(subs)
+        assert [fields(record[i]) for i in range(len(record))] == [fields(sq) for sq in subs]
+        assert fields(record[-1]) == fields(subs[-1])
+        assert [fields(sq) for sq in record[1:4]] == [fields(sq) for sq in subs[1:4]]
+        assert [fields(sq) for sq in record.take([0, 2])] == [fields(subs[0]), fields(subs[2])]
+        with pytest.raises(IndexError):
+            record[len(record)]
+
+    def test_noshare_holds_few_bytes_per_pending_subquery(self):
+        """A backlog of FULL-trace queries costs NoShare at most 48 B of
+        Python heap per pending sub-query: the record's columns, not a
+        ``SubQuery`` object with a boxed atom id in a ``deque`` (about
+        120 B) per sub-query."""
+        trace = generate_trace(self.SPEC, standard_params(ExperimentScale.FULL, 7))
+        queries = [q for job in trace.jobs for q in job.queries][:300]
+        interp = InterpolationSpec(order=standard_engine().interpolation_order)
+        scheduler = NoShareScheduler()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for q in queries:
+                scheduler.on_query_arrival(q, preprocess_query(q, self.MAPPER, interp), 0.0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert scheduler.queue_depth() > 10_000
+        assert held / scheduler.queue_depth() <= 48
 
 
 class TestJobValidation:
