@@ -45,13 +45,9 @@ class ContentionSchedulerBase(Scheduler):
         self._utility_stale = True
         self._utility_atom: dict[int, float] = {}
         self._utility_ts_mean: dict[int, float] = {}
-        # Metric memos keyed on the queue mutation version: U_t depends
-        # only on queue contents, U_e additionally on (now, alpha).
-        # Consecutive next_batch calls with no intervening queue change
-        # (idle node sweeps, gated holds) then skip recomputation.
-        self._ut_memo: Optional[
-            tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-        ] = None
+        # U_e memo keyed on the queue mutation version, now and alpha:
+        # consecutive next_batch calls with no intervening queue change
+        # (idle node sweeps, gated holds) skip recomputing Eq. 2.
         self._ue_memo: Optional[tuple[int, float, float, np.ndarray]] = None
 
     # ------------------------------------------------------------------
@@ -82,11 +78,11 @@ class ContentionSchedulerBase(Scheduler):
         evicted); an idle atom ranks (0, 0) and goes first.
         """
         if self._utility_stale:
-            ids, counts, _, _ = self.queues.active_view()
+            view = self.queues.active_view()
+            ids, ts = view.atom_ids, view.timesteps
             # What the workload loses if the atom must be re-read.
-            u = workload_throughput(counts, np.zeros(len(ids), dtype=bool), self.cost)
+            u = workload_throughput(view.counts, np.zeros(len(ids), dtype=bool), self.cost)
             self._utility_atom = {int(a): float(v) for a, v in zip(ids, u)}
-            ts = self.queues.timesteps_of(ids)
             self._utility_ts_mean = {}
             for step in np.unique(ts):
                 self._utility_ts_mean[int(step)] = float(u[ts == step].mean())
@@ -108,27 +104,23 @@ class ContentionSchedulerBase(Scheduler):
     def on_query_arrival(self, query: Query, subqueries: Sequence[SubQuery], now: float) -> None:
         self._enqueue(subqueries, now)
 
+    def on_query_complete(self, query: Query, now: float) -> None:
+        self.queues.forget_query(query.query_id)
+
     def _metric_view(
         self, now: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(atom_ids, timesteps, U_t, U_e)`` over atoms with work.
+        """``(atom_ids, timesteps, U_t, U_e)`` over atoms with work,
+        grouped by time step (the queues' active view).
 
-        Memoized on the queue version (and, for the aged metric, on
-        ``now`` and alpha): when nothing arrived or drained between
-        consecutive calls, the previous arrays are returned without
-        recomputing Eq. 1/Eq. 2 or re-snapshotting the queues.  The
-        returned arrays are shared — callers must treat them as
-        read-only.
+        ``U_t`` is the queues' maintained Eq. 1 column.  ``U_e`` is
+        memoized on the queue version, ``now`` and alpha: when nothing
+        arrived or drained between consecutive calls, the previous
+        arrays are returned without recomputing Eq. 2.  The returned
+        arrays are shared — callers must treat them as read-only.
         """
+        view = self.queues.active_view()
         version = self.queues.version
-        if self._ut_memo is not None and self._ut_memo[0] == version:
-            ids, timesteps, u_t, oldest = self._ut_memo[1]
-        else:
-            ids, counts, oldest, cached = self.queues.active_view()
-            u_t = workload_throughput(counts, cached, self.cost)
-            timesteps = self.queues.timesteps_of(ids)
-            self._ut_memo = (version, (ids, timesteps, u_t, oldest))
-            self._ue_memo = None
         # Exact == on `now` is deliberate: it is a memo key, not a
         # clock comparison — any difference (even one ulp) must miss
         # the cache and recompute, which is always correct.
@@ -141,9 +133,9 @@ class ContentionSchedulerBase(Scheduler):
         ):
             u_e = memo[3]
         else:
-            u_e = aged_metric(u_t, oldest, now, self._alpha, self.config.metric)
+            u_e = aged_metric(view.u_t, view.oldest, now, self._alpha, self.config.metric)
             self._ue_memo = (version, now, self._alpha, u_e)
-        return ids, timesteps, u_t, u_e
+        return view.atom_ids, view.timesteps, view.u_t, u_e
 
     def _drain(self, atom_ids: list[int]) -> Batch:
         batch = Batch(atoms=[(a, self.queues.pop_atom(a)) for a in atom_ids])
@@ -170,10 +162,7 @@ class ContentionSchedulerBase(Scheduler):
     def evacuate(self, now: float) -> list[tuple[float, SubQuery]]:
         """Pull every queued sub-query, tagged with its own true
         arrival time (the queues store per-sub-query arrivals)."""
-        entries: list[tuple[float, SubQuery]] = []
-        ids, _, _, _ = self.queues.active_view()
-        for atom_id in ids:
-            entries.extend(self.queues.pop_atom_entries(int(atom_id)))
+        entries = self.queues.pop_all_entries()
         if entries:
             self._invalidate_utilities()
         return entries

@@ -91,6 +91,7 @@ class JAWSScheduler(ContentionSchedulerBase):
                 self._enqueue(entry[1], now)
 
     def on_query_complete(self, query: Query, now: float) -> None:
+        super().on_query_complete(query, now)
         if self._gating is None:
             return
         self._gating.on_complete(query.query_id)

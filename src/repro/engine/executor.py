@@ -135,6 +135,7 @@ class BatchExecutor:
         spec = self.spec
         duration = self.cost.t_overhead
         failed: list[SubQuery] = []
+        atoms_executed = neighbor_reads = positions = 0
         for atom_id, subqueries in batch.atoms:
             if not access(atom_id, now):
                 if inj is None:
@@ -149,16 +150,20 @@ class BatchExecutor:
                         stats.failed_atoms += 1
                         failed.extend(subqueries)
                         continue
-            stats.atoms_executed += 1
+            atoms_executed += 1
             for sq in subqueries:
                 if sq.neighbor_keys:
-                    for required in neighbor_atoms_from_keys(spec, sq.neighbor_keys, atom_id):
-                        stats.neighbor_reads += 1
+                    required_atoms = neighbor_atoms_from_keys(spec, sq.neighbor_keys, atom_id)
+                    neighbor_reads += len(required_atoms)
+                    for required in required_atoms:
                         if not access(required, now):
                             duration += read(required)
                 n_positions = sq.n_positions
                 duration += t_m * n_positions
-                stats.positions += n_positions
+                positions += n_positions
+        stats.atoms_executed += atoms_executed
+        stats.neighbor_reads += neighbor_reads
+        stats.positions += positions
         stats.batches += 1
         stats.busy_seconds += duration
         outcome = BatchOutcome(duration, failed)

@@ -222,9 +222,9 @@ def neighbor_atoms_from_keys(
     """
     if not keys:
         return []
-    timestep = primary_atom_id // spec.atoms_per_timestep
-    primary_morton = primary_atom_id % spec.atoms_per_timestep
     n_axis = spec.atoms_per_axis
+    primary_morton = primary_atom_id % (n_axis * n_axis * n_axis)
+    base = primary_atom_id - primary_morton
     memo_key = (n_axis, primary_morton, keys)
     codes = _NEIGHBOR_MEMO.get(memo_key)
     if codes is None:
@@ -244,5 +244,4 @@ def neighbor_atoms_from_keys(
         )
         if len(_NEIGHBOR_MEMO) < _NEIGHBOR_MEMO_MAX:
             _NEIGHBOR_MEMO[memo_key] = codes
-    base = timestep * spec.atoms_per_timestep
     return [base + c for c in codes]

@@ -35,17 +35,21 @@ from typing import Callable, List, Sequence, Tuple
 
 from repro.config import CostModel, SHED_POLICIES
 from repro.errors import ConfigurationError
-from repro.workload.query import SubQueries
+from repro.workload.query import SubQueries, SubQuery
 
 __all__ = ["PendingWork", "ShedPolicy", "estimate_service", "make_shed_policy"]
 
 
-def estimate_service(subqueries: SubQueries, cost: CostModel) -> float:
+def estimate_service(subqueries: Sequence[SubQuery], cost: CostModel) -> float:
     """Standalone service estimate of one query's sub-queries: one atom
-    read per sub-query plus per-position compute — the same formula as
-    ``QoSJAWSScheduler.estimate_service``, read from the record's
-    columns."""
-    n_positions = int(subqueries.n_positions.sum())
+    read per sub-query plus per-position compute (the QoS scheduler's
+    deadlines use it too).  A :class:`SubQueries` record is read from
+    its columns; a plain list (sub-queries routed from a peer shard)
+    one sub-query at a time."""
+    if isinstance(subqueries, SubQueries):
+        n_positions = int(subqueries.n_positions.sum())
+    else:
+        n_positions = sum(sq.n_positions for sq in subqueries)
     return len(subqueries) * cost.t_b + n_positions * cost.t_m
 
 

@@ -34,6 +34,11 @@ input by :meth:`_StateUnpickler.find_class`.  A reference is all there
 is: a query stores nothing derived from it.  An object that merely
 shares an id with an input object is pickled by value.
 
+**Format v10** (:data:`SNAPSHOT_FORMAT_VERSION`): the workload queues'
+per-query index maps each query to an ``array('q')`` of the atoms it
+queued work on, kept until the query completes; any other version is
+refused.
+
 **Compact records.**  :class:`SubQuery` pickles as its four fields
 ``(query, atom_id, n_positions, neighbor_keys)`` and a
 :class:`SubQueries` record as its query and three columns (the two
@@ -105,7 +110,10 @@ __all__ = [
 #: 9: NoShare and JAWS's gate hold a query's sub-queries as one
 #:    ``SubQueries`` record of columns; an LRU-K atom's history is one
 #:    tuple; the engine config's checkpoint directory is a placeholder.
-SNAPSHOT_FORMAT_VERSION = 9
+#: 10: the workload queues' per-query index maps a query to an
+#:    ``array('q')`` of the atoms it queued work on, kept until the
+#:    query completes.
+SNAPSHOT_FORMAT_VERSION = 10
 
 SNAPSHOT_MAGIC = b"JAWSCKPT"
 

@@ -64,6 +64,11 @@ class TestQoSScheduler:
         result = run_trace(trace, s, engine())
         assert result.n_queries == trace.n_queries
         assert s.completed == trace.n_queries
+        # Pinned results: deadlines and urgent atoms are read from the
+        # sub-query records' columns without changing any of them.
+        assert (s.completed, s.deadline_misses) == (171, 18)
+        assert s.total_tardiness.hex() == "0x1.f4fb3bb25fa36p+9"
+        assert float(sum(result.response_times)).hex() == "0x1.0488339fb8a51p+11"
 
     def test_deadlines_proportional_to_size(self):
         s = QoSJAWSScheduler(SPEC, COST, cfg(), slack_factor=10.0)

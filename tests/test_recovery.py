@@ -282,18 +282,19 @@ def test_version_mismatch_raises(crashed_dir, tmp_path):
         Simulator.restore(ckpt_dir)
 
 
-@pytest.mark.parametrize("version", range(2, 9))
+@pytest.mark.parametrize("version", range(2, 10))
 def test_older_snapshot_version_refused(crashed_dir, tmp_path, version):
-    """Formats 2-8 lay the state out differently (the history is at
+    """Formats 2-9 lay the state out differently (the history is at
     ``SNAPSHOT_FORMAT_VERSION``: v3 sub-queries lack their neighbor
     keys, v4 REROUTE events carry one bare pair, v5 sub-queries carry
     index bytes, v6 gating vertices hold frozensets, v7 caches and
     schedulers carry wall-clock counters, v8 holds LRU-K histories as
-    deques and pending sub-queries as objects): never resumed."""
-    assert SNAPSHOT_FORMAT_VERSION == 9
+    deques and pending sub-queries as objects, v9 indexes queries by
+    a dict of their pending atoms): never resumed."""
+    assert SNAPSHOT_FORMAT_VERSION == 10
     ckpt_dir = shutil.copytree(crashed_dir, tmp_path / "ckpt")
     _write_version(_latest_snapshot(ckpt_dir), version)
-    with pytest.raises(RecoveryError, match=f"file has v{version}, this build reads v9"):
+    with pytest.raises(RecoveryError, match=f"file has v{version}, this build reads v10"):
         Simulator.restore(ckpt_dir)
 
 
