@@ -260,11 +260,19 @@ class SimulationSanitizer:
 
     # -- workload-queue coherence -------------------------------------------
     def _check_queues(self) -> None:
+        remaining = self._sim._remaining
         for idx, node in enumerate(self._sim.nodes):
             queues = getattr(node.scheduler, "queues", None)
             if queues is None:
                 continue
             problems = queues.check_consistency()
+            # Index entries end with their query (completion or
+            # cancellation); one that outlives it is a leak.
+            problems.extend(
+                f"inverted index holds ended query {qid}"
+                for qid in queues._by_query
+                if qid not in remaining
+            )
             if problems:
                 self._raise(
                     "queue_coherence",
